@@ -16,9 +16,9 @@ from .errors import (AlgebraError, CertificateError, HomogeneityError,
 from .fields import GF2, QQ
 from .exterior import Element, FreeAlgebra
 from .presentation import (AlgebraPresentation, DualityData, QuotientAlgebra,
-                           TensorElement, TensorSquareAlgebra, convolve,
-                           diagonal_class, duality_data, hilbert_series,
-                           quotient, tensor_square)
+                           TensorSquareAlgebra, convolve, diagonal_class,
+                           duality_data, hilbert_series, quotient,
+                           tensor_square)
 from .models import (ReducedGenerators, arnold_algebra, genus2_B_algebra,
                      punctured_plane_algebra, reduced_generators,
                      resolve_model, resolve_presentation, so3_mod2_algebra,
@@ -42,7 +42,7 @@ __all__ = [
     "ModelInconsistencyError", "NotPoincareDualityError",
     "ResourceBudgetError", "TruncationError", "UnsupportedModelError",
     "GF2", "QQ", "Element", "FreeAlgebra",
-    "AlgebraPresentation", "DualityData", "QuotientAlgebra", "TensorElement",
+    "AlgebraPresentation", "DualityData", "QuotientAlgebra",
     "TensorSquareAlgebra", "convolve", "diagonal_class", "duality_data",
     "hilbert_series", "quotient", "tensor_square",
     "ReducedGenerators", "arnold_algebra", "genus2_B_algebra",

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: build/zcl return 0 on success; groebner-check returns 1 when
 the set is not a Groebner basis; tc returns 1 when any computed row is not
-tight (unverified rows do not fail the sweep); usage and model errors
-return 2.
+tight (unverified rows do not fail the sweep); usage and model errors, and
+presentation files that cannot be read or parsed, return 2.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from .errors import AlgebraError
 from .fields import GF2, QQ
 from .groebner import gb_hilbert, torus_ideal_check
-from .models import resolve_model, resolve_presentation
+from .models import resolve_model
 from .presentation import AlgebraPresentation, quotient
 from .tcreport import all_tight, sweep, tc_report
 from .zcl import (ZclCertificate, bar_product_certificate, case_certificate,
@@ -53,21 +53,20 @@ def _model_args(p: argparse.ArgumentParser):
     p.add_argument("--field", default=None, help="q or gf2 where applicable")
 
 
-def _resolve(args, want="quotient"):
+def _resolve(args):
     if args.model == "mod-ideal":
-        return mod_ideal_quotient(args.n or 1, args.g if args.g else 2)
-    kw = dict(g=args.g, n=args.n, punctures=args.punctures,
-              field=_field_arg(args.field))
-    if want == "presentation":
-        return resolve_presentation(args.model, **kw)
-    return resolve_model(args.model, **kw)
+        return mod_ideal_quotient(1 if args.n is None else args.n,
+                                  2 if args.g is None else args.g)
+    return resolve_model(args.model, g=args.g, n=args.n,
+                         punctures=args.punctures, field=_field_arg(args.field))
 
 
 def _cmd_build(args):
     if args.presentation:
-        pres = AlgebraPresentation.load(args.presentation)
+        A = quotient(AlgebraPresentation.load(args.presentation))
     else:
-        pres = _resolve(args, want="presentation")
+        A = _resolve(args)
+    pres = A.presentation
     if args.dump_presentation:
         payload = json.dumps(pres.to_json(), indent=2)
         if args.dump_presentation == "-":
@@ -75,7 +74,6 @@ def _cmd_build(args):
         else:
             with open(args.dump_presentation, "w") as fh:
                 fh.write(payload + "\n")
-    A = quotient(pres)
     info = {
         "model": args.model or "file",
         "label": A.label,
@@ -117,11 +115,11 @@ def _cmd_zcl(args):
             case = "torus"
         if args.model == "b-sigma":
             case = "genus2"
+        n = 1 if args.n is None else args.n
         if case == "genus2":
-            cert = case_certificate(case, args.n or 1,
-                                    genus=args.g if args.g else 2)
+            cert = case_certificate(case, n, genus=2 if args.g is None else args.g)
         elif case is not None:
-            cert = case_certificate(case, args.n or 1)
+            cert = case_certificate(case, n)
         else:
             cert = _climb_certificate(_resolve(args), args.cap)
         report = {
@@ -232,14 +230,12 @@ def main(argv=None) -> int:
     t.add_argument("--sweep", nargs=3, type=int, default=None,
                    metavar=("GMAX", "NMAX", "MMAX"))
     t.add_argument("--json", action="store_true")
-    t.add_argument("--table", action="store_true",
-                   help="plain table output (the default)")
     t.set_defaults(run=_cmd_tc)
 
     args = ap.parse_args(argv)
     try:
         return args.run(args)
-    except AlgebraError as e:
+    except (AlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -140,6 +140,25 @@ class FreeAlgebra:
             i = j
         return "*".join(parts)
 
+    # Element terms are monomials.
+    term_degree = monomial_degree
+    term_str = mon_str
+
+    def mon_times(self, mon, terms):
+        """mon * terms for a term dict, as a term dict.
+
+        Distinct monomials have distinct products with mon, so no two
+        products meet and nothing cancels.
+        """
+        neg = self.field.neg
+        out = {}
+        for m, c in terms.items():
+            hit = self.mul_mon(mon, m)
+            if hit is not None:
+                sign, prod = hit
+                out[prod] = neg(c) if sign < 0 else c
+        return out
+
     # -- elements ----------------------------------------------------------
 
     def zero(self):
@@ -162,23 +181,9 @@ class FreeAlgebra:
     def multiply(self, e1: "Element", e2: "Element") -> "Element":
         if e1.algebra is not self or e2.algebra is not self:
             raise MismatchError("elements from different algebras")
-        field = self.field
         acc = {}
         for m1, c1 in e1.terms.items():
-            for m2, c2 in e2.terms.items():
-                hit = self.mul_mon(m1, m2)
-                if hit is None:
-                    continue
-                sign, mon = hit
-                c = field.mul(c1, c2)
-                if sign < 0:
-                    c = field.neg(c)
-                prev = acc.get(mon)
-                c = c if prev is None else field.add(prev, c)
-                if c == field.zero:
-                    acc.pop(mon, None)
-                else:
-                    acc[mon] = c
+            add_scaled(self.field, acc, self.mon_times(m1, e2.terms), c1)
         return Element(self, acc)
 
     def __repr__(self):
@@ -186,12 +191,35 @@ class FreeAlgebra:
         return f"FreeAlgebra({self.field.name}; {gens})"
 
 
-class Element:
-    """Sparse element of a FreeAlgebra or of a quotient bound to one.
+def add_scaled(field: Field, acc: dict, terms: dict, scalar=None):
+    """acc += scalar * terms in place, dropping keys whose sum cancels.
 
-    The binding object only needs a .field, a .free (FreeAlgebra used for
-    monomials) and a ._mul_elements method; both FreeAlgebra itself and
-    QuotientAlgebra qualify.
+    scalar None means 1.  acc and terms map keys to nonzero scalars; every
+    field's scalars (Fraction, int) are false exactly when zero.
+    """
+    if scalar is not None and not scalar:
+        return
+    add, mul = field.add, field.mul
+    for k, c in terms.items():
+        if scalar is not None:
+            c = mul(scalar, c)
+        prev = acc.get(k)
+        if prev is None:
+            acc[k] = c
+        else:
+            c = add(prev, c)
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+
+
+class Element:
+    """Sparse element of an algebra: a dict term -> nonzero scalar.
+
+    The algebra supplies .field, multiply(e1, e2), term_degree(term) and
+    term_str(term).  FreeAlgebra and QuotientAlgebra (terms are monomials)
+    and TensorSquareAlgebra (terms are pairs of basis monomials) qualify.
     """
 
     __slots__ = ("algebra", "terms")
@@ -207,16 +235,9 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, mon):
-        return self.terms.get(tuple(mon), self.field.zero)
-
-    def support(self):
-        return sorted(self.terms)
-
     def degree(self):
         """Degree if nonzero homogeneous, else None."""
-        free = _free_of(self.algebra)
-        degs = {free.monomial_degree(m) for m in self.terms}
+        degs = {self.algebra.term_degree(t) for t in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -227,23 +248,17 @@ class Element:
         return self
 
     def homogeneous_parts(self):
-        free = _free_of(self.algebra)
+        """{degree: the part of self in that degree}, in ascending degree."""
+        term_degree = self.algebra.term_degree
         parts = {}
-        for mon, c in self.terms.items():
-            parts.setdefault(free.monomial_degree(mon), {})[mon] = c
-        return {d: Element(self.algebra, t) for d, t in sorted(parts.items())}
+        for t, c in self.terms.items():
+            parts.setdefault(term_degree(t), {})[t] = c
+        return {d: Element(self.algebra, p) for d, p in sorted(parts.items())}
 
     def __add__(self, other):
         self._check(other)
-        field = self.field
         acc = dict(self.terms)
-        for mon, c in other.terms.items():
-            prev = acc.get(mon)
-            c = c if prev is None else field.add(prev, c)
-            if c == field.zero:
-                acc.pop(mon, None)
-            else:
-                acc[mon] = c
+        add_scaled(self.field, acc, other.terms)
         return Element(self.algebra, acc)
 
     def __sub__(self, other):
@@ -251,11 +266,12 @@ class Element:
 
     def __neg__(self):
         field = self.field
-        return Element(self.algebra, {m: field.neg(c) for m, c in self.terms.items()})
+        return Element(self.algebra, {t: field.neg(c) for t, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return self.algebra._mul_elements(self, other)
+            self._check(other)
+            return self.algebra.multiply(self, other)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -266,7 +282,7 @@ class Element:
         c0 = field.coerce(scalar)
         if c0 == field.zero:
             return Element(self.algebra, {})
-        return Element(self.algebra, {m: field.mul(c, c0) for m, c in self.terms.items()})
+        return Element(self.algebra, {t: field.mul(c, c0) for t, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -285,28 +301,19 @@ class Element:
     def __repr__(self):
         if not self.terms:
             return "0"
-        free = _free_of(self.algebra)
+        algebra = self.algebra
         field = self.field
         bits = []
-        for mon in sorted(self.terms, key=lambda m: (free.monomial_degree(m), m)):
-            c = self.terms[mon]
-            cs = field.fmt(c)
-            ms = free.mon_str(mon)
-            if ms == "1":
+        for t in sorted(self.terms, key=lambda t: (algebra.term_degree(t), t)):
+            cs = field.fmt(self.terms[t])
+            ts = algebra.term_str(t)
+            if ts == "1":
                 bits.append(cs)
             elif cs == "1":
-                bits.append(ms)
+                bits.append(ts)
             elif cs == "-1":
-                bits.append(f"-{ms}")
+                bits.append(f"-{ts}")
             else:
-                bits.append(f"{cs}*{ms}")
+                bits.append(f"{cs}*{ts}")
         out = " + ".join(bits)
         return out.replace("+ -", "- ")
-
-
-def _free_of(algebra):
-    return algebra if isinstance(algebra, FreeAlgebra) else algebra.free
-
-
-# FreeAlgebra is its own multiplication context.
-FreeAlgebra._mul_elements = FreeAlgebra.multiply

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import AlgebraError, CertificateError, UnsupportedModelError
-from .exterior import Element, FreeAlgebra
+from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import QQ
 
 
@@ -116,13 +116,7 @@ def reduce_element(e: Element, relations, order: TermOrder,
         u = tuple(sorted(mset - set(lmon)))
         ur = _mul_by_mon(free, r, u)
         lc = ur.terms[m]
-        factor = field.div(work[m], lc)
-        for mm, cc in ur.terms.items():
-            val = field.sub(work.get(mm, field.zero), field.mul(factor, cc))
-            if val == field.zero:
-                work.pop(mm, None)
-            else:
-                work[mm] = val
+        add_scaled(field, work, ur.terms, field.neg(field.div(work[m], lc)))
     return Element(free, done)
 
 

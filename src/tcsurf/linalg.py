@@ -8,7 +8,9 @@ fed in.
 
 Over the rationals the rows are kept as primitive integer vectors (gcd 1,
 positive pivot); elimination is fraction-free so the hot loops run on plain
-ints.  Over GF(2) a row is a single int bitmask and elimination is xor.
+ints.  Over GF(2) a row is a single int bitmask and elimination is xor.  No
+other field is supported: new_subspace, the one place that picks the
+elimination, refuses GF(p) for p > 2.
 """
 
 from __future__ import annotations
@@ -16,15 +18,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import UnsupportedModelError
 from .fields import Field
+
+
+def new_subspace(field: Field, ncols: int) -> "Subspace":
+    """An empty subspace of ncols columns, eliminating over the field."""
+    if field.char == 0:
+        return RationalSubspace(ncols)
+    if field.char == 2:
+        return Gf2Subspace(ncols)
+    raise UnsupportedModelError(
+        f"linear algebra over {field.name} is not supported (only Q and GF2)")
 
 
 def echelonize(field: Field, ncols: int, vectors) -> "Subspace":
     """Echelonize an iterable of sparse vectors (dict col -> scalar)."""
-    if field.char == 2:
-        sub = Gf2Subspace(ncols)
-    else:
-        sub = RationalSubspace(ncols)
+    sub = new_subspace(field, ncols)
     for v in vectors:
         sub.insert(v)
         if sub.rank == ncols:
@@ -275,20 +285,11 @@ def kernel_basis(field: Field, images, ncols_image: int):
     Returns a list of sparse vectors over the domain coordinates, in RREF.
     """
     n = len(images)
-    if field.char == 2:
-        sub = Gf2Subspace(ncols_image + n)
-        for i, img in enumerate(images):
-            row = 1 << (ncols_image + i)
-            for c, v in img.items():
-                if int(v) % 2:
-                    row |= 1 << c
-            sub.insert(row)
-    else:
-        sub = RationalSubspace(ncols_image + n)
-        for i, img in enumerate(images):
-            row = dict(img)
-            row[ncols_image + i] = 1
-            sub.insert(row)
+    sub = new_subspace(field, ncols_image + n)
+    for i, img in enumerate(images):
+        row = dict(img)
+        row[ncols_image + i] = 1
+        sub.insert(row)
     sub.finalize()
     out = []
     for p, row in zip(sub.pivots, sub.rows_rref()):

@@ -9,7 +9,7 @@ mod-2 model for configuration spaces of the sphere.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -28,20 +28,6 @@ from .presentation import (
     duality_data,
     quotient,
 )
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Configuration-space parameters: genus g, points n, punctures m."""
-
-    g: int
-    n: int
-    m: int = 0
-    field: Field = dc_field(default=QQ)
-
-    def __post_init__(self):
-        if self.g < 0 or self.n < 1 or self.m < 0:
-            raise AlgebraError(f"invalid surface spec g={self.g}, n={self.n}, m={self.m}")
 
 
 def _handle_letters(g: int):
@@ -280,12 +266,6 @@ def totaro_algebra(g: int, n: int) -> QuotientAlgebra:
     return A
 
 
-def totaro_for(spec: SurfaceSpec) -> QuotientAlgebra:
-    if spec.m != 0:
-        raise UnsupportedModelError("diagonal-ideal model exists only for m=0")
-    return totaro_algebra(spec.g, spec.n)
-
-
 @dataclass
 class ReducedGenerators:
     """x_1 = a_1, y_1 = b_1, x_j = a_j - a_1, y_j = b_j - b_1 (j >= 2)."""
@@ -456,9 +436,11 @@ def resolve_presentation(model: str, *, g=None, n=None, punctures=None,
             punctures if punctures is not None else 2,
             field or GF2)
     if model == "totaro":
-        return totaro_algebra(g if g is not None else 1, n or 1).presentation
+        return totaro_algebra(g if g is not None else 1,
+                              n if n is not None else 1).presentation
     if model == "b-sigma":
-        return genus2_B_algebra(n or 1, g if g is not None else 2).presentation
+        return genus2_B_algebra(n if n is not None else 1,
+                                g if g is not None else 2).presentation
     if model == "sphere-mod2":
         return sphere_mod2_model(n if n is not None else 3).presentation
     if model == "so3-mod2":
@@ -470,9 +452,9 @@ def resolve_model(model: str, *, g=None, n=None, punctures=None,
                   field: Field = None) -> QuotientAlgebra:
     """Quotient-level lookup by model token."""
     if model == "totaro":
-        return totaro_algebra(g if g is not None else 1, n or 1)
+        return totaro_algebra(g if g is not None else 1, n if n is not None else 1)
     if model == "b-sigma":
-        return genus2_B_algebra(n or 1, g if g is not None else 2)
+        return genus2_B_algebra(n if n is not None else 1, g if g is not None else 2)
     if model == "sphere-mod2":
         return sphere_mod2_model(n if n is not None else 3)
     if model == "so3-mod2":

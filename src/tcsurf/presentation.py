@@ -26,7 +26,7 @@ from .errors import (
     ResourceBudgetError,
     TruncationError,
 )
-from .exterior import Element, FreeAlgebra
+from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import field_from_name
 from .linalg import echelonize, invert_matrix
 
@@ -83,20 +83,27 @@ class AlgebraPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraPresentation":
-        field = field_from_name(data["field"])
-        free = FreeAlgebra(field, [(g["name"], int(g["degree"])) for g in data["generators"]])
-        relations = []
-        for terms in data.get("relations", []):
-            acc = free.zero()
-            for term in terms:
-                coeff = field.parse(term["coeff"])
-                mon = free.one()
-                for name in term["monomial"]:
-                    mon = free.multiply(mon, free.gen(name))
-                acc = acc + mon.scale(coeff)
-            relations.append(acc)
-        return cls(free, relations, top_degree=data.get("top_degree"),
-                   label=data.get("label"))
+        """Inverse of to_json; missing keys or bad values raise AlgebraError."""
+        try:
+            field = field_from_name(data["field"])
+            free = FreeAlgebra(field, [(g["name"], int(g["degree"]))
+                                       for g in data["generators"]])
+            relations = []
+            for terms in data.get("relations", []):
+                acc = free.zero()
+                for term in terms:
+                    coeff = field.parse(term["coeff"])
+                    mon = free.one()
+                    for name in term["monomial"]:
+                        mon = free.multiply(mon, free.gen(name))
+                    acc = acc + mon.scale(coeff)
+                relations.append(acc)
+            top_degree, label = data.get("top_degree"), data.get("label")
+        except AlgebraError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise AlgebraError(f"malformed presentation: {e!r}") from e
+        return cls(free, relations, top_degree=top_degree, label=label)
 
     def dump(self, path):
         with open(path, "w") as fh:
@@ -106,7 +113,11 @@ class AlgebraPresentation:
     @classmethod
     def load(cls, path) -> "AlgebraPresentation":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise AlgebraError(f"malformed presentation: {path}: {e}") from e
+        return cls.from_json(data)
 
     def __repr__(self):
         return (f"AlgebraPresentation({self.label}: {self.free.ngens} generators, "
@@ -178,26 +189,11 @@ class QuotientAlgebra:
 
     def _ideal_vectors(self, d, rels, idx):
         free = self.free
-        field = self.field
         for e, r in rels:
             if e > d:
                 continue
-            rterms = list(r.terms.items())
             for m in free.monomials_of_degree(d - e):
-                vec = {}
-                for rmon, c in rterms:
-                    hit = free.mul_mon(m, rmon)
-                    if hit is None:
-                        continue
-                    sign, mon = hit
-                    col = idx[mon]
-                    val = field.neg(c) if sign < 0 else c
-                    prev = vec.get(col)
-                    val = val if prev is None else field.add(prev, val)
-                    if val == field.zero:
-                        vec.pop(col, None)
-                    else:
-                        vec[col] = val
+                vec = {idx[mon]: c for mon, c in free.mon_times(m, r.terms).items()}
                 if vec:
                     yield vec
 
@@ -218,6 +214,12 @@ class QuotientAlgebra:
             return []
         raise TruncationError(
             f"{self.label}: degree {d} beyond the constructed range {self.built_top}")
+
+    def term_degree(self, mon) -> int:
+        return self.free.monomial_degree(mon)
+
+    def term_str(self, mon) -> str:
+        return self.free.mon_str(mon)
 
     def hilbert(self):
         """Dimensions per degree; see hilbert_series."""
@@ -246,10 +248,9 @@ class QuotientAlgebra:
 
     def reduce_free(self, e: Element) -> Element:
         """Normal form of a free-algebra element (also accepts own elements)."""
-        free = self.free
         field = self.field
         out = {}
-        for part_deg, part in _split_degrees(free, e.terms).items():
+        for part_deg, part in e.homogeneous_parts().items():
             if part_deg > self.built_top:
                 if self.exhaustive:
                     continue
@@ -257,14 +258,14 @@ class QuotientAlgebra:
                     f"{self.label}: cannot reduce in degree {part_deg}, "
                     f"constructed only through {self.built_top}")
             idx = self.index[part_deg]
-            vec = {idx[m]: c for m, c in part.items()}
+            vec = {idx[m]: c for m, c in part.terms.items()}
             residue = self.ideal[part_deg].reduce(vec)
             mons = self.free.monomials_of_degree(part_deg)
             for col, val in residue.items():
                 out[mons[col]] = field.coerce(val)
         return Element(self, out)
 
-    def _mul_elements(self, e1: Element, e2: Element) -> Element:
+    def multiply(self, e1: Element, e2: Element) -> Element:
         prod = self.free.multiply(self.element_in_free(e1), self.element_in_free(e2))
         return self.reduce_free(prod)
 
@@ -310,13 +311,6 @@ class QuotientAlgebra:
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
 
 
-def _split_degrees(free, terms):
-    parts = {}
-    for mon, c in terms.items():
-        parts.setdefault(free.monomial_degree(mon), {})[mon] = c
-    return parts
-
-
 def quotient(presentation: AlgebraPresentation, max_degree=None,
              budget=DEFAULT_BUDGET) -> QuotientAlgebra:
     return QuotientAlgebra(presentation, max_degree=max_degree, budget=budget)
@@ -341,99 +335,6 @@ def convolve(a, b):
 
 # --------------------------------------------------------------------------
 # tensor square
-
-
-class TensorElement:
-    """Sparse element of a TensorSquareAlgebra; keys are basis-monomial pairs."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = terms
-
-    @property
-    def field(self):
-        return self.algebra.field
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, pair):
-        return self.terms.get(pair, self.field.zero)
-
-    def degree(self):
-        degs = {self.algebra.pair_degree(p) for p in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def homogeneous_parts(self):
-        parts = {}
-        for pair, c in self.terms.items():
-            parts.setdefault(self.algebra.pair_degree(pair), {})[pair] = c
-        return {d: TensorElement(self.algebra, t) for d, t in sorted(parts.items())}
-
-    def __add__(self, other):
-        self._check(other)
-        field = self.field
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = acc.get(k)
-            c = c if prev is None else field.add(prev, c)
-            if c == field.zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = c
-        return TensorElement(self.algebra, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        field = self.field
-        return TensorElement(self.algebra,
-                             {k: field.neg(c) for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar):
-        field = self.field
-        c0 = field.coerce(scalar)
-        if c0 == field.zero:
-            return TensorElement(self.algebra, {})
-        return TensorElement(self.algebra,
-                             {k: field.mul(c, c0) for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and other.algebra is self.algebra and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.terms.items()))))
-
-    def _check(self, other):
-        if not isinstance(other, TensorElement) or other.algebra is not self.algebra:
-            raise MismatchError("tensor elements from different algebras")
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        free = self.algebra.A.free
-        field = self.field
-        bits = []
-        for (m1, m2) in sorted(self.terms,
-                               key=lambda p: (self.algebra.pair_degree(p), p)):
-            c = field.fmt(self.terms[(m1, m2)])
-            s = f"{free.mon_str(m1)}(x){free.mon_str(m2)}"
-            bits.append(s if c == "1" else f"-{s}" if c == "-1" else f"{c}*{s}")
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 class TensorSquareAlgebra:
@@ -472,22 +373,29 @@ class TensorSquareAlgebra:
         f = self.A.free
         return f.monomial_degree(pair[0]) + f.monomial_degree(pair[1])
 
+    # Element terms are pairs of basis monomials.
+    term_degree = pair_degree
+
+    def term_str(self, pair) -> str:
+        free = self.A.free
+        return f"{free.mon_str(pair[0])}(x){free.mon_str(pair[1])}"
+
     def zero(self):
-        return TensorElement(self, {})
+        return Element(self, {})
 
     def one(self):
-        return TensorElement(self, {((), ()): self.field.one})
+        return Element(self, {((), ()): self.field.one})
 
-    def tensor(self, a: Element, b: Element) -> TensorElement:
+    def tensor(self, a: Element, b: Element) -> Element:
         """a (x) b for normal-form elements of A."""
         field = self.field
         acc = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 acc[(m1, m2)] = field.mul(c1, c2)
-        return TensorElement(self, acc)
+        return Element(self, acc)
 
-    def bar(self, a: Element) -> TensorElement:
+    def bar(self, a: Element) -> Element:
         """a (x) 1 - 1 (x) a, the basic zero-divisor attached to a."""
         return self.tensor(a, self.A.one()) - self.tensor(self.A.one(), a)
 
@@ -515,38 +423,34 @@ class TensorSquareAlgebra:
         self._pair_cache[key] = out
         return out
 
-    def multiply(self, t1: TensorElement, t2: TensorElement) -> TensorElement:
+    def multiply(self, t1: Element, t2: Element, bound=None) -> Element:
+        """t1 * t2; with bound = (p, q), only terms of bidegree <= (p, q).
+
+        Bidegrees only grow under multiplication, so the coefficients at or
+        below the bound are those of the full product.
+        """
         field = self.field
+        deg = self.A.free.monomial_degree
         acc = {}
         for (u1, v1), c1 in t1.terms.items():
-            for (u2, v2), c2 in t2.terms.items():
-                c12 = field.mul(c1, c2)
-                for pair, c in self._pair_product(u1, v1, u2, v2).items():
-                    val = field.mul(c12, c)
-                    prev = acc.get(pair)
-                    val = val if prev is None else field.add(prev, val)
-                    if val == field.zero:
-                        acc.pop(pair, None)
-                    else:
-                        acc[pair] = val
-        return TensorElement(self, acc)
+            right = t2.terms.items()
+            if bound is not None:
+                p, q = bound[0] - deg(u1), bound[1] - deg(v1)
+                right = [(k, c) for k, c in right if deg(k[0]) <= p and deg(k[1]) <= q]
+            for (u2, v2), c2 in right:
+                prod = self._pair_product(u1, v1, u2, v2)
+                if prod:
+                    add_scaled(field, acc, prod, field.mul(c1, c2))
+        return Element(self, acc)
 
-    def mu(self, t: TensorElement) -> Element:
+    def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""
-        field = self.field
         acc = {}
         for (m1, m2), c in t.terms.items():
-            for mon, c2 in self.A.mul_basis(m1, m2).items():
-                val = field.mul(c, c2)
-                prev = acc.get(mon)
-                val = val if prev is None else field.add(prev, val)
-                if val == field.zero:
-                    acc.pop(mon, None)
-                else:
-                    acc[mon] = val
+            add_scaled(self.field, acc, self.A.mul_basis(m1, m2), c)
         return Element(self.A, acc)
 
-    def swap(self, t: TensorElement) -> TensorElement:
+    def swap(self, t: Element) -> Element:
         """The graded flip u (x) v -> (-1)^(|u||v|) v (x) u."""
         field = self.field
         free = self.A.free
@@ -556,9 +460,9 @@ class TensorSquareAlgebra:
                     and free.monomial_degree(m2) % 2):
                 c = field.neg(c)
             acc[(m2, m1)] = c
-        return TensorElement(self, acc)
+        return Element(self, acc)
 
-    def vectorize(self, t: TensorElement, d: int):
+    def vectorize(self, t: Element, d: int):
         idx = self.index[d]
         vec = {}
         for pair, c in t.terms.items():
@@ -567,10 +471,10 @@ class TensorSquareAlgebra:
             vec[idx[pair]] = c
         return vec
 
-    def element_from_vec(self, vec, d: int) -> TensorElement:
+    def element_from_vec(self, vec, d: int) -> Element:
         basis = self.basis[d]
         field = self.field
-        return TensorElement(self, {basis[i]: field.coerce(c) for i, c in vec.items()})
+        return Element(self, {basis[i]: field.coerce(c) for i, c in vec.items()})
 
     def __repr__(self):
         return f"TensorSquareAlgebra({self.A.label}, dims={self.dims})"
@@ -653,25 +557,18 @@ def duality_data(A: QuotientAlgebra, top=None, omega=None) -> DualityData:
     return DualityData(A, top, omega, duals)
 
 
-def diagonal_class(D: DualityData) -> TensorElement:
+def diagonal_class(D: DualityData) -> Element:
     """Sum over the basis of (-1)^|b| b (x) b*, checked to kill every bar(x)."""
     A = D.algebra
     T = tensor_square(A)
     field = A.field
     acc = {}
     for k in range(D.top + 1):
+        sign = field.neg(field.one) if (field.char != 2 and k % 2) else field.one
         for b in A.basis_monomials(k):
-            dual = D.duals[b]
-            for m2, c in dual.terms.items():
-                val = field.neg(c) if (field.char != 2 and k % 2) else c
-                pair = (b, m2)
-                prev = acc.get(pair)
-                val = val if prev is None else field.add(prev, val)
-                if val == field.zero:
-                    acc.pop(pair, None)
-                else:
-                    acc[pair] = val
-    delta = TensorElement(T, acc)
+            pairs = {(b, m2): c for m2, c in D.duals[b].terms.items()}
+            add_scaled(field, acc, pairs, sign)
+    delta = Element(T, acc)
     for name in A.free.names:
         probe = T.bar(A.gen(name)) * delta
         if not probe.is_zero():

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, CertificateError, TruncationError
 from .exterior import Element
-from .fields import QQ
-from .linalg import Gf2Subspace, RationalSubspace, echelonize, kernel_basis
+from .linalg import echelonize, kernel_basis, new_subspace
 from .models import (
     genus2_B_algebra,
     reduced_generators,
@@ -28,7 +27,7 @@ from .models import (
     totaro_algebra,
     _build_diagonal_model,
 )
-from .presentation import TensorElement, TensorSquareAlgebra, tensor_square
+from .presentation import TensorSquareAlgebra, tensor_square
 
 
 @dataclass
@@ -78,10 +77,6 @@ class ZclCertificate:
         }
 
 
-def _new_subspace(field, ncols):
-    return Gf2Subspace(ncols) if field.char == 2 else RationalSubspace(ncols)
-
-
 class _GradedSpan:
     """Degreewise echelonized span of homogeneous elements of a graded space.
 
@@ -98,7 +93,7 @@ class _GradedSpan:
             vec = self.space.vectorize(part, d)
             sub = self.subs.get(d)
             if sub is None:
-                sub = _new_subspace(self.space.field, self.space.dims[d])
+                sub = new_subspace(self.space.field, self.space.dims[d])
                 self.subs[d] = sub
             if sub.insert(vec):
                 grew = True
@@ -132,7 +127,7 @@ def zero_divisor_subspace(A, T: TensorSquareAlgebra = None):
             images.append(
                 {A.basis_index[d][m]: c for m, c in prod.items()} if ncols else {})
         vecs = kernel_basis(A.field, images, ncols)
-        sub = _new_subspace(A.field, len(pairs))
+        sub = new_subspace(A.field, len(pairs))
         for v in vecs:
             sub.insert(v)
         sub.finalize()
@@ -141,7 +136,7 @@ def zero_divisor_subspace(A, T: TensorSquareAlgebra = None):
 
 
 def zero_divisor_elements(A, T: TensorSquareAlgebra = None):
-    """Kernel bases from zero_divisor_subspace, as TensorElements."""
+    """Kernel bases from zero_divisor_subspace, as tensor-square elements."""
     if T is None:
         T = tensor_square(A)
     subs = zero_divisor_subspace(A, T)
@@ -226,39 +221,20 @@ def cup_length(A, cap=None) -> BoundReport:
 # certificates
 
 
-def _bidegree_parts(T, terms):
-    free = T.A.free
-    return {(m1, m2): (free.monomial_degree(m1), free.monomial_degree(m2))
-            for (m1, m2) in terms}
+def _expand(T: TensorSquareAlgebra, factors, bound):
+    """Product of the factors, pruned to bidegree <= bound.
 
-
-def _mul_pruned(T: TensorSquareAlgebra, acc_terms, factor: TensorElement,
-                pmax, qmax):
-    """Multiply a term dict by a factor, dropping terms past bidegree (pmax, qmax).
-
-    Bidegrees only grow, so dropped terms cannot reach the witness bidegree.
+    Every factor must be a nonzero zero-divisor (in ker mu).
     """
-    field = T.field
-    free = T.A.free
-    out = {}
-    for (u1, v1), c1 in acc_terms.items():
-        du1 = free.monomial_degree(u1)
-        dv1 = free.monomial_degree(v1)
-        for (u2, v2), c2 in factor.terms.items():
-            if du1 + free.monomial_degree(u2) > pmax:
-                continue
-            if dv1 + free.monomial_degree(v2) > qmax:
-                continue
-            c12 = field.mul(c1, c2)
-            for pair, c in T._pair_product(u1, v1, u2, v2).items():
-                val = field.mul(c12, c)
-                prev = out.get(pair)
-                val = val if prev is None else field.add(prev, val)
-                if val == field.zero:
-                    out.pop(pair, None)
-                else:
-                    out[pair] = val
-    return out
+    for i, f in enumerate(factors):
+        if f.is_zero() or not T.mu(f).is_zero():
+            raise CertificateError(f"factor {i} is not a zero-divisor: {f}")
+    acc = T.one()
+    for f in factors:
+        acc = T.multiply(acc, f, bound)
+        if acc.is_zero():
+            break
+    return acc
 
 
 def certificate_product(T: TensorSquareAlgebra, factors, witness,
@@ -273,16 +249,8 @@ def certificate_product(T: TensorSquareAlgebra, factors, witness,
     A = T.A
     free = A.free
     field = T.field
-    for i, f in enumerate(factors):
-        if f.is_zero() or not T.mu(f).is_zero():
-            raise CertificateError(f"factor {i} is not a zero-divisor: {f}")
-    pmax = free.monomial_degree(witness[0])
-    qmax = free.monomial_degree(witness[1])
-    acc = {((), ()): field.one}
-    for f in factors:
-        acc = _mul_pruned(T, acc, f, pmax, qmax)
-        if not acc:
-            break
+    acc = _expand(T, factors, (free.monomial_degree(witness[0]),
+                               free.monomial_degree(witness[1]))).terms
     coeff = acc.get(witness, field.zero)
     if coeff == field.zero:
         support = sorted(acc)
@@ -321,6 +289,10 @@ def mod_ideal_quotient(n: int, genus: int = 2):
     Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
     lives in degree n, and certificate expansion is pruned leg-wise to n.
     """
+    if n < 1:
+        raise AlgebraError("n must be positive")
+    if genus < 1:
+        raise AlgebraError("the mod-ideal model needs genus >= 1")
     def extra(free):
         a = [free.gen(f"a{i}") for i in range(1, n + 1)]
         b = [free.gen(f"b{i}") for i in range(1, n + 1)]
@@ -376,11 +348,7 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
             raise CertificateError(f"{B.label}: witness legs vanish")
         # expand once against the largest witness bidegree, then pick the
         # first expected-summand pair that survived
-        acc = {((), ()): T.field.one}
-        for f in factors:
-            if f.is_zero() or not T.mu(f).is_zero():
-                raise CertificateError("factor is not a zero-divisor")
-            acc = _mul_pruned(T, acc, f, n + 1, n + 1)
+        acc = _expand(T, factors, (n + 1, n + 1)).terms
         witness = None
         for m1 in sorted(L.terms):
             for m2 in sorted(R.terms):
@@ -465,7 +433,7 @@ def bar_product_certificate(A, length: int) -> ZclCertificate:
         f"no nonzero {length}-fold bar product found over {len(bars)} generators")
 
 
-def _search_bars(seed: TensorElement, bars, need: int):
+def _search_bars(seed: Element, bars, need: int):
     """First (lexicographic) combination of bar generators with nonzero product."""
     if need == 0:
         return []

@@ -137,3 +137,54 @@ def test_installed_console_script():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "tight" in proc.stdout, proc.stderr
+
+
+GF3_DEPENDENT = {
+    "field": "GF3",
+    "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
+    "relations": [
+        [{"coeff": "1", "monomial": ["x"]}, {"coeff": "2", "monomial": ["y"]}],
+        [{"coeff": "2", "monomial": ["x"]}, {"coeff": "1", "monomial": ["y"]}],
+    ],
+    "top_degree": 2,
+}
+
+BAD_PRESENTATIONS = {
+    "missing-file": None,
+    "invalid-json": "{not json",
+    "missing-key": json.dumps({"field": "Q", "generators": [{"name": "x"}]}),
+    "gf3": json.dumps(GF3_DEPENDENT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_bad_presentation_file_is_a_usage_error(case, tmp_path):
+    path = tmp_path / "pres.json"
+    if BAD_PRESENTATIONS[case] is not None:
+        path.write_text(BAD_PRESENTATIONS[case])
+    proc = run_cli("build", "--presentation", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--model", "totaro", "--g", "1", "--n", "0"),
+    ("build", "--model", "mod-ideal", "--n", "0"),
+    ("build", "--model", "mod-ideal", "--g", "0", "--n", "2"),
+    ("zcl", "--model", "b-sigma", "--g", "0", "--n", "2",
+     "--method", "certificate"),
+], ids=" ".join)
+def test_explicit_zero_is_not_rewritten(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_build_mod_ideal():
+    proc = run_cli("build", "--model", "mod-ideal", "--n", "2", "--json")
+    assert proc.returncode == 0, proc.stderr
+    info = json.loads(proc.stdout)
+    assert info["label"] == "mod-ideal(g=2,n=2)"
+    assert info["exhaustive"] is False  # built through degree n only

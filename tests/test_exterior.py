@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from tcsurf.errors import HomogeneityError
-from tcsurf.exterior import FreeAlgebra
+from tcsurf.exterior import FreeAlgebra, add_scaled
 from tcsurf.fields import GF2, QQ
 
 from .oracles import koszul_merge
@@ -111,3 +111,14 @@ def test_mon_str(ext3):
     mon = next(iter((a * c).terms))
     assert ext3.mon_str(mon) == "a*c"
     assert ext3.mon_str(()) == "1"
+
+
+def test_add_scaled_drops_cancelled_keys():
+    acc = {"x": QQ.coerce(2), "y": QQ.coerce(1)}
+    add_scaled(QQ, acc, {"x": QQ.coerce(1), "z": QQ.coerce(3)}, QQ.coerce(-2))
+    assert acc == {"y": 1, "z": -6}
+    add_scaled(QQ, acc, {"y": QQ.coerce(5)}, QQ.zero)
+    assert acc == {"y": 1, "z": -6}
+    acc = {(0,): 1}
+    add_scaled(GF2, acc, {(0,): 1, (1,): 1})
+    assert acc == {(1,): 1}

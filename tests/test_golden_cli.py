@@ -26,6 +26,7 @@ CORPUS = [
     ["build", "--model", "b-sigma", "--n", "2"],
     ["build", "--model", "sphere-mod2", "--n", "4"],
     ["build", "--model", "so3-mod2"],
+    ["build", "--model", "mod-ideal", "--n", "3"],
     ["zcl", "--model", "totaro", "--g", "1", "--n", "3", "--method", "certificate"],
     ["zcl", "--model", "b-sigma", "--n", "2", "--method", "certificate"],
     ["zcl", "--model", "sphere-mod2", "--n", "4", "--method", "certificate"],

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
-from tcsurf.fields import GF2, QQ
+import pytest
+
+from tcsurf.errors import UnsupportedModelError
+from tcsurf.fields import GF2, QQ, PrimeField
 from tcsurf.linalg import (Gf2Subspace, RationalSubspace, echelonize,
-                           invert_matrix, kernel_basis)
+                           invert_matrix, kernel_basis, new_subspace)
 
 from .oracles import gf2_rank, rational_rank
 
@@ -123,3 +126,13 @@ def test_invert_matrix_round_trip():
 def test_invert_matrix_singular_returns_none():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert invert_matrix(QQ, rows) is None
+
+
+def test_odd_prime_fields_are_refused():
+    GF3 = PrimeField(3)
+    with pytest.raises(UnsupportedModelError):
+        new_subspace(GF3, 2)
+    with pytest.raises(UnsupportedModelError):
+        echelonize(GF3, 2, [{0: 1, 1: 2}, {0: 2, 1: 1}])
+    with pytest.raises(UnsupportedModelError):
+        kernel_basis(GF3, [{0: 1}, {0: 2}], 1)

@@ -179,3 +179,10 @@ def test_model_label_metadata():
     assert A.genus == 1
     assert A.points == 2
     assert (1, 2) in A.diagonals
+
+
+def test_resolve_keeps_an_explicit_zero():
+    with pytest.raises(AlgebraError):
+        resolve_model("totaro", g=1, n=0)
+    with pytest.raises(AlgebraError):
+        resolve_presentation("b-sigma", n=0)

@@ -5,7 +5,7 @@ import pytest
 
 from tcsurf.errors import (AlgebraError, HomogeneityError,
                            NotPoincareDualityError, ResourceBudgetError,
-                           TruncationError)
+                           TruncationError, UnsupportedModelError)
 from tcsurf.exterior import FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, punctured_plane_algebra,
@@ -178,3 +178,46 @@ def test_zero_relation_dropped():
     pres = AlgebraPresentation(F, [F.zero()])
     assert pres.relations == []
     assert quotient(pres).hilbert() == [1, 2, 1]
+
+
+def test_odd_prime_field_quotient_is_refused():
+    # over GF(3) the relations x + 2y and 2x + y are dependent, so degree 2
+    # has dimension 1; eliminating over Q would give 0
+    pres = AlgebraPresentation.from_json({
+        "field": "GF3",
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
+        "relations": [
+            [{"coeff": "1", "monomial": ["x"]}, {"coeff": "2", "monomial": ["y"]}],
+            [{"coeff": "2", "monomial": ["x"]}, {"coeff": "1", "monomial": ["y"]}],
+        ],
+        "top_degree": 2,
+    })
+    with pytest.raises(UnsupportedModelError):
+        quotient(pres)
+
+
+@pytest.mark.parametrize("data", [
+    {"generators": [{"name": "x", "degree": 1}]},
+    {"field": "Q", "generators": [{"name": "x"}]},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "relations": [[{"coeff": "1", "monomial": ["z"]}]]},
+    {"field": "Q", "generators": [{"name": "x", "degree": "one"}]},
+    {"field": "GF4", "generators": [{"name": "x", "degree": 1}]},
+    ["Q"],
+])
+def test_malformed_presentation_json(data):
+    with pytest.raises(AlgebraError, match="malformed presentation"):
+        AlgebraPresentation.from_json(data)
+
+
+def test_bounded_multiply_is_the_truncated_product():
+    A = totaro_algebra(1, 2)
+    T = tensor_square(A)
+    deg = A.free.monomial_degree
+    a1, b1, a2 = (T.bar(A.gen(s)) for s in ("a1", "b1", "a2"))
+    left = a1 * b1
+    full = left * a2
+    for bound in [(0, 3), (1, 1), (2, 1), (1, 2), (3, 3)]:
+        want = {(u, v): c for (u, v), c in full.terms.items()
+                if deg(u) <= bound[0] and deg(v) <= bound[1]}
+        assert T.multiply(left, a2, bound).terms == want

@@ -1,0 +1,129 @@
+"""Differential property tests on small random homogeneous presentations.
+
+Quotient dimensions are checked against the rank of the Macaulay matrix
+computed by the independent oracles; the two zcl_exact variants are checked
+against each other.  Examples are derandomized so the suite is repeatable.
+"""
+
+from itertools import combinations_with_replacement
+
+from hypothesis import given, settings, strategies as st
+
+from tcsurf.exterior import FreeAlgebra
+from tcsurf.fields import GF2, QQ
+from tcsurf.presentation import AlgebraPresentation, quotient
+from tcsurf.zcl import zcl_exact
+
+from .oracles import gf2_rank, koszul_merge, rational_rank
+
+FIELDS = {"Q": QQ, "GF2": GF2}
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@st.composite
+def presentations(draw, field, degrees, squares=False):
+    """Two to four generators and up to three homogeneous relations.
+
+    A relation is either a product of two sparse linear forms (its Koszul
+    signs make products with the forms cancel) or a sparse sum of up to
+    three monomials of degree 2 or 3; either way the ideal has non-generic
+    rank, where a wrong sign or a lost product changes the dimensions.
+    With squares=True every generator squares to zero, so over GF(2) the
+    quotient is finite and its tensor square can be built.
+    """
+    degs = draw(st.lists(degrees, min_size=2, max_size=4))
+    free = FreeAlgebra(field, [(f"x{i}", d) for i, d in enumerate(degs)])
+    coeff = st.sampled_from([1, -1, 2])
+    rels = []
+    if squares and field.char == 2:
+        rels = [free.element({(g, g): 1}) for g in range(len(degs))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            e = draw(st.sampled_from(degs))
+            gens = [g for g, d in enumerate(degs) if d == e]
+            forms = [draw(st.dictionaries(st.sampled_from(gens), coeff,
+                                          min_size=min(2, len(gens)), max_size=2))
+                     for _ in range(2)]
+            rels.append(free.element(oracle_mul(degs, field.char, *forms)))
+        else:
+            mons = free.monomials_of_degree(draw(st.integers(2, 3)))
+            if mons:
+                rels.append(free.element(draw(st.dictionaries(
+                    st.sampled_from(mons), coeff, min_size=1, max_size=3))))
+    top = len(degs) if squares else 3
+    return AlgebraPresentation(free, rels, top_degree=top)
+
+
+def oracle_mul(degs, char, f1, f2):
+    """Product of two linear forms {generator: coeff}, as a term dict."""
+    out = {}
+    for g1, c1 in f1.items():
+        for g2, c2 in f2.items():
+            hit = koszul_merge(degs, (g1,), (g2,), char)
+            if hit is not None:
+                out[hit[1]] = out.get(hit[1], 0) + hit[0] * c1 * c2
+    return out
+
+
+def oracle_monomials(degs, d, char):
+    """Sorted generator tuples of total degree d, by brute force."""
+    out = []
+    for k in range(d + 1):
+        for mon in combinations_with_replacement(range(len(degs)), k):
+            if sum(degs[g] for g in mon) != d:
+                continue
+            if char != 2 and any(a == b and degs[a] % 2
+                                 for a, b in zip(mon, mon[1:])):
+                continue
+            out.append(mon)
+    return out
+
+
+def oracle_dim(pres, d):
+    """dim of the quotient in degree d: free monomials minus Macaulay rank."""
+    degs = pres.free.degrees
+    char = pres.field.char
+    cols = {m: i for i, m in enumerate(oracle_monomials(degs, d, char))}
+    rows = []
+    for r in pres.relations:
+        e = r.degree()
+        if e > d:
+            continue
+        for m in oracle_monomials(degs, d - e, char):
+            row = {}
+            for rmon, c in r.terms.items():
+                hit = koszul_merge(degs, m, rmon, char)
+                if hit is not None:
+                    col = cols[hit[1]]
+                    row[col] = row.get(col, 0) + hit[0] * c
+            rows.append(row)
+    rank = gf2_rank(rows, len(cols)) if char == 2 else rational_rank(rows, len(cols))
+    return len(cols) - rank
+
+
+def check_dims(pres):
+    A = quotient(pres)
+    assert A.dims == [oracle_dim(pres, d) for d in range(len(A.dims))]
+
+
+@SETTINGS
+@given(presentations(QQ, st.sampled_from([1, 1, 2])))
+def test_quotient_dims_match_macaulay_rank_over_q(pres):
+    check_dims(pres)
+
+
+@SETTINGS
+@given(presentations(GF2, st.sampled_from([1, 1, 2])))
+def test_quotient_dims_match_macaulay_rank_over_gf2(pres):
+    check_dims(pres)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: presentations(FIELDS[name], st.just(1), squares=True)))
+def test_zcl_generators_matches_kernel_basis(pres):
+    A = quotient(pres)
+    by_generators = zcl_exact(A, via="generators")
+    by_kernel = zcl_exact(A, via="kernel-basis")
+    assert (by_generators.value, by_generators.exact) == \
+        (by_kernel.value, by_kernel.exact)

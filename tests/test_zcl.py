@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tcsurf.errors import CertificateError, TruncationError
+from tcsurf.errors import AlgebraError, CertificateError, TruncationError
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
                            punctured_plane_algebra, reduced_generators,
@@ -254,3 +254,10 @@ def test_e2_probe_frozen_and_consistent():
         assert (rep.dim_source, rep.rank, rep.kernel_dim) == (dim, rank, ker)
         assert rep.kernel_dim == rep.dim_source - rep.rank
         assert e2_kernel_dim(n) == ker
+
+
+def test_mod_ideal_quotient_rejects_degenerate_sizes():
+    with pytest.raises(AlgebraError):
+        mod_ideal_quotient(0)
+    with pytest.raises(AlgebraError):
+        mod_ideal_quotient(2, genus=0)
