@@ -266,7 +266,7 @@ class Element:
 
     def __neg__(self):
         field = self.field
-        return Element(self.algebra, {t: field.neg(c) for t, c in self.terms.items()})
+        return Element(self.algebra, {m: field.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -282,7 +282,7 @@ class Element:
         c0 = field.coerce(scalar)
         if c0 == field.zero:
             return Element(self.algebra, {})
-        return Element(self.algebra, {t: field.mul(c, c0) for t, c in self.terms.items()})
+        return Element(self.algebra, {m: field.mul(c, c0) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
