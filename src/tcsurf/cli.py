@@ -22,7 +22,7 @@ import sys
 from .errors import AlgebraError
 from .fields import GF2, QQ
 from .groebner import gb_hilbert, torus_ideal_check
-from .models import resolve_model
+from .models import check_model_options, resolve_model
 from .presentation import AlgebraPresentation, quotient
 from .tcreport import all_tight, sweep, tc_report
 from .zcl import (ZclCertificate, bar_product_certificate, case_certificate,
@@ -50,11 +50,14 @@ def _model_args(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=None, help="number of points")
     p.add_argument("--punctures", type=int, default=None,
                    help="punctures of the plane (punctured-plane only)")
-    p.add_argument("--field", default=None, help="q or gf2 where applicable")
+    p.add_argument("--field", default=None,
+                   help="q or gf2 (surface, arnold, punctured-plane only)")
 
 
 def _resolve(args):
     if args.model == "mod-ideal":
+        check_model_options(args.model, punctures=args.punctures,
+                            field=_field_arg(args.field))
         return mod_ideal_quotient(1 if args.n is None else args.n,
                                   2 if args.g is None else args.g)
     return resolve_model(args.model, g=args.g, n=args.n,
@@ -116,12 +119,19 @@ def _cmd_zcl(args):
         if args.model == "b-sigma":
             case = "genus2"
         n = 1 if args.n is None else args.n
-        if case == "genus2":
-            cert = case_certificate(case, n, genus=2 if args.g is None else args.g)
-        elif case is not None:
-            cert = case_certificate(case, n)
-        else:
+        if case is None:
             cert = _climb_certificate(_resolve(args), args.cap)
+        elif args.cap is not None:
+            raise AlgebraError(f"--cap does not apply to the {case} "
+                               "certificate, whose length is fixed")
+        else:
+            check_model_options(args.model, punctures=args.punctures,
+                                field=_field_arg(args.field))
+            if case == "genus2":
+                cert = case_certificate(case, n,
+                                        genus=2 if args.g is None else args.g)
+            else:
+                cert = case_certificate(case, n)
         report = {
             "quantity": "zcl",
             "value": cert.certified_length,

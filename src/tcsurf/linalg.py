@@ -11,6 +11,13 @@ positive pivot); elimination is fraction-free so the hot loops run on plain
 ints.  Over GF(2) a row is a single int bitmask and elimination is xor.  No
 other field is supported: new_subspace, the one place that picks the
 elimination, refuses GF(p) for p > 2.
+
+Vectors are inserted in echelon form; finalize back-substitutes once, in
+descending pivot order.  When a row is reached every row with a higher pivot
+is already reduced, so the row is eliminated only against the pivot columns
+it actually holds, and no elimination brings in another pivot column.  The
+cost is one row operation per pivot entry above the diagonal, not a scan of
+every lower row for every pivot.
 """
 
 from __future__ import annotations
@@ -105,14 +112,15 @@ class RationalSubspace(Subspace):
         """Back-substitute to reduced echelon form (idempotent)."""
         if self._final:
             return
-        pivots = sorted(self._rows)
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            prow = self._rows[p]
-            for q in pivots[:i]:
-                row = self._rows[q]
-                if p in row:
-                    self._rows[q] = _primitive(_int_eliminate(row, prow, p), q)
+        rows = self._rows
+        for q in sorted(rows, reverse=True):
+            row = rows[q]
+            hits = [p for p in row if p != q and p in rows]
+            if not hits:
+                continue
+            for p in hits:
+                row = _int_eliminate(row, rows[p], p)
+            rows[q] = _primitive(row, q)
         self._final = True
 
     def reduce(self, vec):
@@ -233,16 +241,21 @@ class Gf2Subspace(Subspace):
         return False
 
     def finalize(self):
+        """Back-substitute to reduced echelon form (idempotent)."""
         if self._final:
             return
-        pivots = sorted(self._rows)
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            prow = self._rows[p]
-            bit = 1 << p
-            for q in pivots[:i]:
-                if self._rows[q] & bit:
-                    self._rows[q] ^= prow
+        rows = self._rows
+        mask = 0
+        for p in rows:
+            mask |= 1 << p
+        for q in sorted(rows, reverse=True):
+            row = rows[q]
+            hits = row & mask & ~(1 << q)
+            while hits:
+                low = hits & -hits
+                row ^= rows[low.bit_length() - 1]
+                hits ^= low
+            rows[q] = row
         self._final = True
 
     def reduce(self, vec):

@@ -423,9 +423,24 @@ def sphere_mod2_model(n: int) -> QuotientAlgebra:
 # model lookup for the CLI and reports
 
 
+def check_model_options(model: str, *, punctures=None, field: Field = None):
+    """Refuse an explicit field or punctures count the model cannot honour.
+
+    Only surface, arnold and punctured-plane are built over a chosen field,
+    and only punctured-plane takes a punctures count; every other model has
+    a fixed field, so a given value would be silently dropped.
+    """
+    if field is not None and model not in ("surface", "arnold",
+                                           "punctured-plane"):
+        raise UnsupportedModelError(f"{model} does not take a field")
+    if punctures is not None and model != "punctured-plane":
+        raise UnsupportedModelError(f"{model} does not take a punctures count")
+
+
 def resolve_presentation(model: str, *, g=None, n=None, punctures=None,
                          field: Field = None) -> AlgebraPresentation:
     """Presentation-level lookup by model token."""
+    check_model_options(model, punctures=punctures, field=field)
     if model == "surface":
         return surface_cohomology(g if g is not None else 1, field or QQ)
     if model == "arnold":
@@ -451,6 +466,7 @@ def resolve_presentation(model: str, *, g=None, n=None, punctures=None,
 def resolve_model(model: str, *, g=None, n=None, punctures=None,
                   field: Field = None) -> QuotientAlgebra:
     """Quotient-level lookup by model token."""
+    check_model_options(model, punctures=punctures, field=field)
     if model == "totaro":
         return totaro_algebra(g if g is not None else 1, n if n is not None else 1)
     if model == "b-sigma":

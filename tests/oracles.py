@@ -5,7 +5,7 @@ different algorithms, different data layout, no shared helpers.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import sympy
 
@@ -111,3 +111,79 @@ def eqA_dimension(n, d):
 def punctured_hilbert(points, punctures):
     """prod_{j=0}^{points-1} (1 + (j + punctures) t)."""
     return rising_product([j + punctures for j in range(points)])
+
+
+def rref_rational(vectors):
+    """Reduced echelon form over Q as {pivot: primitive integer row}.
+
+    Rows are inserted by eliminating their lowest column against the rows
+    found so far, then back-substituted by the quadratic loop: for every
+    pivot, from the highest down, every lower row is probed for that column.
+    A primitive row has integer entries with gcd 1 and a positive pivot.
+    """
+    rows = {}
+    for vec in vectors:
+        row = _int_primitive({c: Fraction(v) for c, v in vec.items() if v})
+        while row:
+            p = min(row)
+            if p not in rows:
+                rows[p] = row
+                break
+            row = _int_primitive(_int_kill(row, rows[p], p))
+    pivots = sorted(rows)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        for q in pivots[:i]:
+            if p in rows[q]:
+                rows[q] = _int_primitive(_int_kill(rows[q], rows[p], p))
+    return rows
+
+
+def _int_kill(row, piv, p):
+    a, b = piv[p], row[p]
+    out = {c: v * a for c, v in row.items()}
+    for c, v in piv.items():
+        out[c] = out.get(c, 0) - v * b
+    return {c: v for c, v in out.items() if v}
+
+
+def _int_primitive(row):
+    """Scale a row of Fractions or ints to integers, gcd 1, lead positive."""
+    if not row:
+        return row
+    lcm = 1
+    for v in row.values():
+        d = Fraction(v).denominator
+        lcm = lcm * d // gcd(lcm, d)
+    ints = {c: int(Fraction(v) * lcm) for c, v in row.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: v // g for c, v in ints.items()}
+
+
+def rref_gf2(vectors):
+    """Reduced echelon form over GF(2) as {pivot: set of columns}.
+
+    Same insertion and quadratic back-substitution as rref_rational, with a
+    row held as the set of its nonzero columns and addition as symmetric
+    difference.
+    """
+    rows = {}
+    for vec in vectors:
+        row = {c for c, v in vec.items() if v % 2}
+        while row:
+            p = min(row)
+            if p not in rows:
+                rows[p] = row
+                break
+            row = row ^ rows[p]
+    pivots = sorted(rows)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        for q in pivots[:i]:
+            if p in rows[q]:
+                rows[q] = rows[q] ^ rows[p]
+    return rows

@@ -188,3 +188,30 @@ def test_build_mod_ideal():
     info = json.loads(proc.stdout)
     assert info["label"] == "mod-ideal(g=2,n=2)"
     assert info["exhaustive"] is False  # built through degree n only
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("zcl", "--model", "totaro", "--g", "1", "--n", "2",
+      "--method", "certificate", "--cap", "1"), "--cap"),
+    (("zcl", "--model", "b-sigma", "--n", "2",
+      "--method", "certificate", "--cap", "9"), "--cap"),
+    (("zcl", "--model", "sphere-mod2", "--n", "3",
+      "--method", "certificate", "--cap", "3"), "--cap"),
+    (("zcl", "--model", "mod-ideal", "--n", "2",
+      "--method", "certificate", "--cap", "4"), "--cap"),
+    (("build", "--model", "totaro", "--g", "1", "--n", "2", "--field", "gf2"),
+     "field"),
+    (("build", "--model", "surface", "--g", "1", "--punctures", "5"),
+     "punctures"),
+    (("build", "--model", "mod-ideal", "--n", "2", "--field", "q"), "field"),
+    (("build", "--model", "mod-ideal", "--n", "2", "--punctures", "1"),
+     "punctures"),
+    (("zcl", "--model", "totaro", "--g", "1", "--n", "2",
+      "--method", "certificate", "--field", "gf2"), "field"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_option_the_model_cannot_honour_is_a_usage_error(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -8,7 +8,7 @@ from tcsurf.fields import GF2, QQ, PrimeField
 from tcsurf.linalg import (Gf2Subspace, RationalSubspace, echelonize,
                            invert_matrix, kernel_basis, new_subspace)
 
-from .oracles import gf2_rank, rational_rank
+from .oracles import gf2_rank, rational_rank, rref_gf2, rref_rational
 
 
 def rand_rows(rng, nrows, ncols, density=0.5, char=0):
@@ -136,3 +136,44 @@ def test_odd_prime_fields_are_refused():
         echelonize(GF3, 2, [{0: 1, 1: 2}, {0: 2, 1: 1}])
     with pytest.raises(UnsupportedModelError):
         kernel_basis(GF3, [{0: 1}, {0: 2}], 1)
+
+
+def sparse_rows(rng, ncols, char):
+    """About ncols/2 rows of 3 to 6 nonzeros each, spread over all columns."""
+    rows = []
+    for _ in range(ncols // 2 + 10):
+        cols = rng.sample(range(ncols), rng.randint(3, 6))
+        if char == 2:
+            rows.append({c: 1 for c in cols})
+        else:
+            rows.append({c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                     rng.randint(1, 2)) for c in cols})
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF2], ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_back_substitution_matches_quadratic_reference(field, seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(100, 300)
+    rows = sparse_rows(rng, ncols, field.char)
+    if field.char == 2:
+        ref = rref_gf2(rows)
+        want = [{c: 1 for c in sorted(ref[p])} for p in sorted(ref)]
+    else:
+        ref = rref_rational(rows)
+        want = [ref[p] for p in sorted(ref)]
+    assert len(ref) >= 50
+    for _ in range(3):
+        rng.shuffle(rows)
+        sub = new_subspace(field, ncols)
+        for r in rows:
+            sub.insert(r)
+        assert sub.pivots == sorted(ref)
+        if field.char == 2:
+            assert sub.rows_rref() == want
+        else:
+            assert sub.rows_primitive() == want
+            assert sub.rows_rref() == [
+                {c: Fraction(v, row[p]) for c, v in row.items()}
+                for p, row in zip(sorted(ref), want)]

@@ -186,3 +186,16 @@ def test_resolve_keeps_an_explicit_zero():
         resolve_model("totaro", g=1, n=0)
     with pytest.raises(AlgebraError):
         resolve_presentation("b-sigma", n=0)
+
+
+def test_resolve_refuses_options_the_model_cannot_honour():
+    assert resolve_model("arnold", n=3, field=GF2).field == GF2
+    assert resolve_model("surface", g=1, field=GF2).hilbert() == [1, 2, 1]
+    with pytest.raises(UnsupportedModelError):
+        resolve_model("totaro", g=1, n=2, field=GF2)
+    with pytest.raises(UnsupportedModelError):
+        resolve_model("sphere-mod2", n=3, field=GF2)
+    with pytest.raises(UnsupportedModelError):
+        resolve_presentation("surface", g=1, punctures=5)
+    with pytest.raises(UnsupportedModelError):
+        resolve_presentation("arnold", n=3, punctures=1)
