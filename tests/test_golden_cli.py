@@ -38,6 +38,11 @@ CORPUS = [
     ["tc", "--sweep", "2", "3", "2"],
     ["tc", "--g", "1", "--n", "3", "--method", "exact"],
     ["groebner-check", "--n", "4"],
+    ["tc", "--sweep", "2", "3", "3", "--method", "exact"],
+    ["tc", "--sweep", "0", "3", "3"],
+    ["zcl", "--model", "totaro", "--g", "0", "--n", "2", "--method", "certificate"],
+    ["zcl", "--model", "b-sigma", "--g", "3", "--n", "2", "--method", "certificate"],
+    ["zcl", "--model", "surface", "--g", "2", "--field", "gf2"],
 ]
 
 
