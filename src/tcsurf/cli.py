@@ -22,16 +22,11 @@ import sys
 from .errors import AlgebraError
 from .fields import GF2, QQ
 from .groebner import gb_hilbert, torus_ideal_check
-from .models import check_model_options, resolve_model
+from .models import MODELS, model_options, resolve_model
 from .presentation import AlgebraPresentation, quotient
 from .tcreport import all_tight, sweep, tc_report
 from .zcl import (ZclCertificate, bar_product_certificate, case_certificate,
-                  mod_ideal_quotient, zcl_exact)
-
-MODEL_TOKENS = ("surface", "arnold", "punctured-plane", "totaro", "b-sigma",
-                "sphere-mod2", "so3-mod2", "mod-ideal")
-
-CASE_FOR_MODEL = {"sphere-mod2": "sphere", "mod-ideal": "punctured-mod-ideal"}
+                  zcl_exact)
 
 
 def _field_arg(tok):
@@ -45,30 +40,33 @@ def _field_arg(tok):
 
 
 def _model_args(p: argparse.ArgumentParser):
-    p.add_argument("--model", required=True, choices=MODEL_TOKENS)
+    def takers(option):
+        return ", ".join(t for t, spec in MODELS.items() if option in spec.defaults)
+
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--g", type=int, default=None, help="genus")
     p.add_argument("--n", type=int, default=None, help="number of points")
     p.add_argument("--punctures", type=int, default=None,
-                   help="punctures of the plane (punctured-plane only)")
+                   help=f"punctures of the plane ({takers('punctures')} only)")
     p.add_argument("--field", default=None,
-                   help="q or gf2 (surface, arnold, punctured-plane only)")
+                   help=f"q or gf2 ({takers('field')} only)")
 
 
-def _resolve(args):
-    if args.model == "mod-ideal":
-        check_model_options(args.model, punctures=args.punctures,
-                            field=_field_arg(args.field))
-        return mod_ideal_quotient(1 if args.n is None else args.n,
-                                  2 if args.g is None else args.g)
-    return resolve_model(args.model, g=args.g, n=args.n,
-                         punctures=args.punctures, field=_field_arg(args.field))
+def _given(args):
+    """The model options on the command line, None where absent."""
+    return {"g": args.g, "n": args.n, "punctures": args.punctures,
+            "field": _field_arg(args.field)}
 
 
 def _cmd_build(args):
+    given = _given(args)
     if args.presentation:
+        if args.model or any(v is not None for v in given.values()):
+            raise AlgebraError("--presentation takes no --model, --g, --n, "
+                               "--punctures or --field")
         A = quotient(AlgebraPresentation.load(args.presentation))
     else:
-        A = _resolve(args)
+        A = resolve_model(args.model, **given)
     pres = A.presentation
     if args.dump_presentation:
         payload = json.dumps(pres.to_json(), indent=2)
@@ -78,7 +76,7 @@ def _cmd_build(args):
             with open(args.dump_presentation, "w") as fh:
                 fh.write(payload + "\n")
     info = {
-        "model": args.model or "file",
+        "model": "file" if args.presentation else args.model,
         "label": A.label,
         "field": A.field.name,
         "generators": [{"name": nm, "degree": dg}
@@ -112,26 +110,18 @@ def _climb_certificate(A, cap) -> ZclCertificate:
 
 
 def _cmd_zcl(args):
+    spec = MODELS[args.model]
+    options = model_options(args.model, **_given(args))
     if args.method == "certificate":
-        case = CASE_FOR_MODEL.get(args.model)
-        if args.model == "totaro" and (args.g is None or args.g == 1):
-            case = "torus"
-        if args.model == "b-sigma":
-            case = "genus2"
-        n = 1 if args.n is None else args.n
+        case = spec.case(options)
         if case is None:
-            cert = _climb_certificate(_resolve(args), args.cap)
+            cert = _climb_certificate(spec.build(**options), args.cap)
         elif args.cap is not None:
             raise AlgebraError(f"--cap does not apply to the {case} "
                                "certificate, whose length is fixed")
         else:
-            check_model_options(args.model, punctures=args.punctures,
-                                field=_field_arg(args.field))
-            if case == "genus2":
-                cert = case_certificate(case, n,
-                                        genus=2 if args.g is None else args.g)
-            else:
-                cert = case_certificate(case, n)
+            cert = case_certificate(case, options["n"],
+                                    genus=options.get("g", 2))
         report = {
             "quantity": "zcl",
             "value": cert.certified_length,
@@ -144,8 +134,7 @@ def _cmd_zcl(args):
             "factors": [repr(f) for f in cert.factors],
         }
     else:
-        A = _resolve(args)
-        bound = zcl_exact(A, cap=args.cap)
+        bound = zcl_exact(spec.build(**options), cap=args.cap)
         report = bound.to_json()
     if args.json:
         print(json.dumps(report, indent=2))
@@ -184,6 +173,8 @@ def _print_tc_rows(rows, as_json):
 
 def _cmd_tc(args):
     if args.sweep:
+        if (args.g, args.n, args.m) != (None, None, None):
+            raise AlgebraError("--sweep takes no --g, --n or --m")
         gmax, nmax, mmax = args.sweep
         rows = sweep(gmax, nmax, mmax, method=args.method or "auto")
     else:

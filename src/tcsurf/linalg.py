@@ -66,9 +66,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows_rref())
-
     def __eq__(self, other):
         return (
             type(other) is type(self)

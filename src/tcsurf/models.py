@@ -11,6 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .errors import (
     AlgebraError,
@@ -200,13 +201,21 @@ def surface_diagonal(g: int, field: Field = QQ):
     return diagonal_class(D), H
 
 
+def _reduced_xy(algebra, n: int):
+    """x_1 = a_1, x_j = a_j - a_1 and y_1 = b_1, y_j = b_j - b_1 (j >= 2).
+
+    algebra is the free algebra of a diagonal model or its quotient.
+    """
+    def reduce(letter):
+        a = [algebra.gen(f"{letter}{i}") for i in range(1, n + 1)]
+        return [a[0]] + [a[j] - a[0] for j in range(1, n)]
+
+    return reduce("a"), reduce("b")
+
+
 def _xy_span_matches(A: QuotientAlgebra, n: int) -> bool:
     """Degree-2 ideal of the torus model == span of the reduced-pair relations."""
-    free = A.free
-    a = [free.gen(f"a{i}") for i in range(1, n + 1)]
-    b = [free.gen(f"b{i}") for i in range(1, n + 1)]
-    x = [a[0]] + [a[j] - a[0] for j in range(1, n)]
-    y = [b[0]] + [b[j] - b[0] for j in range(1, n)]
+    x, y = _reduced_xy(A.free, n)
     rels = []
     for j in range(1, n):
         rels.append(x[j] * y[j])
@@ -272,10 +281,6 @@ class ReducedGenerators:
 
     xs: list
     ys: list
-    extra: dict
-
-    def __iter__(self):
-        return iter(self.xs + self.ys)
 
 
 def reduced_generators(A: QuotientAlgebra, g: int) -> ReducedGenerators:
@@ -283,14 +288,7 @@ def reduced_generators(A: QuotientAlgebra, g: int) -> ReducedGenerators:
     if g < 1:
         raise AlgebraError("reduced generators need genus >= 1")
     n = A.points
-    a = [A.gen(f"a{i}") for i in range(1, n + 1)]
-    b = [A.gen(f"b{i}") for i in range(1, n + 1)]
-    xs = [a[0]] + [a[j] - a[0] for j in range(1, n)]
-    ys = [b[0]] + [b[j] - b[0] for j in range(1, n)]
-    extra = {}
-    for name in A.free.names:
-        if name[0] not in ("a", "b"):
-            extra[name] = A.gen(name)
+    xs, ys = _reduced_xy(A, n)
     if g == 1:
         for j in range(1, n):
             if not (xs[j] * ys[j]).is_zero():
@@ -299,7 +297,7 @@ def reduced_generators(A: QuotientAlgebra, g: int) -> ReducedGenerators:
                 if not (xs[j] * ys[i] + xs[i] * ys[j]).is_zero():
                     raise ModelInconsistencyError(
                         f"x_{j+1} y_{i+1} + x_{i+1} y_{j+1} nonzero in {A.label}")
-    return ReducedGenerators(xs, ys, extra)
+    return ReducedGenerators(xs, ys)
 
 
 def _pair_ideal_relations(free: FreeAlgebra, n: int):
@@ -419,61 +417,102 @@ def sphere_mod2_model(n: int) -> QuotientAlgebra:
     return A
 
 
-# --------------------------------------------------------------------------
-# model lookup for the CLI and reports
+def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
+    """Genus-g diagonal model modulo <x1 y1, x_i y1 + x1 y_i>, built through degree n.
 
-
-def check_model_options(model: str, *, punctures=None, field: Field = None):
-    """Refuse an explicit field or punctures count the model cannot honour.
-
-    Only surface, arnold and punctured-plane are built over a chosen field,
-    and only punctured-plane takes a punctures count; every other model has
-    a fixed field, so a given value would be silently dropped.
+    Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
+    lives in degree n, and certificate expansion is pruned leg-wise to n.
     """
-    if field is not None and model not in ("surface", "arnold",
-                                           "punctured-plane"):
-        raise UnsupportedModelError(f"{model} does not take a field")
-    if punctures is not None and model != "punctured-plane":
-        raise UnsupportedModelError(f"{model} does not take a punctures count")
+    if n < 1:
+        raise AlgebraError("n must be positive")
+    if genus < 1:
+        raise AlgebraError("the mod-ideal model needs genus >= 1")
+    def extra(free):
+        x, y = _reduced_xy(free, n)
+        rels = [x[0] * y[0]]
+        for i in range(1, n):
+            rels.append(x[i] * y[0] + x[0] * y[i])
+        return rels
+
+    return _build_diagonal_model(
+        genus, n, extra_rels=extra, max_degree=n,
+        label=f"mod-ideal(g={genus},n={n})")
 
 
-def resolve_presentation(model: str, *, g=None, n=None, punctures=None,
-                         field: Field = None) -> AlgebraPresentation:
+# --------------------------------------------------------------------------
+# the model table: every CLI token and tc row is built through MODELS
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model token: its builder, the options it takes, its certificate.
+
+    defaults names every option the model takes (g, n, punctures, field)
+    with the value used when it is not given; build(**options) returns the
+    quotient algebra; case(options) names the fixed-length certificate
+    family of zcl.case_certificate for those options, or None.
+    """
+
+    build: Callable
+    defaults: dict
+    case: Callable = lambda options: None
+
+
+# Each entry calls its builder through this module's globals, so a builder
+# rebound on the module (by a tracer, say) is the one the table runs.
+MODELS = {
+    "surface": ModelSpec(
+        lambda g, field: quotient(surface_cohomology(g, field)),
+        {"g": 1, "field": QQ}),
+    "arnold": ModelSpec(
+        lambda n, field: quotient(arnold_algebra(n, field)),
+        {"n": 2, "field": QQ}),
+    "punctured-plane": ModelSpec(
+        lambda n, punctures, field: quotient(
+            punctured_plane_algebra(n, punctures, field)),
+        {"n": 1, "punctures": 2, "field": GF2}),
+    "totaro": ModelSpec(
+        lambda g, n: totaro_algebra(g, n), {"g": 1, "n": 1},
+        lambda options: "torus" if options["g"] == 1 else None),
+    "b-sigma": ModelSpec(
+        lambda g, n: genus2_B_algebra(n, g), {"g": 2, "n": 1},
+        lambda options: "genus2"),
+    "sphere-mod2": ModelSpec(
+        lambda n: sphere_mod2_model(n), {"n": 3},
+        lambda options: "sphere"),
+    "so3-mod2": ModelSpec(lambda: so3_mod2_algebra(), {}),
+    "mod-ideal": ModelSpec(
+        lambda g, n: mod_ideal_quotient(n, g), {"g": 2, "n": 1},
+        lambda options: "punctured-mod-ideal"),
+}
+
+_OPTION_NOUNS = {"g": "a genus", "n": "a number of points",
+                 "punctures": "a punctures count", "field": "a field"}
+
+
+def model_options(model: str, **given) -> dict:
+    """The model's defaults, overridden by every given value that is not None.
+
+    A given value for an option the model does not take raises
+    UnsupportedModelError, so no option is ever silently dropped.
+    """
+    if model not in MODELS:
+        raise UnsupportedModelError(f"unknown model: {model}")
+    defaults = MODELS[model].defaults
+    given = {k: v for k, v in given.items() if v is not None}
+    for k in given:
+        if k not in defaults:
+            raise UnsupportedModelError(
+                f"{model} does not take {_OPTION_NOUNS.get(k, k)}")
+    return {**defaults, **given}
+
+
+def resolve_model(model: str, **given) -> QuotientAlgebra:
+    """Quotient-level lookup by model token; options as in model_options."""
+    options = model_options(model, **given)
+    return MODELS[model].build(**options)
+
+
+def resolve_presentation(model: str, **given) -> AlgebraPresentation:
     """Presentation-level lookup by model token."""
-    check_model_options(model, punctures=punctures, field=field)
-    if model == "surface":
-        return surface_cohomology(g if g is not None else 1, field or QQ)
-    if model == "arnold":
-        return arnold_algebra(n if n is not None else 2, field or QQ)
-    if model == "punctured-plane":
-        return punctured_plane_algebra(
-            n if n is not None else 1,
-            punctures if punctures is not None else 2,
-            field or GF2)
-    if model == "totaro":
-        return totaro_algebra(g if g is not None else 1,
-                              n if n is not None else 1).presentation
-    if model == "b-sigma":
-        return genus2_B_algebra(n if n is not None else 1,
-                                g if g is not None else 2).presentation
-    if model == "sphere-mod2":
-        return sphere_mod2_model(n if n is not None else 3).presentation
-    if model == "so3-mod2":
-        return so3_mod2_algebra().presentation
-    raise UnsupportedModelError(f"unknown model: {model}")
-
-
-def resolve_model(model: str, *, g=None, n=None, punctures=None,
-                  field: Field = None) -> QuotientAlgebra:
-    """Quotient-level lookup by model token."""
-    check_model_options(model, punctures=punctures, field=field)
-    if model == "totaro":
-        return totaro_algebra(g if g is not None else 1, n if n is not None else 1)
-    if model == "b-sigma":
-        return genus2_B_algebra(n if n is not None else 1, g if g is not None else 2)
-    if model == "sphere-mod2":
-        return sphere_mod2_model(n if n is not None else 3)
-    if model == "so3-mod2":
-        return so3_mod2_algebra()
-    return quotient(resolve_presentation(model, g=g, n=n, punctures=punctures,
-                                         field=field))
+    return resolve_model(model, **given).presentation

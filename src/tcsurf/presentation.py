@@ -303,10 +303,6 @@ class QuotientAlgebra:
         field = self.field
         return Element(self, {basis[i]: field.coerce(c) for i, c in vec.items()})
 
-    def in_ideal(self, e: Element) -> bool:
-        """Is this free-algebra element in the defining ideal?"""
-        return self.reduce_free(e).is_zero()
-
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
 

@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import AlgebraError, ModelInconsistencyError, ResourceBudgetError
-from .models import (arnold_algebra, punctured_plane_algebra, sphere_mod2_model,
-                     totaro_algebra, genus2_B_algebra)
-from .presentation import quotient
+from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
 
@@ -119,50 +117,48 @@ def upper_bound(g: int, n: int, m: int = 0):
     return 2 * n + 1, facts
 
 
-def _certificate_lower(g: int, n: int, m: int):
-    """(zcl lower bound, facts) by the cheapest certified route, or None."""
+def _model_for(g: int, n: int, m: int):
+    """(model token, options) whose zcl bounds tc from below, or None."""
     if m == 0:
-        if g == 0 and n <= 2:
-            cert = bar_product_certificate(totaro_algebra(0, n), 2)
-        elif g == 0:
-            cert = case_certificate("sphere", n)
-        elif g == 1:
-            cert = case_certificate("torus", n)
-        else:
-            cert = case_certificate("genus2", n, genus=g)
-    elif g == 0 and m <= 3:
-        Q = quotient(arnold_algebra(n)) if m == 1 \
-            else quotient(punctured_plane_algebra(n, m - 1))
-        cert = bar_product_certificate(Q, tc_theorem(g, n, m) - 1)
-    else:
-        return None
-    L = cert.certified_length
-    fact = TcFact(
-        f"nonzero {L}-fold zero-divisor product on {cert.algebra} "
-        f"(coefficient {cert.coefficient})", L, "derived")
-    return L, [fact, TcFact("tc >= zcl + 1", L + 1, "derived")], cert
+        if g == 1 or (g == 0 and n <= 2):
+            return "totaro", {"g": g, "n": n}
+        return ("sphere-mod2", {"n": n}) if g == 0 else ("b-sigma", {"g": g, "n": n})
+    if g == 0 and m == 1:
+        return "arnold", {"n": n}
+    if g == 0 and m <= 3:
+        return "punctured-plane", {"n": n, "punctures": m - 1}
+    return None
 
 
-def _exact_lower(g: int, n: int, m: int):
-    """(exact zcl, facts) on the mapped model, or None when none is wired."""
-    if m == 0:
-        if g == 0 and n <= 2:
-            A = totaro_algebra(0, n)
-        elif g == 0:
-            A = sphere_mod2_model(n)
-        elif g == 1:
-            A = totaro_algebra(1, n)
-        else:
-            A = genus2_B_algebra(n, g)
-    elif g == 0 and m <= 3:
-        A = quotient(arnold_algebra(n)) if m == 1 \
-            else quotient(punctured_plane_algebra(n, m - 1))
-    else:
+def _lower(g: int, n: int, m: int, method: str):
+    """(zcl lower bound, facts) on the mapped model, or None when none is wired.
+
+    "exact" runs zcl_exact; otherwise the model's certificate family is
+    used, or else a bar-product search of length tc - 1.
+    """
+    found = _model_for(g, n, m)
+    if found is None:
         return None
-    rep = zcl_exact(A)
-    fact = TcFact(f"zcl({A.label}) = {rep.value} by exact power iteration",
-                  rep.value, "derived")
-    return rep.value, [fact, TcFact("tc >= zcl + 1", rep.value + 1, "derived")]
+    token, given = found
+    spec = MODELS[token]
+    options = model_options(token, **given)
+    if method == "exact":
+        A = spec.build(**options)
+        z = zcl_exact(A).value
+        fact = TcFact(f"zcl({A.label}) = {z} by exact power iteration",
+                      z, "derived")
+    else:
+        case = spec.case(options)
+        if case is not None:
+            cert = case_certificate(case, n, genus=g)
+        else:
+            cert = bar_product_certificate(spec.build(**options),
+                                           tc_theorem(g, n, m) - 1)
+        z = cert.certified_length
+        fact = TcFact(
+            f"nonzero {z}-fold zero-divisor product on {cert.algebra} "
+            f"(coefficient {cert.coefficient})", z, "derived")
+    return z, [fact, TcFact("tc >= zcl + 1", z + 1, "derived")]
 
 
 @dataclass
@@ -204,15 +200,10 @@ def tc_report(g: int, n: int, m: int = 0, method: str = "auto") -> TcReport:
         return TcReport(g, n, m, None, upper, theorem, status, meth,
                         list(lfacts) + ufacts, ptc)
 
+    if method not in ("auto", "certificate", "exact"):
+        raise AlgebraError(f"unknown method: {method}")
     try:
-        if method in ("auto", "certificate"):
-            got = _certificate_lower(g, n, m)
-            used = "certificate"
-        elif method == "exact":
-            got = _exact_lower(g, n, m)
-            used = "exact"
-        else:
-            raise AlgebraError(f"unknown method: {method}")
+        got = _lower(g, n, m, method)
     except (ResourceBudgetError, MemoryError) as e:
         e.partial_report = partial("unverified", method)
         raise
@@ -220,13 +211,14 @@ def tc_report(g: int, n: int, m: int = 0, method: str = "auto") -> TcReport:
         note = TcFact("no model algebra is wired for this input; "
                       "closed-form value shown unverified", theorem, "cited")
         return partial("unverified", "unverified", [note])
-    zlow, lfacts = got[0], got[1]
+    zlow, lfacts = got
     lower = zlow + 1
     if not (lower <= theorem <= upper):
         raise ModelInconsistencyError(
             f"bound order violated at (g={g}, n={n}, m={m}): "
             f"{lower} <= {theorem} <= {upper} fails")
     status = "tight" if lower == theorem == upper else "gap"
+    used = "exact" if method == "exact" else "certificate"
     return TcReport(g, n, m, lower, upper, theorem, status, used,
                     lfacts + ufacts, ptc)
 

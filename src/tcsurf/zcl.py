@@ -22,10 +22,10 @@ from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
 from .models import (
     genus2_B_algebra,
+    mod_ideal_quotient,
     reduced_generators,
     sphere_mod2_model,
     totaro_algebra,
-    _build_diagonal_model,
 )
 from .presentation import TensorSquareAlgebra, tensor_square
 
@@ -283,31 +283,6 @@ def _product(elems):
     return acc
 
 
-def mod_ideal_quotient(n: int, genus: int = 2):
-    """Genus-2 diagonal model modulo <x1 y1, x_i y1 + x1 y_i>, built through degree n.
-
-    Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
-    lives in degree n, and certificate expansion is pruned leg-wise to n.
-    """
-    if n < 1:
-        raise AlgebraError("n must be positive")
-    if genus < 1:
-        raise AlgebraError("the mod-ideal model needs genus >= 1")
-    def extra(free):
-        a = [free.gen(f"a{i}") for i in range(1, n + 1)]
-        b = [free.gen(f"b{i}") for i in range(1, n + 1)]
-        x = [a[0]] + [a[j] - a[0] for j in range(1, n)]
-        y = [b[0]] + [b[j] - b[0] for j in range(1, n)]
-        rels = [x[0] * y[0]]
-        for i in range(1, n):
-            rels.append(x[i] * y[0] + x[0] * y[i])
-        return rels
-
-    return _build_diagonal_model(
-        genus, n, extra_rels=extra, max_degree=n,
-        label=f"mod-ideal(g={genus},n={n})")
-
-
 def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
     """The named certificate families.
 
@@ -319,6 +294,9 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
       by first-success lexicographic search, length 2n-3, over GF(2).
     punctured-mod-ideal: all 2n bars on the mod-ideal quotient, length 2n,
       after checking every x1..xk y_{k+1}..y_n is nonzero there.
+
+    genus is the surface genus of the genus2 and punctured-mod-ideal
+    models; the torus and sphere families ignore it.
     """
     if n < 1:
         raise AlgebraError("n must be positive")
@@ -382,11 +360,9 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
         return certificate_product(T, factors, witness)
 
     if case == "punctured-mod-ideal":
-        Aq = mod_ideal_quotient(n)
-        a = [Aq.gen(f"a{i}") for i in range(1, n + 1)]
-        b = [Aq.gen(f"b{i}") for i in range(1, n + 1)]
-        xs = [a[0]] + [a[j] - a[0] for j in range(1, n)]
-        ys = [b[0]] + [b[j] - b[0] for j in range(1, n)]
+        Aq = mod_ideal_quotient(n, genus)
+        red = reduced_generators(Aq, genus)
+        xs, ys = red.xs, red.ys
         for k in range(n + 1):
             m = _product(xs[:k] + ys[k:]) if (xs[:k] + ys[k:]) else Aq.one()
             if m.is_zero():

@@ -208,6 +208,15 @@ def test_build_mod_ideal():
      "punctures"),
     (("zcl", "--model", "totaro", "--g", "1", "--n", "2",
       "--method", "certificate", "--field", "gf2"), "field"),
+    (("build", "--model", "arnold", "--n", "3", "--g", "7"),
+     "arnold does not take"),
+    (("zcl", "--model", "sphere-mod2", "--g", "5", "--n", "3",
+      "--method", "certificate"), "sphere-mod2 does not take"),
+    (("build", "--model", "so3-mod2", "--n", "9"), "so3-mod2 does not take"),
+    (("zcl", "--model", "mod-ideal", "--n", "2", "--punctures", "2",
+      "--method", "certificate"), "mod-ideal does not take"),
+    (("tc", "--sweep", "0", "1", "0", "--g", "5", "--n", "7"), "--sweep"),
+    (("tc", "--sweep", "0", "1", "0", "--m", "1"), "--sweep"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
 def test_option_the_model_cannot_honour_is_a_usage_error(argv, message):
     proc = run_cli(*argv)
@@ -215,3 +224,28 @@ def test_option_the_model_cannot_honour_is_a_usage_error(argv, message):
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_presentation_file_takes_no_model_options(tmp_path):
+    path = tmp_path / "sigma2.json"
+    assert run_cli("build", "--model", "surface", "--g", "2",
+                   "--dump-presentation", str(path)).returncode == 0
+    for extra in (("--model", "totaro", "--g", "4", "--n", "3"),
+                  ("--model", "surface"), ("--field", "gf2")):
+        proc = run_cli("build", "--presentation", str(path), *extra)
+        assert proc.returncode == 2, extra
+        assert proc.stderr.startswith("error: --presentation takes no")
+
+
+def test_zcl_certificate_honours_genus_and_table_defaults():
+    proc = run_cli("zcl", "--model", "mod-ideal", "--g", "3", "--n", "2",
+                   "--method", "certificate", "--json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert (rep["algebra"], rep["value"]) == ("mod-ideal(g=3,n=2)", 4)
+
+    proc = run_cli("zcl", "--model", "sphere-mod2", "--method", "certificate",
+                   "--json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert (rep["algebra"], rep["value"]) == ("sphere-mod2(n=3)", 3)

@@ -3,7 +3,8 @@ import pytest
 from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
                            UnsupportedModelError)
 from tcsurf.fields import GF2, QQ
-from tcsurf.models import (arnold_algebra, eqA_basis_count, genus2_B_algebra,
+from tcsurf.models import (MODELS, arnold_algebra, eqA_basis_count,
+                           genus2_B_algebra, model_options,
                            punctured_plane_algebra, reduced_generators,
                            resolve_model, resolve_presentation,
                            so3_mod2_algebra, sphere_mod2_model,
@@ -11,6 +12,7 @@ from tcsurf.models import (arnold_algebra, eqA_basis_count, genus2_B_algebra,
                            totaro_algebra, xJyK_pairs)
 from tcsurf.presentation import (convolve, hilbert_series, quotient,
                                  tensor_square)
+from tcsurf.zcl import case_certificate
 
 from .oracles import eqA_dimension, poly_mul, punctured_hilbert
 
@@ -199,3 +201,38 @@ def test_resolve_refuses_options_the_model_cannot_honour():
         resolve_presentation("surface", g=1, punctures=5)
     with pytest.raises(UnsupportedModelError):
         resolve_presentation("arnold", n=3, punctures=1)
+
+
+OPTION_VALUES = {"g": 1, "n": 1, "punctures": 1, "field": QQ}
+
+
+@pytest.mark.parametrize("token", sorted(MODELS))
+def test_every_model_builds_with_its_defaults(token):
+    spec = MODELS[token]
+    assert set(spec.defaults) <= set(OPTION_VALUES)
+    assert model_options(token) == spec.defaults
+    A = resolve_model(token)
+    assert A.hilbert()[0] == 1
+    case = spec.case(spec.defaults)
+    if case is not None:
+        n, genus = spec.defaults["n"], spec.defaults.get("g", 2)
+        assert case_certificate(case, n, genus=genus).certified_length > 0
+
+
+@pytest.mark.parametrize("token,option", [
+    (t, o) for t in sorted(MODELS) for o in sorted(OPTION_VALUES)
+    if o not in MODELS[t].defaults])
+def test_every_option_outside_the_defaults_is_refused(token, option):
+    given = {option: OPTION_VALUES[option]}
+    with pytest.raises(UnsupportedModelError, match=f"{token} does not take"):
+        model_options(token, **given)
+    with pytest.raises(UnsupportedModelError):
+        resolve_model(token, **given)
+
+
+def test_model_options_fill_only_absent_values():
+    assert model_options("totaro", g=0, n=None) == {"g": 0, "n": 1}
+    assert model_options("punctured-plane", punctures=1, field=None) == {
+        "n": 1, "punctures": 1, "field": GF2}
+    with pytest.raises(UnsupportedModelError):
+        model_options("mystery")

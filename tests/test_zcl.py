@@ -261,3 +261,16 @@ def test_mod_ideal_quotient_rejects_degenerate_sizes():
         mod_ideal_quotient(0)
     with pytest.raises(AlgebraError):
         mod_ideal_quotient(2, genus=0)
+
+
+def test_mod_ideal_certificate_honours_the_genus():
+    for n, length in ((2, 4), (3, 6)):
+        cert = case_certificate("punctured-mod-ideal", n, genus=3)
+        assert cert.algebra == f"mod-ideal(g=3,n={n})"
+        assert cert.certified_length == length
+        assert cert.coefficient != 0
+
+
+def test_zcl_reexports_the_mod_ideal_builder():
+    from tcsurf import models
+    assert mod_ideal_quotient is models.mod_ideal_quotient
