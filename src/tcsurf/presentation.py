@@ -16,6 +16,7 @@ Koszul sign rule, Poincare duality data, and the diagonal class.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .errors import (
     AlgebraError,
@@ -339,6 +340,13 @@ class TensorSquareAlgebra:
     For a truncated quotient (built only through some degree cap) pass
     allow_truncated=True; products whose legs would leave the constructed
     range then raise TruncationError, so callers must prune.
+
+    dims is computed on construction, as the convolution of the leg
+    dimensions.  The pair lists basis[d] and their position dicts index[d]
+    are built, for every degree at once, the first time they are read:
+    only coordinates (vectorize, element_from_vec) and the kernel of mu
+    need them.  Certificate expansion (tensor, bar, multiply, mu) reads
+    neither, so it never pays for the quadratically many pairs.
     """
 
     def __init__(self, A: QuotientAlgebra, allow_truncated=False):
@@ -350,20 +358,24 @@ class TensorSquareAlgebra:
         self.leg_top = leg_top
         self.top = 2 * leg_top
         self.label = f"{A.label} (x) {A.label}"
-        self.basis = []
-        self.index = []
-        for d in range(self.top + 1):
-            pairs = []
-            for e in range(d + 1):
-                if e > leg_top or d - e > leg_top:
-                    continue
-                for m1 in A.basis_monomials(e):
-                    for m2 in A.basis_monomials(d - e):
-                        pairs.append((m1, m2))
-            self.basis.append(pairs)
-            self.index.append({p: i for i, p in enumerate(pairs)})
-        self.dims = [len(b) for b in self.basis]
+        legs = [len(A.basis_monomials(e)) for e in range(leg_top + 1)]
+        self.dims = convolve(legs, legs)
         self._pair_cache = {}
+
+    @cached_property
+    def basis(self):
+        """basis[d]: the pairs (m1, m2) of total degree d, by ascending |m1|."""
+        A, leg_top = self.A, self.leg_top
+        return [[(m1, m2)
+                 for e in range(max(0, d - leg_top), min(d, leg_top) + 1)
+                 for m1 in A.basis_monomials(e)
+                 for m2 in A.basis_monomials(d - e)]
+                for d in range(self.top + 1)]
+
+    @cached_property
+    def index(self):
+        """index[d]: pair -> its position in basis[d]."""
+        return [{p: i for i, p in enumerate(pairs)} for pairs in self.basis]
 
     def pair_degree(self, pair):
         f = self.A.free
