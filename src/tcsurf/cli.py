@@ -65,6 +65,8 @@ def _cmd_build(args):
             raise AlgebraError("--presentation takes no --model, --g, --n, "
                                "--punctures or --field")
         A = quotient(AlgebraPresentation.load(args.presentation))
+    elif args.model is None:
+        raise AlgebraError("build needs --model or --presentation")
     else:
         A = resolve_model(args.model, **given)
     pres = A.presentation

@@ -112,6 +112,14 @@ def test_unknown_model_token_is_a_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [("build",), ("build", "--g", "2")],
+                         ids=" ".join)
+def test_build_without_model_or_presentation_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: build needs --model or --presentation\n"
+
+
 def test_console_script_entry_point():
     # Run the entry point declared in pyproject.toml the way pip's generated
     # wrapper does, so the contract is checked without an installed script.
