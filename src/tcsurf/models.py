@@ -347,23 +347,6 @@ def xJyK_pairs(n: int):
     return out
 
 
-def eqA_basis_count(n: int):
-    """Degreewise count of x1^e1 y1^e2 x_J y_K with max J < min K."""
-    counts = {}
-    for J, K in xJyK_pairs(n):
-        d = len(J) + len(K)
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts) + 2
-    out = [0] * (top + 1)
-    for d, c in counts.items():
-        for e1 in (0, 1):
-            for e2 in (0, 1):
-                out[d + e1 + e2] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _check_xJyK_independent(B: QuotientAlgebra, n: int):
     red = reduced_generators(B, 2)
     by_degree = {}

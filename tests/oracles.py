@@ -5,6 +5,7 @@ different algorithms, different data layout, no shared helpers.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 import sympy
@@ -106,6 +107,22 @@ def eqA_dimension(n, d):
             continue
         total += comb(2, e) * (s + 1) * comb(n - 1, s)
     return total
+
+
+def eqA_basis_count(n):
+    """Degreewise count of x1^e1 y1^e2 x_J y_K with max J < min K, enumerated.
+
+    J and K run over all subsets of {2..n}; e1, e2 are 0 or 1.
+    """
+    subsets = [s for k in range(n) for s in combinations(range(2, n + 1), k)]
+    out = [0] * (n + 2)
+    for J in subsets:
+        for K in subsets:
+            if J and K and max(J) >= min(K):
+                continue
+            for e in (0, 1, 2):
+                out[len(J) + len(K) + e] += comb(2, e)
+    return out
 
 
 def punctured_hilbert(points, punctures):

@@ -3,18 +3,18 @@ import pytest
 from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
                            UnsupportedModelError)
 from tcsurf.fields import GF2, QQ
-from tcsurf.models import (MODELS, arnold_algebra, eqA_basis_count,
-                           genus2_B_algebra, model_options,
-                           punctured_plane_algebra, reduced_generators,
-                           resolve_model, resolve_presentation,
-                           so3_mod2_algebra, sphere_mod2_model,
-                           surface_cohomology, surface_diagonal,
-                           totaro_algebra, xJyK_pairs)
+from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
+                           model_options, punctured_plane_algebra,
+                           reduced_generators, resolve_model,
+                           resolve_presentation, so3_mod2_algebra,
+                           sphere_mod2_model, surface_cohomology,
+                           surface_diagonal, totaro_algebra, xJyK_pairs)
 from tcsurf.presentation import (convolve, hilbert_series, quotient,
                                  tensor_square)
 from tcsurf.zcl import case_certificate
 
-from .oracles import eqA_dimension, poly_mul, punctured_hilbert
+from .oracles import (eqA_basis_count, eqA_dimension, poly_mul,
+                      punctured_hilbert)
 
 
 def test_surface_hilbert_series():
