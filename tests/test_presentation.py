@@ -13,6 +13,7 @@ from tcsurf.models import (arnold_algebra, punctured_plane_algebra,
 from tcsurf.presentation import (AlgebraPresentation, convolve, diagonal_class,
                                  duality_data, hilbert_series, quotient,
                                  tensor_square)
+from tcsurf.zcl import mod_ideal_quotient, zcl_exact
 
 from .oracles import poly_mul
 
@@ -94,6 +95,26 @@ def test_tensor_square_dimensions():
     assert want == [1, 8, 26, 44, 41, 20, 4]
     got = [len(T.basis[d]) for d in range(T.top + 1)]
     assert got == want
+
+
+@pytest.mark.parametrize("build, dims, zcl", [
+    (lambda: quotient(surface_cohomology(2)), [1, 8, 18, 8, 1], 4),
+    (lambda: quotient(arnold_algebra(3, GF2)), [1, 6, 13, 12, 4], 3),
+    (lambda: mod_ideal_quotient(3), [1, 24, 234, 1176, 3177, 4320, 2304],
+     None),
+], ids=["surface-q", "arnold-gf2", "mod-ideal-truncated"])
+def test_tensor_square_pairs_are_built_on_first_read(build, dims, zcl):
+    A = build()
+    T = tensor_square(A, allow_truncated=zcl is None)
+    assert T.dims == dims
+    assert "basis" not in vars(T) and "index" not in vars(T)
+    assert T.dims == [len(b) for b in T.basis]
+    for d, pairs in enumerate(T.basis):
+        assert all(T.pair_degree(p) == d for p in pairs)
+        assert T.index[d] == {p: i for i, p in enumerate(pairs)}
+        assert len(T.index[d]) == len(pairs)
+    if zcl is not None:
+        assert zcl_exact(A).value == zcl
 
 
 def test_mu_is_an_algebra_map():

@@ -2,19 +2,22 @@
 
 Quotient dimensions are checked against the rank of the Macaulay matrix
 computed by the independent oracles; the two zcl_exact variants are checked
-against each other.  Examples are derandomized so the suite is repeatable.
+against each other; tensor-square dimensions, computed without building
+the pair basis, are checked against the leg convolution and the pair
+counts, and coordinates round-trip.  Examples are derandomized so the
+suite is repeatable.
 """
 
 from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
-from tcsurf.exterior import FreeAlgebra
+from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
-from tcsurf.presentation import AlgebraPresentation, quotient
+from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.zcl import zcl_exact
 
-from .oracles import gf2_rank, koszul_merge, rational_rank
+from .oracles import gf2_rank, koszul_merge, poly_mul, rational_rank
 
 FIELDS = {"Q": QQ, "GF2": GF2}
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -127,3 +130,27 @@ def test_zcl_generators_matches_kernel_basis(pres):
     by_kernel = zcl_exact(A, via="kernel-basis")
     assert (by_generators.value, by_generators.exact) == \
         (by_kernel.value, by_kernel.exact)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: presentations(FIELDS[name], st.sampled_from([1, 1, 2]))),
+    st.data())
+def test_tensor_square_dims_and_coordinates(pres, data):
+    A = quotient(pres)
+    T = tensor_square(A, allow_truncated=True)
+    legs = A.dims[:T.leg_top + 1]
+    assert T.dims == poly_mul(legs, legs)
+    assert T.dims == [len(pairs) for pairs in T.basis]
+    field = T.field
+    for d, pairs in enumerate(T.basis):
+        if not pairs:
+            continue
+        picks = data.draw(st.dictionaries(st.sampled_from(pairs),
+                                          st.sampled_from([1, -1, 2]),
+                                          min_size=1, max_size=4))
+        t = Element(T, {p: field.coerce(c) for p, c in picks.items()
+                        if field.coerce(c) != field.zero})
+        vec = T.vectorize(t, d)
+        assert all(0 <= i < T.dims[d] for i in vec)
+        assert T.element_from_vec(vec, d) == t

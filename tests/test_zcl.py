@@ -198,6 +198,22 @@ def test_bar_product_certificate_lengths():
         assert cert.certified_length == want
 
 
+@pytest.mark.parametrize("certify", [
+    lambda: case_certificate("torus", 2),
+    lambda: case_certificate("genus2", 2),
+    lambda: case_certificate("sphere", 4),
+    lambda: case_certificate("punctured-mod-ideal", 3),
+    lambda: bar_product_certificate(quotient(arnold_algebra(4)), 5),
+], ids=["torus", "genus2", "sphere", "punctured-mod-ideal", "bar-product"])
+def test_certificates_never_build_the_pair_basis(certify):
+    # the model builders are memoized, and an earlier zcl_exact on the same
+    # algebra would have read its tensor square's pairs
+    for builder in (totaro_algebra, genus2_B_algebra, sphere_mod2_model):
+        builder.cache_clear()
+    T = certify().tensor_algebra
+    assert "basis" not in vars(T) and "index" not in vars(T)
+
+
 def test_bar_product_certificate_fails_past_the_truth():
     with pytest.raises(CertificateError):
         bar_product_certificate(torus_ring(), 3)  # zcl of the torus is 2
