@@ -3,9 +3,10 @@
 Two families where the coefficient bookkeeping is harder than in the
 torus case.  For spheres the model lives over GF(2) and the product
 starts from the cube of one bar class before a search fills in the
-remaining factors.  For the punctured plane the certificate lives on
-a quotient by a capped ideal, and a nonzero witness is only valid if
-it stays nonzero against every membership probe of that ideal.
+remaining factors.  The mod-ideal model is the genus-2 diagonal model of
+n points on the closed surface modulo the ideal <x1 y1, x_i y1 + x1 y_i>,
+built only through degree n; a nonzero witness is only valid if it
+stays nonzero against every membership probe of that ideal.
 """
 
 from tcsurf import case_certificate
@@ -20,7 +21,8 @@ def main():
               f"witness {data['witness'][0]} (x) {data['witness'][1]}")
 
     print()
-    print("Punctured plane mod ideal, certified length 2n:")
+    print("Genus-2 diagonal model mod ideal (mod-ideal), "
+          "certified length 2n:")
     for n in range(1, 5):
         cert = case_certificate("punctured-mod-ideal", n)
         data = cert.to_json()
