@@ -358,7 +358,7 @@ class TensorSquareAlgebra:
         self.leg_top = leg_top
         self.top = 2 * leg_top
         self.label = f"{A.label} (x) {A.label}"
-        legs = [len(A.basis_monomials(e)) for e in range(leg_top + 1)]
+        legs = [A.dim(e) for e in range(leg_top + 1)]
         self.dims = convolve(legs, legs)
         self._pair_cache = {}
 
