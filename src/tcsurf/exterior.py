@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HomogeneityError, MismatchError
+from .errors import MismatchError
 from .fields import Field
 
 
@@ -78,32 +78,29 @@ class FreeAlgebra:
         return 1, tuple(sorted(m1 + m2))
 
     def monomials_of_degree(self, d):
-        """All monomials of total degree d, in ascending tuple order."""
-        key = d
-        if key in self._mon_cache:
-            return self._mon_cache[key]
-        out = []
-        char2 = self.field.char == 2
-        degrees = self.degrees
-        odd = self.odd
+        """All monomials of total degree d, in ascending tuple order.
 
-        def rec(start, rem, prefix):
-            if rem == 0:
-                out.append(tuple(prefix))
-                return
-            for g in range(start, self.ngens):
-                dg = degrees[g]
-                if dg > rem:
+        A recurrence over lower degrees: each monomial of degree d - |g|
+        whose last generator is at most g is extended by g, where g may
+        repeat that last generator only if g is even or the characteristic
+        is 2.  Every monomial arises once, from dropping its last generator.
+        """
+        out = self._mon_cache.get(d)
+        if out is not None:
+            return out
+        if d <= 0:
+            out = [()] if d == 0 else []
+        else:
+            char2 = self.field.char == 2
+            out = []
+            for g, dg in enumerate(self.degrees):
+                if dg > d:
                     continue
-                cap = rem // dg
-                if not char2 and odd[g]:
-                    cap = min(cap, 1)
-                for count in range(cap, 0, -1):
-                    rec(g + 1, rem - dg * count, prefix + [g] * count)
-
-        rec(0, d, [])
-        out.sort()
-        self._mon_cache[key] = out
+                bound = g + 1 if char2 or not self.odd[g] else g
+                out += [m + (g,) for m in self.monomials_of_degree(d - dg)
+                        if not m or m[-1] < bound]
+            out.sort()
+        self._mon_cache[d] = out
         return out
 
     def free_hilbert(self, through: int):
@@ -241,11 +238,6 @@ class Element:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def require_homogeneous(self):
-        if self.terms and self.degree() is None:
-            raise HomogeneityError(f"element is not homogeneous: {self}")
-        return self
 
     def homogeneous_parts(self):
         """{degree: the part of self in that degree}, in ascending degree."""

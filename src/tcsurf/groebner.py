@@ -1,11 +1,14 @@
 """Groebner-basis verification in exterior algebras.
 
-All generators must have degree 1.  Monomials are squarefree sets; the term
-order is degree-lexicographic over a generator priority.  The Buchberger
-criterion is adapted to the exterior setting: besides the classical S-pairs
-over lead lcms, every relation is also multiplied by each variable of its
-own lead (odd squares vanish, so those products can have new leads).  The
-basis is only verified, never completed.
+All generators must have degree 1 and the field must have characteristic 0,
+so that monomials are squarefree sets.  (Over GF(2) FreeAlgebra keeps the
+squares of generators.)  TermOrder, which every public entry takes or
+builds, is the one guard that refuses any other case.  The term order is
+degree-lexicographic over a generator priority.  The Buchberger criterion
+is adapted to the exterior setting: besides the classical S-pairs over lead
+lcms, every relation is also multiplied by each variable of its own lead
+(odd squares vanish, so those products can have new leads).  The basis is
+only verified, never completed.
 
 The bundled ideal family is the reduced-generator torus ideal x_j y_j,
 x_j y_i + x_i y_j; its normal monomials per degree must match the Hilbert
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AlgebraError, CertificateError, UnsupportedModelError
+from .errors import (AlgebraError, CertificateError, MismatchError,
+                     UnsupportedModelError)
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import QQ
 
@@ -30,6 +34,11 @@ class TermOrder:
     """
 
     def __init__(self, free: FreeAlgebra, priority):
+        if free.field.char != 0:
+            raise UnsupportedModelError(
+                f"Groebner checks run over Q only, not {free.field.name}")
+        if any(d != 1 for d in free.degrees):
+            raise UnsupportedModelError("only degree-1 generators are supported")
         self.free = free
         names = list(priority)
         if sorted(names) != sorted(free.names):
@@ -57,30 +66,14 @@ class TermOrder:
         return f"TermOrder({self.describe()})"
 
 
-def _check_exterior(free: FreeAlgebra):
-    if any(d != 1 for d in free.degrees):
-        raise UnsupportedModelError("only degree-1 generators are supported")
+def _order_algebra(order: TermOrder, elements) -> FreeAlgebra:
+    """The order's algebra, which must hold every element.
 
-
-def _mul_mon_ext(free: FreeAlgebra, m1, m2):
-    """Exterior product of squarefree monomials: signed merge or None."""
-    if free.field.char != 2:
-        return free.mul_mon(m1, m2)
-    if set(m1) & set(m2):
-        return None
-    return 1, tuple(sorted(m1 + m2))
-
-
-def _mul_by_mon(free: FreeAlgebra, e: Element, mon) -> Element:
-    field = free.field
-    out = {}
-    for m, c in e.terms.items():
-        hit = _mul_mon_ext(free, mon, m)
-        if hit is None:
-            continue
-        sign, merged = hit
-        out[merged] = field.neg(c) if sign < 0 else c
-    return Element(free, out)
+    TermOrder's guard vouches only for its own algebra.
+    """
+    if any(e.algebra is not order.free for e in elements):
+        raise MismatchError("the order and the elements live in different algebras")
+    return order.free
 
 
 def reduce_element(e: Element, relations, order: TermOrder,
@@ -91,7 +84,7 @@ def reduce_element(e: Element, relations, order: TermOrder,
     largest, "low" the smallest.  With a Groebner basis both sequences end
     at the same normal form; that is a tested property, not an assumption.
     """
-    free = e.algebra
+    free = _order_algebra(order, [e, *relations])
     field = free.field
     leads = [(set(order.lead(r)), order.lead(r), r) for r in relations]
     work = dict(e.terms)
@@ -113,29 +106,27 @@ def reduce_element(e: Element, relations, order: TermOrder,
             done[m] = work.pop(m)
             continue
         lmon, r = hit
-        u = tuple(sorted(mset - set(lmon)))
-        ur = _mul_by_mon(free, r, u)
-        lc = ur.terms[m]
-        add_scaled(field, work, ur.terms, field.neg(field.div(work[m], lc)))
+        ur = free.mon_times(tuple(sorted(mset - set(lmon))), r.terms)
+        add_scaled(field, work, ur, field.neg(field.div(work[m], ur[m])))
     return Element(free, done)
 
 
 def s_polynomial(f: Element, g: Element, order: TermOrder):
-    """Classical S-polynomial over the lead lcm (here: union)."""
-    free = f.algebra
+    """Classical S-polynomial over the lead lcm (here: union).
+
+    Each cofactor lcm - lead is disjoint from its squarefree lead, so both
+    products keep the lcm term.
+    """
+    free = _order_algebra(order, (f, g))
     field = free.field
     lf, lg = order.lead(f), order.lead(g)
     lcm = tuple(sorted(set(lf) | set(lg)))
-    uf = tuple(sorted(set(lcm) - set(lf)))
-    ug = tuple(sorted(set(lcm) - set(lg)))
-    tf = _mul_by_mon(free, f, uf)
-    tg = _mul_by_mon(free, g, ug)
-    cf = tf.terms.get(lcm, field.zero)
-    cg = tg.terms.get(lcm, field.zero)
-    if cf == field.zero or cg == field.zero:
-        # an odd square killed one side; whatever remains must still reduce
-        return tf if cg == field.zero else tg
-    return tf.scale(cg) - tg.scale(cf)
+    tf = free.mon_times(tuple(sorted(set(lcm) - set(lf))), f.terms)
+    tg = free.mon_times(tuple(sorted(set(lcm) - set(lg))), g.terms)
+    acc = {}
+    add_scaled(field, acc, tf, tg[lcm])
+    add_scaled(field, acc, tg, field.neg(tf[lcm]))
+    return Element(free, acc)
 
 
 @dataclass
@@ -159,16 +150,9 @@ class GbReport:
 
 def _normal_counts(free: FreeAlgebra, relations, order: TermOrder):
     leads = [set(order.lead(r)) for r in relations]
-    counts = []
-    for d in range(free.ngens + 1):
-        c = 0
-        for mon in free.monomials_of_degree(d):
-            mset = set(mon)
-            if len(mset) != len(mon):
-                continue
-            if not any(l <= mset for l in leads):
-                c += 1
-        counts.append(c)
+    counts = [sum(1 for mon in free.monomials_of_degree(d)
+                  if not any(map(set(mon).issuperset, leads)))
+              for d in range(free.ngens + 1)]
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
@@ -180,7 +164,7 @@ def _run_check(relations, order: TermOrder):
     ok = True
     for i, f in enumerate(relations):
         for v in sorted(set(order.lead(f))):
-            prod = _mul_by_mon(free, f, (v,))
+            prod = Element(free, free.mon_times((v,), f.terms))
             rem = reduce_element(prod, relations, order)
             log.append((("self", i, free.names[v]), repr(rem)))
             if not rem.is_zero():
@@ -206,14 +190,11 @@ def buchberger_check(relations, order: TermOrder = None,
     if not relations:
         if order is None:
             raise AlgebraError("an empty relation set needs an explicit order")
-        free = order.free
-        _check_exterior(free)
-        counts = [len(free.monomials_of_degree(d)) for d in range(free.ngens + 1)]
-        return GbReport(True, [], counts, order, [order])
+        return GbReport(True, [], _normal_counts(order.free, [], order),
+                        order, [order])
     free = relations[0].algebra
     if not isinstance(free, FreeAlgebra):
         raise AlgebraError("relations must live in a free algebra")
-    _check_exterior(free)
     for r in relations:
         if r.is_zero() or r.degree() is None:
             raise AlgebraError("relations must be nonzero and homogeneous")
@@ -222,6 +203,7 @@ def buchberger_check(relations, order: TermOrder = None,
     if try_reversal is None:
         try_reversal = order is None
     first = order or TermOrder(free, list(free.names))
+    _order_algebra(first, relations)
     orders = [first] + ([first.reversed()] if try_reversal else [])
     tried = []
     result = None
@@ -275,13 +257,7 @@ def torus_ideal(n: int):
 
 def torus_ideal_check(n: int, order_name: str = "default") -> GbReport:
     """Run the Buchberger check on the reduced torus ideal."""
-    free, rels, default = torus_ideal(n)
-    if n == 1:
-        # no relations in range; the full exterior algebra is its own model
-        counts = [len(free.monomials_of_degree(d)) for d in range(free.ngens + 1)]
-        while counts and counts[-1] == 0:
-            counts.pop()
-        return GbReport(True, [], counts, default, [default])
+    _, rels, default = torus_ideal(n)
     if order_name == "default":
         return buchberger_check(rels, default, try_reversal=True)
     if order_name == "reversed":

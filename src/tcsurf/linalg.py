@@ -63,9 +63,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.rank == 0
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
-
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -154,15 +151,17 @@ class RationalSubspace(Subspace):
 
 
 def _to_int_row(vec):
-    """Clear denominators and strip content; values become ints."""
+    """Clear denominators and strip content; values become ints.
+
+    Values are Fractions or ints, which both carry numerator and denominator.
+    """
     lcm = 1
     for v in vec.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            lcm = lcm * d // gcd(lcm, d)
+        d = v.denominator
+        lcm = lcm * d // gcd(lcm, d)
     row = {}
     for c, v in vec.items():
-        n = int(v * lcm) if isinstance(v, Fraction) else int(v) * lcm
+        n = v.numerator * (lcm // v.denominator)
         if n:
             row[c] = n
     return _strip_content(row)

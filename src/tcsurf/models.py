@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .errors import (
@@ -23,7 +22,6 @@ from .fields import GF2, QQ, Field
 from .linalg import echelonize
 from .presentation import (
     AlgebraPresentation,
-    DEFAULT_BUDGET,
     QuotientAlgebra,
     diagonal_class,
     duality_data,
@@ -235,7 +233,7 @@ def _attach_model_info(A, g, n, diagonals):
 
 
 def _build_diagonal_model(g: int, n: int, extra_rels=None, label=None,
-                          max_degree=None, budget=DEFAULT_BUDGET) -> QuotientAlgebra:
+                          max_degree=None) -> QuotientAlgebra:
     pres0 = surface_cohomology(g, QQ)
     delta, _H = surface_diagonal(g, QQ)
     free = _tensor_power_free(pres0, n)
@@ -252,11 +250,10 @@ def _build_diagonal_model(g: int, n: int, extra_rels=None, label=None,
         rels.extend(extra_rels(free))
     top = 2 * n if g == 0 else None
     pres = AlgebraPresentation(free, rels, top_degree=top, label=label)
-    A = quotient(pres, max_degree=max_degree, budget=budget)
+    A = quotient(pres, max_degree=max_degree)
     return _attach_model_info(A, g, n, diagonals)
 
 
-@lru_cache(maxsize=None)
 def totaro_algebra(g: int, n: int) -> QuotientAlgebra:
     """The diagonal-ideal model: [H*(surface)]^(x n) / (diagonal classes).
 
@@ -315,7 +312,6 @@ def _pair_ideal_relations(free: FreeAlgebra, n: int):
     return rels
 
 
-@lru_cache(maxsize=None)
 def genus2_B_algebra(n: int, genus: int = 2) -> QuotientAlgebra:
     """Quotient of the genus-2 diagonal model by the second-handle pair ideal.
 
@@ -366,7 +362,6 @@ def _check_xJyK_independent(B: QuotientAlgebra, n: int):
                 f"(rank {span.rank} of {len(elems)})")
 
 
-@lru_cache(maxsize=None)
 def so3_mod2_algebra() -> QuotientAlgebra:
     """The mod-2 algebra on one degree-1 generator truncated above a^3."""
     free = FreeAlgebra(GF2, [("a", 1)])
@@ -376,7 +371,6 @@ def so3_mod2_algebra() -> QuotientAlgebra:
     return quotient(pres)
 
 
-@lru_cache(maxsize=None)
 def sphere_mod2_model(n: int) -> QuotientAlgebra:
     """Mod-2 model for n points on the sphere, n >= 3.
 

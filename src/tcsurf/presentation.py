@@ -179,13 +179,8 @@ class QuotientAlgebra:
         self.basis_index = [{m: i for i, m in enumerate(b)} for b in self.basis]
         self.dims = [len(b) for b in self.basis]
         self.top_nonzero = max((d for d, n in enumerate(self.dims) if n), default=0)
-        if stopped_clean or (not capped and natural is not None and bound == natural):
-            self.exhaustive = True
-        elif not capped and all(
-                not self.basis[bound - k] for k in range(min(window, bound + 1))):
-            self.exhaustive = True
-        else:
-            self.exhaustive = False
+        self.exhaustive = stopped_clean or (
+            not capped and natural is not None and bound == natural)
         self._mul_cache = {}
 
     def _ideal_vectors(self, d, rels, idx):
@@ -458,18 +453,6 @@ class TensorSquareAlgebra:
             add_scaled(self.field, acc, self.A.mul_basis(m1, m2), c)
         return Element(self.A, acc)
 
-    def swap(self, t: Element) -> Element:
-        """The graded flip u (x) v -> (-1)^(|u||v|) v (x) u."""
-        field = self.field
-        free = self.A.free
-        acc = {}
-        for (m1, m2), c in t.terms.items():
-            if (field.char != 2 and free.monomial_degree(m1) % 2
-                    and free.monomial_degree(m2) % 2):
-                c = field.neg(c)
-            acc[(m2, m1)] = c
-        return Element(self, acc)
-
     def vectorize(self, t: Element, d: int):
         idx = self.index[d]
         vec = {}
@@ -516,24 +499,19 @@ class DualityData:
         return f"DualityData({self.algebra.label}, top={self.top})"
 
 
-def duality_data(A: QuotientAlgebra, top=None, omega=None) -> DualityData:
+def duality_data(A: QuotientAlgebra) -> DualityData:
     """Solve for the dual basis in every degree.
 
-    omega defaults to the unique top-degree basis monomial (coefficient 1).
-    Degenerate pairings raise NotPoincareDualityError.
+    omega is the unique basis monomial of the top nonzero degree, with
+    coefficient 1.  Degenerate pairings raise NotPoincareDualityError.
     """
     field = A.field
-    if top is None:
-        top = A.top_nonzero
+    top = A.top_nonzero
     if A.dim(top) != 1:
         raise NotPoincareDualityError(
             f"{A.label}: degree {top} has dimension {A.dim(top)}, expected 1")
     w0 = A.basis_monomials(top)[0]
-    if omega is None:
-        omega = Element(A, {w0: field.one})
-    omega_coeff = omega.terms.get(w0)
-    if omega_coeff is None or set(omega.terms) != {w0}:
-        raise NotPoincareDualityError(f"{A.label}: omega must be supported on {w0}")
+    omega = Element(A, {w0: field.one})
 
     duals = {}
     for k in range(top + 1):
@@ -550,7 +528,7 @@ def duality_data(A: QuotientAlgebra, top=None, omega=None) -> DualityData:
             row = []
             for bj in cols_basis:
                 prod = A.mul_basis(bi, bj)
-                row.append(field.div(prod.get(w0, field.zero), omega_coeff))
+                row.append(prod.get(w0, field.zero))
             P.append(row)
         X = invert_matrix(field, P)
         if X is None:

@@ -237,8 +237,7 @@ def _expand(T: TensorSquareAlgebra, factors, bound):
     return acc
 
 
-def certificate_product(T: TensorSquareAlgebra, factors, witness,
-                        algebra_label=None) -> ZclCertificate:
+def certificate_product(T: TensorSquareAlgebra, factors, witness) -> ZclCertificate:
     """Expand a product of zero-divisors and extract the witness coefficient.
 
     Every factor must lie in ker(mu).  Expansion is pruned to the witness
@@ -261,7 +260,7 @@ def certificate_product(T: TensorSquareAlgebra, factors, witness,
         err.support = [(free.mon_str(m1), free.mon_str(m2)) for m1, m2 in support]
         raise err
     return ZclCertificate(
-        algebra=algebra_label or A.label,
+        algebra=A.label,
         factors=list(factors),
         witness=witness,
         coefficient=coeff,

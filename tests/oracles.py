@@ -5,7 +5,7 @@ different algorithms, different data layout, no shared helpers.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 import sympy
@@ -90,6 +90,25 @@ def koszul_merge(degrees, m1, m2, char):
                 return None
         return sign, tuple(seq)
     return 1, tuple(seq)
+
+
+def monomials_by_multisets(degrees, d, char):
+    """Sorted monomials of total degree d, as multisets of generator ids.
+
+    degrees maps generator id to its degree (each >= 1), so a monomial of
+    degree d has at most d factors.  Over char != 2 an odd generator may
+    not repeat.
+    """
+    out = []
+    for k in range(d + 1):
+        for mon in combinations_with_replacement(range(len(degrees)), k):
+            if sum(degrees[g] for g in mon) != d:
+                continue
+            if char != 2 and any(degrees[g] % 2 and mon.count(g) > 1
+                                 for g in set(mon)):
+                continue
+            out.append(mon)
+    return sorted(out)
 
 
 def eqA_dimension(n, d):

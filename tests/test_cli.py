@@ -79,6 +79,12 @@ def test_groebner_check_reversed_order():
     assert "is_groebner: True" in proc.stdout
 
 
+def test_groebner_check_n1_honours_the_order():
+    proc = run_cli("groebner-check", "--n", "1", "--order", "reversed")
+    assert proc.returncode == 0
+    assert "order y1 < x1" in proc.stdout
+
+
 def test_tc_single_row_json():
     proc = run_cli("tc", "--g", "2", "--n", "2", "--json")
     assert proc.returncode == 0

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from tcsurf.errors import AlgebraError, CertificateError, UnsupportedModelError
+from tcsurf.errors import (AlgebraError, CertificateError, MismatchError,
+                           UnsupportedModelError)
 from tcsurf.exterior import FreeAlgebra
-from tcsurf.fields import QQ
+from tcsurf.fields import GF2, QQ
 from tcsurf.groebner import (TermOrder, buchberger_check, gb_hilbert,
                              reduce_element, s_polynomial, torus_ideal,
                              torus_ideal_check)
@@ -73,6 +74,40 @@ def test_empty_relations_give_binomials():
 def test_n1_is_the_full_exterior_algebra():
     rep = torus_ideal_check(1)
     assert gb_hilbert(rep) == [1, 2, 1]
+
+
+def test_n1_takes_the_order_name_like_every_n():
+    assert torus_ideal_check(1, "reversed").order.describe() == "y1 < x1"
+    with pytest.raises(AlgebraError):
+        torus_ideal_check(1, "bogus")
+
+
+def test_gf2_is_refused_by_every_entry():
+    # over GF(2) the free algebra keeps x*x, which no squarefree lead describes
+    F = FreeAlgebra(GF2, [("x", 1), ("y", 1)])
+    x, y = F.gen("x"), F.gen("y")
+    f = x * x + x * y
+    with pytest.raises(UnsupportedModelError):
+        buchberger_check([], TermOrder(F, ["x", "y"]))
+    with pytest.raises(UnsupportedModelError):
+        buchberger_check([f])
+    with pytest.raises(UnsupportedModelError):
+        reduce_element(f, [f], TermOrder(F, ["x", "y"]))
+    with pytest.raises(UnsupportedModelError):
+        s_polynomial(f, x * y, TermOrder(F, ["x", "y"]))
+
+
+def test_an_order_over_another_algebra_is_refused():
+    # an order over Q must not let GF(2) elements past its guard
+    F = FreeAlgebra(GF2, [("x", 1), ("y", 1)])
+    f = F.gen("x") * F.gen("x") + F.gen("x") * F.gen("y")
+    order = TermOrder(FreeAlgebra(QQ, [("x", 1), ("y", 1)]), ["x", "y"])
+    with pytest.raises(MismatchError):
+        buchberger_check([f], order)
+    with pytest.raises(MismatchError):
+        reduce_element(f, [f], order)
+    with pytest.raises(MismatchError):
+        s_polynomial(f, f, order)
 
 
 def test_even_generators_rejected():

@@ -146,17 +146,6 @@ def test_bar_classes_are_zero_divisors():
         assert T.mu(T.bar(A.gen(name))).is_zero()
 
 
-def test_swap_is_a_signed_involution():
-    A = quotient(surface_cohomology(1))
-    T = tensor_square(A)
-    a, b = A.gen("a"), A.gen("b")
-    t = T.tensor(a, b)
-    assert T.swap(t) == -T.tensor(b, a)  # odd times odd
-    assert T.swap(T.swap(t)) == t
-    w = a * b
-    assert T.swap(T.tensor(w, A.one())) == T.tensor(A.one(), w)
-
-
 def test_duality_of_the_torus():
     A = quotient(surface_cohomology(1))
     D = duality_data(A)

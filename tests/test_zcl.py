@@ -206,10 +206,6 @@ def test_bar_product_certificate_lengths():
     lambda: bar_product_certificate(quotient(arnold_algebra(4)), 5),
 ], ids=["torus", "genus2", "sphere", "punctured-mod-ideal", "bar-product"])
 def test_certificates_never_build_the_pair_basis(certify):
-    # the model builders are memoized, and an earlier zcl_exact on the same
-    # algebra would have read its tensor square's pairs
-    for builder in (totaro_algebra, genus2_B_algebra, sphere_mod2_model):
-        builder.cache_clear()
     T = certify().tensor_algebra
     assert "basis" not in vars(T) and "index" not in vars(T)
 
