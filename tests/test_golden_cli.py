@@ -43,6 +43,9 @@ CORPUS = [
     ["zcl", "--model", "totaro", "--g", "0", "--n", "2", "--method", "certificate"],
     ["zcl", "--model", "b-sigma", "--g", "3", "--n", "2", "--method", "certificate"],
     ["zcl", "--model", "surface", "--g", "2", "--field", "gf2"],
+    ["zcl", "--model", "b-sigma", "--n", "2"],
+    ["zcl", "--model", "b-sigma", "--n", "3", "--method", "certificate"],
+    ["zcl", "--model", "mod-ideal", "--g", "3", "--n", "3", "--method", "certificate"],
 ]
 
 
