@@ -306,26 +306,3 @@ def kernel_basis(field: Field, images, ncols_image: int):
             out.append({c - ncols_image: v for c, v in row.items()})
     return out
 
-
-def invert_matrix(field: Field, rows):
-    """Inverse of a small dense matrix (list of lists), or None if singular."""
-    n = len(rows)
-    aug = [[field.coerce(v) for v in row] + [field.one if i == j else field.zero
-           for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != field.zero:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(v, inv) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != field.zero:
-                f = aug[r][col]
-                aug[r] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

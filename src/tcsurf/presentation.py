@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import field_from_name
-from .linalg import echelonize, invert_matrix
+from .linalg import echelonize, new_subspace
 
 DEFAULT_BUDGET = 2_000_000  # max free monomials in any single degree
 
@@ -128,8 +128,7 @@ class AlgebraPresentation:
 class QuotientAlgebra:
     """Graded quotient of a free algebra, with degreewise normal forms."""
 
-    def __init__(self, presentation: AlgebraPresentation, max_degree=None,
-                 budget=DEFAULT_BUDGET):
+    def __init__(self, presentation: AlgebraPresentation, max_degree=None):
         pres = presentation
         self.presentation = pres
         self.free = pres.free
@@ -153,10 +152,10 @@ class QuotientAlgebra:
             capped = True
 
         free_dims = free.free_hilbert(bound)
-        if max(free_dims) > budget:
+        if max(free_dims) > DEFAULT_BUDGET:
             raise ResourceBudgetError(
                 f"{self.label}: free algebra has {max(free_dims)} monomials in one "
-                f"degree, over the budget of {budget}")
+                f"degree, over the budget of {DEFAULT_BUDGET}")
 
         rels = [(r.degree(), r) for r in pres.relations]
         self.basis = [[()]]
@@ -303,9 +302,8 @@ class QuotientAlgebra:
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
 
 
-def quotient(presentation: AlgebraPresentation, max_degree=None,
-             budget=DEFAULT_BUDGET) -> QuotientAlgebra:
-    return QuotientAlgebra(presentation, max_degree=max_degree, budget=budget)
+def quotient(presentation: AlgebraPresentation, max_degree=None) -> QuotientAlgebra:
+    return QuotientAlgebra(presentation, max_degree=max_degree)
 
 
 def hilbert_series(algebra: QuotientAlgebra):
@@ -332,9 +330,11 @@ def convolve(a, b):
 class TensorSquareAlgebra:
     """A (x) A with the Koszul sign rule, basis = pairs of basis monomials.
 
-    For a truncated quotient (built only through some degree cap) pass
-    allow_truncated=True; products whose legs would leave the constructed
-    range then raise TruncationError, so callers must prune.
+    The square holds only its dims and its lazy pair bases; every product
+    reads both legs from A.mul_basis, which caches them.  On a truncated
+    quotient (built only through some degree cap) the legs stop at the
+    built range, and a product whose legs would leave it raises
+    TruncationError from A.reduce_free, so callers prune with a bound.
 
     dims is computed on construction, as the convolution of the leg
     dimensions.  The pair lists basis[d] and their position dicts index[d]
@@ -344,9 +344,7 @@ class TensorSquareAlgebra:
     neither, so it never pays for the quadratically many pairs.
     """
 
-    def __init__(self, A: QuotientAlgebra, allow_truncated=False):
-        if not A.exhaustive and not allow_truncated:
-            raise TruncationError(f"tensor square needs a fully constructed algebra: {A.label}")
+    def __init__(self, A: QuotientAlgebra):
         self.A = A
         self.field = A.field
         leg_top = A.top_nonzero if A.exhaustive else A.built_top
@@ -355,7 +353,6 @@ class TensorSquareAlgebra:
         self.label = f"{A.label} (x) {A.label}"
         legs = [A.dim(e) for e in range(leg_top + 1)]
         self.dims = convolve(legs, legs)
-        self._pair_cache = {}
 
     @cached_property
     def basis(self):
@@ -402,48 +399,36 @@ class TensorSquareAlgebra:
         """a (x) 1 - 1 (x) a, the basic zero-divisor attached to a."""
         return self.tensor(a, self.A.one()) - self.tensor(self.A.one(), a)
 
-    def _pair_product(self, u1, v1, u2, v2):
-        key = (u1, v1, u2, v2)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        A = self.A
-        field = self.field
-        left = A.mul_basis(u1, u2)
-        out = {}
-        if left:
-            right = A.mul_basis(v1, v2)
-            if right:
-                neg = (field.char != 2
-                       and A.free.monomial_degree(v1) % 2 == 1
-                       and A.free.monomial_degree(u2) % 2 == 1)
-                for ml, cl in left.items():
-                    for mr, cr in right.items():
-                        c = field.mul(cl, cr)
-                        if neg:
-                            c = field.neg(c)
-                        out[(ml, mr)] = c
-        self._pair_cache[key] = out
-        return out
-
     def multiply(self, t1: Element, t2: Element, bound=None) -> Element:
         """t1 * t2; with bound = (p, q), only terms of bidegree <= (p, q).
 
         Bidegrees only grow under multiplication, so the coefficients at or
         below the bound are those of the full product.
         """
-        field = self.field
-        deg = self.A.free.monomial_degree
+        A, field = self.A, self.field
+        deg = A.free.monomial_degree
+        koszul = field.char != 2
+        right = [(u2, v2, c2, deg(u2), deg(v2)) for (u2, v2), c2 in t2.terms.items()]
         acc = {}
         for (u1, v1), c1 in t1.terms.items():
-            right = t2.terms.items()
+            todo = right
             if bound is not None:
                 p, q = bound[0] - deg(u1), bound[1] - deg(v1)
-                right = [(k, c) for k, c in right if deg(k[0]) <= p and deg(k[1]) <= q]
-            for (u2, v2), c2 in right:
-                prod = self._pair_product(u1, v1, u2, v2)
-                if prod:
-                    add_scaled(field, acc, prod, field.mul(c1, c2))
+                todo = [r for r in right if r[3] <= p and r[4] <= q]
+            v1_odd = koszul and deg(v1) % 2
+            for u2, v2, c2, du2, _ in todo:
+                left = A.mul_basis(u1, u2)
+                if not left:
+                    continue
+                legs = A.mul_basis(v1, v2)
+                if not legs:
+                    continue
+                c = field.mul(c1, c2)
+                if v1_odd and du2 % 2:
+                    c = field.neg(c)
+                for ml, cl in left.items():
+                    add_scaled(field, acc, {(ml, mr): cr for mr, cr in legs.items()},
+                               field.mul(c, cl))
         return Element(self, acc)
 
     def mu(self, t: Element) -> Element:
@@ -471,15 +456,18 @@ class TensorSquareAlgebra:
         return f"TensorSquareAlgebra({self.A.label}, dims={self.dims})"
 
 
-def tensor_square(A: QuotientAlgebra, allow_truncated=False) -> TensorSquareAlgebra:
-    """Memoized per algebra so repeated calls share one product cache."""
-    cache = getattr(A, "_tensor_squares", None)
-    if cache is None:
-        cache = A._tensor_squares = {}
-    key = bool(allow_truncated)
-    if key not in cache:
-        cache[key] = TensorSquareAlgebra(A, allow_truncated=allow_truncated)
-    return cache[key]
+def tensor_square(A: QuotientAlgebra) -> TensorSquareAlgebra:
+    """The tensor square of A, one per algebra.
+
+    The memo is for identity, not speed: elements compare equal only within
+    one algebra object, so a class built here (the diagonal of
+    surface_diagonal) must live in the square every other caller gets.  The
+    square holds no products; they are cached by A.mul_basis.
+    """
+    T = getattr(A, "_tensor_square", None)
+    if T is None:
+        T = A._tensor_square = TensorSquareAlgebra(A)
+    return T
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +491,13 @@ def duality_data(A: QuotientAlgebra) -> DualityData:
     """Solve for the dual basis in every degree.
 
     omega is the unique basis monomial of the top nonzero degree, with
-    coefficient 1.  Degenerate pairings raise NotPoincareDualityError.
+    coefficient 1.  In degree k the pairing matrix P has P[i][t] = the omega
+    coefficient of b_i c_t, over the bases b of degree k and c of the
+    complementary degree.  The rows [P_i | e_i] are echelonized together;
+    P is invertible exactly when the pivots are the first len(b) columns,
+    and then the right half of the reduced rows is P^-1, whose column j
+    holds the dual of b_j over c.  Any other pivots mean a degenerate
+    pairing, which raises NotPoincareDualityError.
     """
     field = A.field
     top = A.top_nonzero
@@ -523,23 +517,23 @@ def duality_data(A: QuotientAlgebra) -> DualityData:
                 f"in degrees {k}, {top - k}")
         if not rows_basis:
             continue
-        P = []
-        for bi in rows_basis:
-            row = []
-            for bj in cols_basis:
-                prod = A.mul_basis(bi, bj)
-                row.append(prod.get(w0, field.zero))
-            P.append(row)
-        X = invert_matrix(field, P)
-        if X is None:
+        size = len(rows_basis)
+        sub = new_subspace(field, 2 * size)
+        for i, bi in enumerate(rows_basis):
+            row = {size + i: field.one}
+            for t, bt in enumerate(cols_basis):
+                c = A.mul_basis(bi, bt).get(w0)
+                if c:
+                    row[t] = c
+            sub.insert(row)
+        if sub.pivots != list(range(size)):
             raise NotPoincareDualityError(
                 f"{A.label}: pairing degenerate in degree {k}")
+        inverse = sub.rows_rref()
         for j, bi in enumerate(rows_basis):
-            terms = {}
-            for t, bt in enumerate(cols_basis):
-                if X[t][j] != field.zero:
-                    terms[bt] = X[t][j]
-            duals[bi] = Element(A, terms)
+            duals[bi] = Element(A, {bt: field.coerce(inverse[t][size + j])
+                                    for t, bt in enumerate(cols_basis)
+                                    if size + j in inverse[t]})
     return DualityData(A, top, omega, duals)
 
 

@@ -115,6 +115,9 @@ class _GradedSpan:
 
 def zero_divisor_subspace(A, T: TensorSquareAlgebra = None):
     """Per-degree kernel of mu: (A (x) A)^d -> A^d, as echelonized subspaces."""
+    if not A.exhaustive:
+        raise TruncationError(
+            f"zero_divisor_subspace needs a fully constructed algebra: {A.label}")
     if T is None:
         T = tensor_square(A)
     out = {}
@@ -221,11 +224,25 @@ def cup_length(A, cap=None) -> BoundReport:
 # certificates
 
 
-def _expand(T: TensorSquareAlgebra, factors, bound):
-    """Product of the factors, pruned to bidegree <= bound.
+def certificate_product(T: TensorSquareAlgebra, factors, *witnesses) -> ZclCertificate:
+    """Expand a product of zero-divisors and certify its first nonzero witness.
 
-    Every factor must be a nonzero zero-divisor (in ker mu).
+    Every factor must lie in ker(mu), and the candidate witnesses must share
+    one bidegree (AlgebraError otherwise).  The product is expanded once,
+    pruned to that bidegree: coefficients there are unaffected, since
+    bidegrees only grow.  The certificate carries the first candidate whose
+    coefficient is nonzero.  If every candidate is zero, CertificateError
+    carries in .support the basis tensors that were nonzero at or below
+    that bidegree.
     """
+    A = T.A
+    free = A.free
+    bidegrees = {(free.monomial_degree(u), free.monomial_degree(v))
+                 for u, v in witnesses}
+    if len(bidegrees) != 1:
+        raise AlgebraError(
+            f"candidate witnesses need one shared bidegree, got {sorted(bidegrees)}")
+    bound = bidegrees.pop()
     for i, f in enumerate(factors):
         if f.is_zero() or not T.mu(f).is_zero():
             raise CertificateError(f"factor {i} is not a zero-divisor: {f}")
@@ -234,39 +251,26 @@ def _expand(T: TensorSquareAlgebra, factors, bound):
         acc = T.multiply(acc, f, bound)
         if acc.is_zero():
             break
-    return acc
-
-
-def certificate_product(T: TensorSquareAlgebra, factors, witness) -> ZclCertificate:
-    """Expand a product of zero-divisors and extract the witness coefficient.
-
-    Every factor must lie in ker(mu).  Expansion is pruned to the witness
-    bidegree (coefficients there are unaffected since bidegrees only grow).
-    A zero witness coefficient raises CertificateError carrying the basis
-    tensors that were nonzero at the witness bidegree.
-    """
-    A = T.A
-    free = A.free
-    field = T.field
-    acc = _expand(T, factors, (free.monomial_degree(witness[0]),
-                               free.monomial_degree(witness[1]))).terms
-    coeff = acc.get(witness, field.zero)
-    if coeff == field.zero:
-        support = sorted(acc)
-        msg = (f"zero witness coefficient on {free.mon_str(witness[0])} (x) "
-               f"{free.mon_str(witness[1])}; "
-               f"{len(support)} nonzero basis tensors at or below that bidegree")
-        err = CertificateError(msg)
-        err.support = [(free.mon_str(m1), free.mon_str(m2)) for m1, m2 in support]
-        raise err
-    return ZclCertificate(
-        algebra=A.label,
-        factors=list(factors),
-        witness=witness,
-        coefficient=coeff,
-        certified_length=len(factors),
-        tensor_algebra=T,
-    )
+    for witness in witnesses:
+        coeff = acc.terms.get(witness)
+        if coeff:
+            return ZclCertificate(
+                algebra=A.label,
+                factors=list(factors),
+                witness=witness,
+                coefficient=coeff,
+                certified_length=len(factors),
+                tensor_algebra=T,
+            )
+    support = sorted(acc.terms)
+    first = witnesses[0]
+    others = f" and {len(witnesses) - 1} other candidates" if len(witnesses) > 1 else ""
+    msg = (f"zero witness coefficient on {free.mon_str(first[0])} (x) "
+           f"{free.mon_str(first[1])}{others}; "
+           f"{len(support)} nonzero basis tensors at or below that bidegree")
+    err = CertificateError(msg)
+    err.support = [(free.mon_str(m1), free.mon_str(m2)) for m1, m2 in support]
+    raise err
 
 
 def _single_monomial(e: Element):
@@ -323,22 +327,8 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
         R = _product([w1] + red.xs[1:])
         if L.is_zero() or R.is_zero():
             raise CertificateError(f"{B.label}: witness legs vanish")
-        # expand once against the largest witness bidegree, then pick the
-        # first expected-summand pair that survived
-        acc = _expand(T, factors, (n + 1, n + 1)).terms
-        witness = None
-        for m1 in sorted(L.terms):
-            for m2 in sorted(R.terms):
-                if acc.get((m1, m2)):
-                    witness = (m1, m2)
-                    break
-            if witness:
-                break
-        if witness is None:
-            raise CertificateError(
-                f"{B.label}: no expected witness pair survived expansion")
-        return ZclCertificate(B.label, factors, witness, acc[witness],
-                              len(factors), T)
+        return certificate_product(T, factors, *[
+            (m1, m2) for m1 in sorted(L.terms) for m2 in sorted(R.terms)])
 
     if case == "sphere":
         A = sphere_mod2_model(n)
@@ -363,21 +353,17 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
         red = reduced_generators(Aq, genus)
         xs, ys = red.xs, red.ys
         for k in range(n + 1):
-            m = _product(xs[:k] + ys[k:]) if (xs[:k] + ys[k:]) else Aq.one()
-            if m.is_zero():
+            if _product(xs[:k] + ys[k:]).is_zero():
                 raise CertificateError(
                     f"{Aq.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
-        T = tensor_square(Aq, allow_truncated=True)
+        T = tensor_square(Aq)
         factors = []
         for j in range(n):
             factors.append(T.bar(xs[j]))
             factors.append(T.bar(ys[j]))
         xmon = _single_monomial(_product(xs))
         ymon = _single_monomial(_product(ys))
-        try:
-            return certificate_product(T, factors, (ymon, xmon))
-        except CertificateError:
-            return certificate_product(T, factors, (xmon, ymon))
+        return certificate_product(T, factors, (ymon, xmon), (xmon, ymon))
 
     raise AlgebraError(f"unknown certificate case: {case}")
 

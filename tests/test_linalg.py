@@ -6,7 +6,7 @@ import pytest
 from tcsurf.errors import UnsupportedModelError
 from tcsurf.fields import GF2, QQ, PrimeField
 from tcsurf.linalg import (Gf2Subspace, RationalSubspace, echelonize,
-                           invert_matrix, kernel_basis, new_subspace)
+                           kernel_basis, new_subspace)
 
 from .oracles import gf2_rank, rational_rank, rref_gf2, rref_rational
 
@@ -113,19 +113,6 @@ def test_kernel_basis_annihilates_and_has_right_dimension():
                         acc[j] = field.add(acc.get(j, field.zero),
                                            field.mul(c, v))
                 assert all(v == field.zero for v in acc.values()), (field, trial)
-
-
-def test_invert_matrix_round_trip():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert_matrix(QQ, rows)
-    prod = [[sum(rows[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]
-
-
-def test_invert_matrix_singular_returns_none():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert invert_matrix(QQ, rows) is None
 
 
 def test_odd_prime_fields_are_refused():

@@ -44,7 +44,7 @@ def test_budget_guard():
     big = FreeAlgebra(QQ, [(f"g{i}", 1) for i in range(40)])
     pres = AlgebraPresentation(big, [])
     with pytest.raises(ResourceBudgetError):
-        quotient(pres, budget=1000)
+        quotient(pres)  # C(40, 20) monomials in degree 20
 
 
 def test_truncated_quotient_raises_beyond_built_range():
@@ -105,7 +105,7 @@ def test_tensor_square_dimensions():
 ], ids=["surface-q", "arnold-gf2", "mod-ideal-truncated"])
 def test_tensor_square_pairs_are_built_on_first_read(build, dims, zcl):
     A = build()
-    T = tensor_square(A, allow_truncated=zcl is None)
+    T = tensor_square(A)
     assert T.dims == dims
     assert "basis" not in vars(T) and "index" not in vars(T)
     assert T.dims == [len(b) for b in T.basis]
@@ -161,6 +161,17 @@ def test_duality_of_the_torus():
 def test_duality_rejects_non_pd_algebra():
     with pytest.raises(NotPoincareDualityError):
         duality_data(quotient(arnold_algebra(3)))
+
+
+def test_duality_rejects_degenerate_pairing():
+    F = FreeAlgebra(QQ, [("x", 1), ("y", 1), ("z", 1)])
+    x, y, z = (F.gen(s) for s in "xyz")
+    A = quotient(AlgebraPresentation(F, [x * y, x * z]))
+    assert A.hilbert() == [1, 3, 1]
+    # x pairs to zero with all of degree 1
+    with pytest.raises(NotPoincareDualityError,
+                       match="pairing degenerate in degree 1"):
+        duality_data(A)
 
 
 def test_torus_diagonal_class():

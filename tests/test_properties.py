@@ -4,11 +4,12 @@ Quotient dimensions are checked against the rank of the Macaulay matrix
 computed by the independent oracles; the two zcl_exact variants are checked
 against each other; tensor-square dimensions, computed without building
 the pair basis, are checked against the leg convolution and the pair
-counts, and coordinates round-trip.  Examples are derandomized so the
+counts, and coordinates round-trip; the tensor-square product of pure
+tensors is checked against the Koszul rule on products taken in A.  Examples are derandomized so the
 suite is repeatable.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -138,7 +139,7 @@ def test_zcl_generators_matches_kernel_basis(pres):
     st.data())
 def test_tensor_square_dims_and_coordinates(pres, data):
     A = quotient(pres)
-    T = tensor_square(A, allow_truncated=True)
+    T = tensor_square(A)
     legs = A.dims[:T.leg_top + 1]
     assert T.dims == poly_mul(legs, legs)
     assert T.dims == [len(pairs) for pairs in T.basis]
@@ -154,3 +155,29 @@ def test_tensor_square_dims_and_coordinates(pres, data):
         vec = T.vectorize(t, d)
         assert all(0 <= i < T.dims[d] for i in vec)
         assert T.element_from_vec(vec, d) == t
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: presentations(FIELDS[name], st.just(1), squares=True)),
+    st.data())
+def test_tensor_multiply_follows_the_koszul_rule(pres, data):
+    A = quotient(pres)
+    T = tensor_square(A)
+    field = A.field
+
+    def draw_element(d):
+        picks = data.draw(st.dictionaries(st.integers(0, A.dim(d) - 1),
+                                          st.sampled_from([1, -1, 2]),
+                                          min_size=1, max_size=3))
+        return d, A.element_from_vec({i: c for i, c in picks.items()
+                                      if field.coerce(c) != field.zero}, d)
+
+    # one element per degree, multiplied in every combination of degrees,
+    # so that every parity of |b1| |a2| is exercised
+    elements = [draw_element(d) for d in range(A.top_nonzero + 1)]
+    for (_, a1), (d_b1, b1), (d_a2, a2), (_, b2) in product(elements, repeat=4):
+        want = T.tensor(a1 * a2, b1 * b2)
+        if field.char != 2 and d_b1 * d_a2 % 2:
+            want = -want
+        assert T.multiply(T.tensor(a1, b1), T.tensor(a2, b2)) == want

@@ -183,9 +183,61 @@ def test_certificate_rejects_vanished_witness():
     mon = next(iter(ab.terms))
     bar_a = T.bar(A.gen("a"))
     with pytest.raises(CertificateError) as err:
-        # abar*abar = -2 a(x)a, so the (ab, ab) coefficient is zero
+        # abar*abar = 0 over Q, so the (ab, ab) coefficient is zero
         certificate_product(T, [bar_a, bar_a], (mon, mon))
     assert hasattr(err.value, "support")
+
+
+def torus_monomial(A, *names):
+    prod = A.one()
+    for s in names:
+        prod = prod * A.gen(s)
+    return next(iter(prod.terms))
+
+
+def test_certificate_returns_the_first_nonzero_candidate():
+    A = torus_ring()
+    T = tensor_square(A)
+    a, b = torus_monomial(A, "a"), torus_monomial(A, "b")
+    factors = [T.bar(A.gen("a")), T.bar(A.gen("b"))]
+    # abar*bbar = ab(x)1 - a(x)b + b(x)a + 1(x)ab
+    cert = certificate_product(T, factors, (a, a), (a, b))
+    assert cert.witness == (a, b)
+    assert cert.coefficient == QQ.coerce(-1)
+    assert cert.certified_length == 2
+
+
+def test_certificate_with_every_candidate_zero_reports_support():
+    A = torus_ring()
+    T = tensor_square(A)
+    a, b = torus_monomial(A, "a"), torus_monomial(A, "b")
+    factors = [T.bar(A.gen("a")), T.bar(A.gen("b"))]
+    with pytest.raises(CertificateError) as err:
+        certificate_product(T, factors, (a, a), (b, b))
+    assert err.value.support == [("a", "b"), ("b", "a")]
+
+
+def test_certificate_refuses_candidates_of_mixed_bidegree():
+    A = torus_ring()
+    T = tensor_square(A)
+    a, ab = torus_monomial(A, "a"), torus_monomial(A, "a", "b")
+    factors = [T.bar(A.gen("a")), T.bar(A.gen("b"))]
+    with pytest.raises(AlgebraError, match="bidegree") as err:
+        certificate_product(T, factors, (a, a), (ab, ab))
+    assert not isinstance(err.value, CertificateError)
+
+
+def test_certificates_run_on_a_truncated_quotient_within_its_range():
+    Aq = mod_ideal_quotient(2)
+    assert not Aq.exhaustive
+    assert bar_product_certificate(Aq, 2).certified_length == 2
+    with pytest.raises(TruncationError):
+        bar_product_certificate(Aq, 5)
+
+
+def test_zero_divisor_subspace_rejects_truncated_algebras():
+    with pytest.raises(TruncationError):
+        zero_divisor_subspace(mod_ideal_quotient(2))
 
 
 def test_bar_product_certificate_lengths():
