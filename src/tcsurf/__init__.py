@@ -21,12 +21,11 @@ from .presentation import (AlgebraPresentation, DualityData, QuotientAlgebra,
                            tensor_square)
 from .models import (ReducedGenerators, arnold_algebra, genus2_B_algebra,
                      punctured_plane_algebra, reduced_generators,
-                     resolve_model, resolve_presentation, so3_mod2_algebra,
-                     sphere_mod2_model, surface_cohomology, surface_diagonal,
-                     totaro_algebra)
+                     resolve_model, so3_mod2_algebra, sphere_mod2_model,
+                     surface_cohomology, surface_diagonal, totaro_algebra)
 from .zcl import (BoundReport, E2Report, ZclCertificate,
                   bar_product_certificate, bar_generators, case_certificate,
-                  certificate_product, cup_length, e2_kernel_dim, e2_probe,
+                  certificate_product, cup_length, e2_probe,
                   mod_ideal_quotient, zcl_exact, zero_divisor_elements,
                   zero_divisor_subspace)
 from .groebner import (GbReport, TermOrder, buchberger_check, gb_hilbert,
@@ -47,11 +46,11 @@ __all__ = [
     "hilbert_series", "quotient", "tensor_square",
     "ReducedGenerators", "arnold_algebra", "genus2_B_algebra",
     "punctured_plane_algebra", "reduced_generators", "resolve_model",
-    "resolve_presentation", "so3_mod2_algebra", "sphere_mod2_model",
-    "surface_cohomology", "surface_diagonal", "totaro_algebra",
+    "so3_mod2_algebra", "sphere_mod2_model", "surface_cohomology",
+    "surface_diagonal", "totaro_algebra",
     "BoundReport", "E2Report", "ZclCertificate", "bar_product_certificate",
     "bar_generators", "case_certificate", "certificate_product",
-    "cup_length", "e2_kernel_dim", "e2_probe", "mod_ideal_quotient",
+    "cup_length", "e2_probe", "mod_ideal_quotient",
     "zcl_exact", "zero_divisor_elements", "zero_divisor_subspace",
     "GbReport", "TermOrder", "buchberger_check", "gb_hilbert",
     "reduce_element", "s_polynomial", "torus_ideal", "torus_ideal_check",

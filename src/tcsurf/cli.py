@@ -20,7 +20,7 @@ import json
 import sys
 
 from .errors import AlgebraError
-from .fields import GF2, QQ
+from .fields import field_from_name
 from .groebner import gb_hilbert, torus_ideal_check
 from .models import MODELS, model_options, resolve_model
 from .presentation import AlgebraPresentation, quotient
@@ -29,14 +29,14 @@ from .zcl import (ZclCertificate, bar_product_certificate, case_certificate,
                   zcl_exact)
 
 
+_FIELD_ALIASES = {"q": "Q", "qq": "Q", "rational": "Q",
+                  "gf2": "GF2", "f2": "GF2", "mod2": "GF2"}
+
+
 def _field_arg(tok):
     if tok is None:
         return None
-    if tok.lower() in ("q", "qq", "rational"):
-        return QQ
-    if tok.lower() in ("gf2", "f2", "mod2"):
-        return GF2
-    raise AlgebraError(f"unknown field: {tok}")
+    return field_from_name(_FIELD_ALIASES.get(tok.lower(), tok))
 
 
 def _model_args(p: argparse.ArgumentParser):
@@ -178,12 +178,11 @@ def _cmd_tc(args):
         if (args.g, args.n, args.m) != (None, None, None):
             raise AlgebraError("--sweep takes no --g, --n or --m")
         gmax, nmax, mmax = args.sweep
-        rows = sweep(gmax, nmax, mmax, method=args.method or "auto")
+        rows = sweep(gmax, nmax, mmax, method=args.method)
     else:
         if args.n is None:
             raise AlgebraError("tc needs --n (and optionally --g, --m)")
-        rows = [tc_report(args.g or 0, args.n, args.m or 0,
-                          method=args.method or "auto")]
+        rows = [tc_report(args.g or 0, args.n, args.m or 0, method=args.method)]
     _print_tc_rows(rows, args.json)
     return 0 if all_tight(rows) else 1
 
@@ -229,7 +228,8 @@ def main(argv=None) -> int:
     t.add_argument("--g", type=int, default=None)
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--m", type=int, default=None)
-    t.add_argument("--method", choices=("exact", "certificate"), default=None)
+    t.add_argument("--method", choices=("exact", "certificate"),
+                   default="certificate")
     t.add_argument("--sweep", nargs=3, type=int, default=None,
                    metavar=("GMAX", "NMAX", "MMAX"))
     t.add_argument("--json", action="store_true")

@@ -104,23 +104,21 @@ class FreeAlgebra:
         return out
 
     def free_hilbert(self, through: int):
-        """Dimension of each degree 0..through of the free algebra."""
+        """Dimension of each degree 0..through of the free algebra.
+
+        Each generator of degree d multiplies the series by 1 + t^d when its
+        square is zero (odd degree, characteristic not 2), in place from the
+        top down, and otherwise by 1/(1 - t^d), from the bottom up.
+        """
         series = [1] + [0] * through
         char2 = self.field.char == 2
-        for g in range(self.ngens):
-            dg = self.degrees[g]
-            if not char2 and self.odd[g]:
-                factor = [1 if d in (0, dg) else 0 for d in range(through + 1)]
+        for dg, odd in zip(self.degrees, self.odd):
+            if odd and not char2:
+                for i in range(through, dg - 1, -1):
+                    series[i] += series[i - dg]
             else:
-                factor = [1 if d % dg == 0 else 0 for d in range(through + 1)]
-            new = [0] * (through + 1)
-            for i, a in enumerate(series):
-                if a == 0:
-                    continue
-                for j in range(0, through + 1 - i):
-                    if factor[j]:
-                        new[i + j] += a
-            series = new
+                for i in range(dg, through + 1):
+                    series[i] += series[i - dg]
         return series
 
     def mon_str(self, mon) -> str:

@@ -1,49 +1,25 @@
-"""Exact coefficient fields.
+"""Exact coefficient fields: the rationals and GF(2), and no others.
 
-Two kinds are supported: the rationals (scalars are fractions.Fraction,
-always in lowest terms with positive denominator) and prime fields GF(p)
-(scalars are ints in range(p)).  Nothing in this package ever touches a
-float; every linear-algebra routine receives one of these field objects
-and calls its methods for arithmetic.
+QQ and GF2 are the only fields.  Q scalars are fractions.Fraction, always in
+lowest terms with positive denominator; GF(2) scalars are the ints 0 and 1.
+Nothing in this package ever touches a float; every linear-algebra routine
+receives one of the two field objects and calls its methods for arithmetic.
+field_from_name is the one reader of field names, so a presentation over
+any other field is refused when it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import UnsupportedModelError
+
 
 class Field:
-    """Common interface for exact fields."""
+    """The type of QQ and GF2; fields compare by identity."""
 
     char: int
     name: str
-
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def fmt(self, value) -> str:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __repr__(self):
         return self.name
@@ -52,10 +28,8 @@ class Field:
 class Rationals(Field):
     char = 0
     name = "Q"
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -65,7 +39,10 @@ class Rationals(Field):
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def parse(self, text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as e:
+            raise ValueError(f"zero denominator in {text!r}") from e
 
     def fmt(self, value):
         return str(value)
@@ -73,87 +50,56 @@ class Rationals(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
+    def div(self, a, b):
+        return a / b
 
 
-class PrimeField(Field):
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.char = p
-        self.name = f"GF{p}"
-        self.zero = 0
-        self.one = 1
+class Gf2(Field):
+    char = 2
+    name = "GF2"
+    zero = 0
+    one = 1
 
     def coerce(self, value):
         if isinstance(value, int):
-            return value % self.p
+            return value % 2
         if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return (value.numerator * self.inv(value.denominator % self.p)) % self.p
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+            if value.denominator % 2 == 0:
+                raise ZeroDivisionError("denominator divisible by 2")
+            return value.numerator % 2
+        raise TypeError(f"cannot coerce {value!r} into GF2")
 
     def parse(self, text):
-        return int(text) % self.p
+        return int(text) % 2
 
     def fmt(self, value):
-        return str(value % self.p)
+        return str(value % 2)
 
     def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
+        return (a + b) % 2
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return (a * b) % 2
 
     def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+        return a % 2  # -a = a in characteristic 2
 
 
 QQ = Rationals()
-GF2 = PrimeField(2)
+GF2 = Gf2()
 
 
 def field_from_name(name: str) -> Field:
-    """Resolve the names used in the JSON presentation format."""
+    """The field named "Q" or "GF2"; every other name is refused."""
     if name == "Q":
         return QQ
     if name == "GF2":
         return GF2
-    if name.startswith("GF") and name[2:].isdigit():
-        return PrimeField(int(name[2:]))
-    raise ValueError(f"unknown field name {name!r} (expected 'Q' or 'GF2')")
+    raise UnsupportedModelError(
+        f"unsupported field {name!r}: only 'Q' and 'GF2' are supported")

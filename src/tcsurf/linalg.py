@@ -8,9 +8,9 @@ fed in.
 
 Over the rationals the rows are kept as primitive integer vectors (gcd 1,
 positive pivot); elimination is fraction-free so the hot loops run on plain
-ints.  Over GF(2) a row is a single int bitmask and elimination is xor.  No
-other field is supported: new_subspace, the one place that picks the
-elimination, refuses GF(p) for p > 2.
+ints.  Over GF(2) a row is a single int bitmask and elimination is xor.
+new_subspace picks the elimination by characteristic; fields.py admits no
+field but Q and GF(2).
 
 Vectors are inserted in echelon form; finalize back-substitutes once, in
 descending pivot order.  When a row is reached every row with a higher pivot
@@ -25,18 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import UnsupportedModelError
 from .fields import Field
 
 
 def new_subspace(field: Field, ncols: int) -> "Subspace":
     """An empty subspace of ncols columns, eliminating over the field."""
-    if field.char == 0:
-        return RationalSubspace(ncols)
-    if field.char == 2:
-        return Gf2Subspace(ncols)
-    raise UnsupportedModelError(
-        f"linear algebra over {field.name} is not supported (only Q and GF2)")
+    return Gf2Subspace(ncols) if field.char == 2 else RationalSubspace(ncols)
 
 
 def echelonize(field: Field, ncols: int, vectors) -> "Subspace":
@@ -51,14 +45,20 @@ def echelonize(field: Field, ncols: int, vectors) -> "Subspace":
 
 
 class Subspace:
-    """Interface shared by the two implementations."""
+    """Rows keyed by pivot column; the two subclasses differ in the row type."""
 
-    ncols: int
-    pivots: list
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._rows = {}  # pivot col -> row
+        self._final = False
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
         return self.rank == 0
@@ -76,18 +76,7 @@ class Subspace:
 
 
 class RationalSubspace(Subspace):
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows = {}  # pivot col -> dict col -> int (primitive row)
-        self._final = False
-
-    @property
-    def pivots(self):
-        return sorted(self._rows)
-
-    @property
-    def rank(self):
-        return len(self._rows)
+    """Rows are dicts col -> int, each primitive with a positive pivot."""
 
     def insert(self, vec):
         row = _to_int_row(vec)
@@ -204,27 +193,10 @@ def _int_eliminate(row, piv, p):
 
 
 class Gf2Subspace(Subspace):
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows = {}  # pivot col -> int bitmask
-        self._final = False
-
-    @property
-    def pivots(self):
-        return sorted(self._rows)
-
-    @property
-    def rank(self):
-        return len(self._rows)
+    """Rows are int bitmasks: bit c is set when column c holds a 1."""
 
     def insert(self, vec):
-        if isinstance(vec, int):
-            row = vec
-        else:
-            row = 0
-            for c, v in vec.items():
-                if int(v) % 2:
-                    row |= 1 << c
+        row = _to_mask(vec)
         rows = self._rows
         while row:
             p = (row & -row).bit_length() - 1
@@ -256,35 +228,34 @@ class Gf2Subspace(Subspace):
 
     def reduce(self, vec):
         self.finalize()
-        if isinstance(vec, int):
-            work = vec
-        else:
-            work = 0
-            for c, v in vec.items():
-                if int(v) % 2:
-                    work |= 1 << c
+        work = _to_mask(vec)
         for p in sorted(self._rows):
             if (work >> p) & 1:
                 work ^= self._rows[p]
-        out = {}
-        while work:
-            c = (work & -work).bit_length() - 1
-            out[c] = 1
-            work &= work - 1
-        return out
+        return _from_mask(work)
 
     def rows_rref(self):
         self.finalize()
-        out = []
-        for p in sorted(self._rows):
-            row = self._rows[p]
-            cols = {}
-            while row:
-                c = (row & -row).bit_length() - 1
-                cols[c] = 1
-                row &= row - 1
-            out.append(cols)
-        return out
+        return [_from_mask(self._rows[p]) for p in sorted(self._rows)]
+
+
+def _to_mask(vec):
+    """A sparse vector's odd entries as a bitmask."""
+    mask = 0
+    for c, v in vec.items():
+        if int(v) % 2:
+            mask |= 1 << c
+    return mask
+
+
+def _from_mask(mask):
+    """A bitmask as a sparse vector of ones."""
+    out = {}
+    while mask:
+        c = (mask & -mask).bit_length() - 1
+        out[c] = 1
+        mask &= mask - 1
+    return out
 
 
 def kernel_basis(field: Field, images, ncols_image: int):

@@ -488,8 +488,3 @@ def resolve_model(model: str, **given) -> QuotientAlgebra:
     """Quotient-level lookup by model token; options as in model_options."""
     options = model_options(model, **given)
     return MODELS[model].build(**options)
-
-
-def resolve_presentation(model: str, **given) -> AlgebraPresentation:
-    """Presentation-level lookup by model token."""
-    return resolve_model(model, **given).presentation

@@ -407,7 +407,6 @@ class TensorSquareAlgebra:
         """
         A, field = self.A, self.field
         deg = A.free.monomial_degree
-        koszul = field.char != 2
         right = [(u2, v2, c2, deg(u2), deg(v2)) for (u2, v2), c2 in t2.terms.items()]
         acc = {}
         for (u1, v1), c1 in t1.terms.items():
@@ -415,7 +414,7 @@ class TensorSquareAlgebra:
             if bound is not None:
                 p, q = bound[0] - deg(u1), bound[1] - deg(v1)
                 todo = [r for r in right if r[3] <= p and r[4] <= q]
-            v1_odd = koszul and deg(v1) % 2
+            v1_odd = deg(v1) % 2
             for u2, v2, c2, du2, _ in todo:
                 left = A.mul_basis(u1, u2)
                 if not left:
@@ -544,7 +543,7 @@ def diagonal_class(D: DualityData) -> Element:
     field = A.field
     acc = {}
     for k in range(D.top + 1):
-        sign = field.neg(field.one) if (field.char != 2 and k % 2) else field.one
+        sign = field.neg(field.one) if k % 2 else field.one
         for b in A.basis_monomials(k):
             pairs = {(b, m2): c for m2, c in D.duals[b].terms.items()}
             add_scaled(field, acc, pairs, sign)

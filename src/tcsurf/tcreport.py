@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AlgebraError, ModelInconsistencyError, ResourceBudgetError
+from .errors import AlgebraError, ModelInconsistencyError
 from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
@@ -190,27 +190,20 @@ class TcReport:
                 f"product={self.product_tc}  {self.status}")
 
 
-def tc_report(g: int, n: int, m: int = 0, method: str = "auto") -> TcReport:
+def tc_report(g: int, n: int, m: int = 0,
+              method: str = "certificate") -> TcReport:
     """Full report for one input; see the module docstring for the contract."""
     theorem = tc_theorem(g, n, m)
     upper, ufacts = upper_bound(g, n, m)
     ptc = product_space_tc(g, n)
-
-    def partial(status, meth, lfacts=()):
-        return TcReport(g, n, m, None, upper, theorem, status, meth,
-                        list(lfacts) + ufacts, ptc)
-
-    if method not in ("auto", "certificate", "exact"):
+    if method not in ("certificate", "exact"):
         raise AlgebraError(f"unknown method: {method}")
-    try:
-        got = _lower(g, n, m, method)
-    except (ResourceBudgetError, MemoryError) as e:
-        e.partial_report = partial("unverified", method)
-        raise
+    got = _lower(g, n, m, method)
     if got is None:
         note = TcFact("no model algebra is wired for this input; "
                       "closed-form value shown unverified", theorem, "cited")
-        return partial("unverified", "unverified", [note])
+        return TcReport(g, n, m, None, upper, theorem, "unverified",
+                        "unverified", [note] + ufacts, ptc)
     zlow, lfacts = got
     lower = zlow + 1
     if not (lower <= theorem <= upper):
@@ -218,12 +211,11 @@ def tc_report(g: int, n: int, m: int = 0, method: str = "auto") -> TcReport:
             f"bound order violated at (g={g}, n={n}, m={m}): "
             f"{lower} <= {theorem} <= {upper} fails")
     status = "tight" if lower == theorem == upper else "gap"
-    used = "exact" if method == "exact" else "certificate"
-    return TcReport(g, n, m, lower, upper, theorem, status, used,
+    return TcReport(g, n, m, lower, upper, theorem, status, method,
                     lfacts + ufacts, ptc)
 
 
-def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "auto"):
+def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
     """Reports for every 0 <= g <= gmax, 1 <= n <= nmax, 0 <= m <= mmax."""
     if gmax < 0 or nmax < 1 or mmax < 0:
         raise AlgebraError("need gmax >= 0, nmax >= 1, mmax >= 0")

@@ -475,7 +475,3 @@ def e2_probe(n: int) -> E2Report:
     if len(kernel) != dim_source - rank:
         raise AlgebraError("kernel dimension inconsistent with rank")
     return E2Report(n, dim_source, rank, len(kernel))
-
-
-def e2_kernel_dim(n: int) -> int:
-    return e2_probe(n).kernel_dim

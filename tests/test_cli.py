@@ -168,6 +168,9 @@ BAD_PRESENTATIONS = {
     "invalid-json": "{not json",
     "missing-key": json.dumps({"field": "Q", "generators": [{"name": "x"}]}),
     "gf3": json.dumps(GF3_DEPENDENT),
+    "zero-denominator": json.dumps({
+        "field": "Q", "generators": [{"name": "x", "degree": 1}],
+        "relations": [[{"coeff": "1/0", "monomial": ["x"]}]]}),
 }
 
 

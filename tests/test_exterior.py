@@ -82,9 +82,11 @@ def test_monomial_counts_squarefree_and_char2():
 
 
 def test_free_hilbert_matches_enumeration():
-    F = FreeAlgebra(QQ, [("a", 1), ("w", 2), ("b", 1)])
-    hs = F.free_hilbert(6)
-    assert hs == [len(F.monomials_of_degree(d)) for d in range(7)]
+    for field in (QQ, GF2):
+        F = FreeAlgebra(field, [("a", 1), ("w", 2), ("b", 1), ("c", 3)])
+        hs = F.free_hilbert(9)
+        assert hs == [len(F.monomials_of_degree(d)) for d in range(10)], field
+    assert FreeAlgebra(QQ, [("c", 3)]).free_hilbert(2) == [1, 0, 0]
 
 
 @pytest.mark.parametrize("field", [QQ, GF2], ids=["Q", "GF2"])

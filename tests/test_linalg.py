@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tcsurf.errors import UnsupportedModelError
-from tcsurf.fields import GF2, QQ, PrimeField
+from tcsurf.fields import GF2, QQ
 from tcsurf.linalg import (Gf2Subspace, RationalSubspace, echelonize,
                            kernel_basis, new_subspace)
 
@@ -113,16 +112,6 @@ def test_kernel_basis_annihilates_and_has_right_dimension():
                         acc[j] = field.add(acc.get(j, field.zero),
                                            field.mul(c, v))
                 assert all(v == field.zero for v in acc.values()), (field, trial)
-
-
-def test_odd_prime_fields_are_refused():
-    GF3 = PrimeField(3)
-    with pytest.raises(UnsupportedModelError):
-        new_subspace(GF3, 2)
-    with pytest.raises(UnsupportedModelError):
-        echelonize(GF3, 2, [{0: 1, 1: 2}, {0: 2, 1: 1}])
-    with pytest.raises(UnsupportedModelError):
-        kernel_basis(GF3, [{0: 1}, {0: 2}], 1)
 
 
 def sparse_rows(rng, ncols, char):

@@ -5,8 +5,7 @@ from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            model_options, punctured_plane_algebra,
-                           reduced_generators, resolve_model,
-                           resolve_presentation, so3_mod2_algebra,
+                           reduced_generators, resolve_model, so3_mod2_algebra,
                            sphere_mod2_model, surface_cohomology,
                            surface_diagonal, totaro_algebra, xJyK_pairs)
 from tcsurf.presentation import (convolve, hilbert_series, quotient,
@@ -170,10 +169,10 @@ def test_resolvers_cover_all_tokens():
     assert resolve_model("surface", g=2).hilbert() == [1, 4, 1]
     assert resolve_model("arnold", n=3).hilbert() == [1, 3, 2]
     assert resolve_model("punctured-plane", n=2, punctures=1).hilbert() == [1, 3, 2]
-    pres = resolve_presentation("surface", g=1)
+    pres = resolve_model("surface", g=1).presentation
     assert pres.free.names == ("a", "b")
     with pytest.raises(UnsupportedModelError):
-        resolve_presentation("mystery")
+        resolve_model("mystery").presentation
 
 
 def test_model_label_metadata():
@@ -187,7 +186,7 @@ def test_resolve_keeps_an_explicit_zero():
     with pytest.raises(AlgebraError):
         resolve_model("totaro", g=1, n=0)
     with pytest.raises(AlgebraError):
-        resolve_presentation("b-sigma", n=0)
+        resolve_model("b-sigma", n=0).presentation
 
 
 def test_resolve_refuses_options_the_model_cannot_honour():
@@ -198,9 +197,9 @@ def test_resolve_refuses_options_the_model_cannot_honour():
     with pytest.raises(UnsupportedModelError):
         resolve_model("sphere-mod2", n=3, field=GF2)
     with pytest.raises(UnsupportedModelError):
-        resolve_presentation("surface", g=1, punctures=5)
+        resolve_model("surface", g=1, punctures=5).presentation
     with pytest.raises(UnsupportedModelError):
-        resolve_presentation("arnold", n=3, punctures=1)
+        resolve_model("arnold", n=3, punctures=1).presentation
 
 
 OPTION_VALUES = {"g": 1, "n": 1, "punctures": 1, "field": QQ}

@@ -203,18 +203,22 @@ def test_zero_relation_dropped():
 
 def test_odd_prime_field_quotient_is_refused():
     # over GF(3) the relations x + 2y and 2x + y are dependent, so degree 2
-    # has dimension 1; eliminating over Q would give 0
-    pres = AlgebraPresentation.from_json({
-        "field": "GF3",
-        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
-        "relations": [
-            [{"coeff": "1", "monomial": ["x"]}, {"coeff": "2", "monomial": ["y"]}],
-            [{"coeff": "2", "monomial": ["x"]}, {"coeff": "1", "monomial": ["y"]}],
-        ],
-        "top_degree": 2,
-    })
-    with pytest.raises(UnsupportedModelError):
-        quotient(pres)
+    # has dimension 1; eliminating over Q would give 0.  Only Q and GF2 are
+    # read at all, so every other field is refused before any elimination.
+    for name in ("GF3", "GF4", "GF7"):
+        with pytest.raises(UnsupportedModelError, match=name):
+            AlgebraPresentation.from_json({
+                "field": name,
+                "generators": [{"name": "x", "degree": 2},
+                               {"name": "y", "degree": 2}],
+                "relations": [
+                    [{"coeff": "1", "monomial": ["x"]},
+                     {"coeff": "2", "monomial": ["y"]}],
+                    [{"coeff": "2", "monomial": ["x"]},
+                     {"coeff": "1", "monomial": ["y"]}],
+                ],
+                "top_degree": 2,
+            })
 
 
 @pytest.mark.parametrize("data", [
@@ -223,7 +227,8 @@ def test_odd_prime_field_quotient_is_refused():
     {"field": "Q", "generators": [{"name": "x", "degree": 1}],
      "relations": [[{"coeff": "1", "monomial": ["z"]}]]},
     {"field": "Q", "generators": [{"name": "x", "degree": "one"}]},
-    {"field": "GF4", "generators": [{"name": "x", "degree": 1}]},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "relations": [[{"coeff": "1/0", "monomial": ["x"]}]]},
     ["Q"],
 ])
 def test_malformed_presentation_json(data):

@@ -11,9 +11,8 @@ from tcsurf.models import (arnold_algebra, genus2_B_algebra,
 from tcsurf.presentation import (AlgebraPresentation, quotient, tensor_square)
 from tcsurf.zcl import (bar_generators, bar_product_certificate,
                         case_certificate, certificate_product, cup_length,
-                        e2_kernel_dim, e2_probe, mod_ideal_quotient,
-                        zcl_exact, zero_divisor_elements,
-                        zero_divisor_subspace)
+                        e2_probe, mod_ideal_quotient, zcl_exact,
+                        zero_divisor_elements, zero_divisor_subspace)
 
 
 def torus_ring():
@@ -317,7 +316,7 @@ def test_e2_probe_frozen_and_consistent():
         rep = e2_probe(n)
         assert (rep.dim_source, rep.rank, rep.kernel_dim) == (dim, rank, ker)
         assert rep.kernel_dim == rep.dim_source - rep.rank
-        assert e2_kernel_dim(n) == ker
+        assert e2_probe(n).kernel_dim == ker
 
 
 def test_mod_ideal_quotient_rejects_degenerate_sizes():
