@@ -46,6 +46,8 @@ CORPUS = [
     ["zcl", "--model", "b-sigma", "--n", "2"],
     ["zcl", "--model", "b-sigma", "--n", "3", "--method", "certificate"],
     ["zcl", "--model", "mod-ideal", "--g", "3", "--n", "3", "--method", "certificate"],
+    ["zcl", "--model", "sphere-mod2", "--n", "5", "--method", "certificate"],
+    ["zcl", "--model", "arnold", "--n", "4", "--method", "certificate", "--cap", "3"],
 ]
 
 
