@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import AlgebraError
+from .errors import AlgebraError, CertificateError
 from .fields import field_from_name
 from .groebner import gb_hilbert, torus_ideal_check
 from .models import MODELS, model_options, resolve_model
@@ -70,13 +70,10 @@ def _cmd_build(args):
     else:
         A = resolve_model(args.model, **given)
     pres = A.presentation
-    if args.dump_presentation:
-        payload = json.dumps(pres.to_json(), indent=2)
-        if args.dump_presentation == "-":
-            print(payload)
-        else:
-            with open(args.dump_presentation, "w") as fh:
-                fh.write(payload + "\n")
+    if args.dump_presentation == "-":
+        print(json.dumps(pres.to_json(), indent=2))
+    elif args.dump_presentation:
+        pres.dump(args.dump_presentation)
     info = {
         "model": "file" if args.presentation else args.model,
         "label": A.label,
@@ -100,12 +97,14 @@ def _cmd_build(args):
 
 
 def _climb_certificate(A, cap) -> ZclCertificate:
+    if cap is not None and cap < 1:
+        raise AlgebraError(f"--cap must be at least 1, got {cap}")
     best = bar_product_certificate(A, 0)
     k = 1
     while cap is None or k <= cap:
         try:
             best = bar_product_certificate(A, k)
-        except AlgebraError:
+        except CertificateError:
             break
         k += 1
     return best
@@ -117,32 +116,21 @@ def _cmd_zcl(args):
     if args.method == "certificate":
         case = spec.case(options)
         if case is None:
-            cert = _climb_certificate(spec.build(**options), args.cap)
+            result = _climb_certificate(spec.build(**options), args.cap)
         elif args.cap is not None:
             raise AlgebraError(f"--cap does not apply to the {case} "
                                "certificate, whose length is fixed")
         else:
-            cert = case_certificate(case, options["n"],
-                                    genus=options.get("g", 2))
-        report = {
-            "quantity": "zcl",
-            "value": cert.certified_length,
-            "exact": False,
-            "method": "certificate",
-            "algebra": cert.algebra,
-            "witness": [cert.tensor_algebra.A.free.mon_str(m)
-                        for m in cert.witness],
-            "coefficient": cert.tensor_algebra.field.fmt(cert.coefficient),
-            "factors": [repr(f) for f in cert.factors],
-        }
+            result = case_certificate(case, options["n"],
+                                      genus=options.get("g", 2))
     else:
-        bound = zcl_exact(spec.build(**options), cap=args.cap)
-        report = bound.to_json()
+        result = zcl_exact(spec.build(**options), cap=args.cap)
+    report = result.to_json()
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        tag = "=" if report.get("exact") else ">="
-        print(f"zcl({report.get('algebra', args.model)}) {tag} {report['value']} "
+        tag = "=" if report["exact"] else ">="
+        print(f"zcl({report['algebra']}) {tag} {report['value']} "
               f"({report['method']})")
     return 0
 

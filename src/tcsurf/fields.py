@@ -15,6 +15,13 @@ from fractions import Fraction
 from .errors import UnsupportedModelError
 
 
+def _exact(text):
+    """text itself if it is a str or an int; floats and bools are refused."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise TypeError(f"scalar {text!r} is not a string or an integer")
+    return text
+
+
 class Field:
     """The type of QQ and GF2; fields compare by identity."""
 
@@ -40,7 +47,7 @@ class Rationals(Field):
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return Fraction(_exact(text))
         except ZeroDivisionError as e:
             raise ValueError(f"zero denominator in {text!r}") from e
 
@@ -76,7 +83,7 @@ class Gf2(Field):
         raise TypeError(f"cannot coerce {value!r} into GF2")
 
     def parse(self, text):
-        return int(text) % 2
+        return int(_exact(text)) % 2
 
     def fmt(self, value):
         return str(value % 2)

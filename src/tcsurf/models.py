@@ -280,13 +280,13 @@ class ReducedGenerators:
     ys: list
 
 
-def reduced_generators(A: QuotientAlgebra, g: int) -> ReducedGenerators:
+def reduced_generators(A: QuotientAlgebra) -> ReducedGenerators:
     """Reduced generators of a diagonal-ideal model; torus identities checked."""
-    if g < 1:
+    if A.genus < 1:
         raise AlgebraError("reduced generators need genus >= 1")
     n = A.points
     xs, ys = _reduced_xy(A, n)
-    if g == 1:
+    if A.genus == 1:
         for j in range(1, n):
             if not (xs[j] * ys[j]).is_zero():
                 raise ModelInconsistencyError(f"x_{j+1} y_{j+1} nonzero in {A.label}")
@@ -325,7 +325,7 @@ def genus2_B_algebra(n: int, genus: int = 2) -> QuotientAlgebra:
     B = _build_diagonal_model(
         genus, n, extra_rels=lambda free: _pair_ideal_relations(free, n),
         label=f"b-sigma(g={genus},n={n})")
-    _check_xJyK_independent(B, n)
+    _check_xJyK_independent(B)
     return B
 
 
@@ -343,10 +343,10 @@ def xJyK_pairs(n: int):
     return out
 
 
-def _check_xJyK_independent(B: QuotientAlgebra, n: int):
-    red = reduced_generators(B, 2)
+def _check_xJyK_independent(B: QuotientAlgebra):
+    red = reduced_generators(B)
     by_degree = {}
-    for J, K in xJyK_pairs(n):
+    for J, K in xJyK_pairs(B.points):
         m = B.one()
         for j in J:
             m = m * red.xs[j - 1]

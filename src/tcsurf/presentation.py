@@ -34,6 +34,13 @@ from .linalg import echelonize, new_subspace
 DEFAULT_BUDGET = 2_000_000  # max free monomials in any single degree
 
 
+def _json_int(value):
+    """value itself if it is an int; floats, strings and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 class AlgebraPresentation:
     """A free algebra together with homogeneous relations."""
 
@@ -87,7 +94,7 @@ class AlgebraPresentation:
         """Inverse of to_json; missing keys or bad values raise AlgebraError."""
         try:
             field = field_from_name(data["field"])
-            free = FreeAlgebra(field, [(g["name"], int(g["degree"]))
+            free = FreeAlgebra(field, [(g["name"], _json_int(g["degree"]))
                                        for g in data["generators"]])
             relations = []
             for terms in data.get("relations", []):
@@ -100,6 +107,8 @@ class AlgebraPresentation:
                     acc = acc + mon.scale(coeff)
                 relations.append(acc)
             top_degree, label = data.get("top_degree"), data.get("label")
+            if top_degree is not None:
+                _json_int(top_degree)
         except AlgebraError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as e:

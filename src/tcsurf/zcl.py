@@ -63,18 +63,18 @@ class ZclCertificate:
     witness: tuple
     coefficient: object
     certified_length: int
-    tensor_algebra: TensorSquareAlgebra = None
+    tensor_algebra: TensorSquareAlgebra
 
     def to_json(self):
+        """The report `zcl --method certificate --json` prints: an exact
+        report's shape plus the witness, its coefficient and the factors."""
         T = self.tensor_algebra
-        free = T.A.free
-        return {
-            "algebra": self.algebra,
-            "certified_length": self.certified_length,
-            "coefficient": T.field.fmt(self.coefficient),
-            "witness": [free.mon_str(self.witness[0]), free.mon_str(self.witness[1])],
-            "factors": [repr(f) for f in self.factors],
-        }
+        out = BoundReport("zcl", self.certified_length, False, "certificate",
+                          self.algebra).to_json()
+        out["witness"] = [T.A.free.mon_str(m) for m in self.witness]
+        out["coefficient"] = T.field.fmt(self.coefficient)
+        out["factors"] = [repr(f) for f in self.factors]
+        return out
 
 
 class _GradedSpan:
@@ -83,9 +83,9 @@ class _GradedSpan:
     The space must offer field, dims, vectorize(e, d), element_from_vec(v, d).
     """
 
-    def __init__(self, space):
+    def __init__(self, space, subs=()):
         self.space = space
-        self.subs = {}
+        self.subs = dict(subs)
 
     def insert(self, elem) -> bool:
         grew = False
@@ -102,9 +102,6 @@ class _GradedSpan:
     def is_zero(self):
         return all(sub.is_zero() for sub in self.subs.values())
 
-    def rank(self):
-        return sum(sub.rank for sub in self.subs.values())
-
     def basis_elements(self):
         out = []
         for d in sorted(self.subs):
@@ -113,13 +110,12 @@ class _GradedSpan:
         return out
 
 
-def zero_divisor_subspace(A, T: TensorSquareAlgebra = None):
+def zero_divisor_subspace(A):
     """Per-degree kernel of mu: (A (x) A)^d -> A^d, as echelonized subspaces."""
     if not A.exhaustive:
         raise TruncationError(
             f"zero_divisor_subspace needs a fully constructed algebra: {A.label}")
-    if T is None:
-        T = tensor_square(A)
+    T = tensor_square(A)
     out = {}
     for d in range(T.top + 1):
         pairs = T.basis[d]
@@ -129,31 +125,19 @@ def zero_divisor_subspace(A, T: TensorSquareAlgebra = None):
             prod = A.mul_basis(m1, m2)
             images.append(
                 {A.basis_index[d][m]: c for m, c in prod.items()} if ncols else {})
-        vecs = kernel_basis(A.field, images, ncols)
-        sub = new_subspace(A.field, len(pairs))
-        for v in vecs:
-            sub.insert(v)
-        sub.finalize()
-        out[d] = sub
+        out[d] = echelonize(A.field, len(pairs),
+                            kernel_basis(A.field, images, ncols))
     return out
 
 
-def zero_divisor_elements(A, T: TensorSquareAlgebra = None):
+def zero_divisor_elements(A):
     """Kernel bases from zero_divisor_subspace, as tensor-square elements."""
-    if T is None:
-        T = tensor_square(A)
-    subs = zero_divisor_subspace(A, T)
-    out = []
-    for d in sorted(subs):
-        for row in subs[d].rows_rref():
-            out.append(T.element_from_vec(row, d))
-    return out
+    return _GradedSpan(tensor_square(A), zero_divisor_subspace(A)).basis_elements()
 
 
-def bar_generators(A, T: TensorSquareAlgebra = None):
+def bar_generators(A):
     """Nonzero bar classes of the algebra generators."""
-    if T is None:
-        T = tensor_square(A)
+    T = tensor_square(A)
     out = []
     for name in A.free.names:
         b = T.bar(A.gen(name))
@@ -167,6 +151,8 @@ def _power_iterate(space, seeds, multipliers, cap):
 
     span_1 = span(seeds), span_{k+1} = span{m * y}.  Returns (value, exact).
     """
+    if cap is not None and cap < 1:
+        raise AlgebraError(f"cap must be at least 1, got {cap}")
     cur = _GradedSpan(space)
     for s in seeds:
         cur.insert(s)
@@ -198,16 +184,13 @@ def zcl_exact(A, cap=None, via="generators") -> BoundReport:
     """
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
-    T = tensor_square(A)
     if via == "generators":
-        mult = bar_generators(A, T)
-        seeds = mult
+        mult = bar_generators(A)
     elif via == "kernel-basis":
-        mult = zero_divisor_elements(A, T)
-        seeds = mult
+        mult = zero_divisor_elements(A)
     else:
         raise AlgebraError(f"unknown zcl variant: {via}")
-    value, exact = _power_iterate(T, seeds, mult, cap)
+    value, exact = _power_iterate(tensor_square(A), mult, mult, cap)
     return BoundReport("zcl", value, exact, "power-iteration", A.label, variant=via)
 
 
@@ -306,22 +289,16 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
     if case == "torus":
         A = totaro_algebra(1, n)
         T = tensor_square(A)
-        red = reduced_generators(A, 1)
-        factors = []
-        for j in range(n):
-            factors.append(T.bar(red.xs[j]))
-            factors.append(T.bar(red.ys[j]))
+        red = reduced_generators(A)
         wit = (_single_monomial(_product(red.ys)), _single_monomial(_product(red.xs)))
-        return certificate_product(T, factors, wit)
+        return certificate_product(T, _interleaved_bars(T, red.xs, red.ys), wit)
 
     if case == "genus2":
         B = genus2_B_algebra(n, genus)
         T = tensor_square(B)
-        red = reduced_generators(B, genus)
-        factors = [T.bar(B.gen(s)) for s in ("a1", "b1", "c1", "d1")]
-        for j in range(1, n):
-            factors.append(T.bar(red.xs[j]))
-            factors.append(T.bar(red.ys[j]))
+        red = reduced_generators(B)
+        factors = ([T.bar(B.gen(s)) for s in ("a1", "b1", "c1", "d1")]
+                   + _interleaved_bars(T, red.xs[1:], red.ys[1:]))
         w1 = B.gen("a1") * B.gen("b1")
         L = _product([w1] + red.ys[1:])
         R = _product([w1] + red.xs[1:])
@@ -334,36 +311,27 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
         A = sphere_mod2_model(n)
         T = tensor_square(A)
         al = T.bar(A.gen("a"))
-        seed = al * al * al
-        if seed.is_zero():
-            raise CertificateError(f"{A.label}: cube of the bar class vanished")
-        bars = [(name, T.bar(A.gen(name))) for name in A.free.names if name != "a"]
+        bars = [T.bar(A.gen(name)) for name in A.free.names if name != "a"]
         need = 2 * (n - 3)
-        chosen = _search_bars(seed, bars, need)
-        if chosen is None:
+        cert = _search_certificate(T, [al, al, al], bars, need)
+        if cert is None:
             raise CertificateError(
                 f"{A.label}: no {need}-fold bar product extends abar^3")
-        factors = [al, al, al] + [b for _, b in chosen]
-        prod = _product(factors)
-        witness = min(prod.terms)
-        return certificate_product(T, factors, witness)
+        return cert
 
     if case == "punctured-mod-ideal":
         Aq = mod_ideal_quotient(n, genus)
-        red = reduced_generators(Aq, genus)
+        red = reduced_generators(Aq)
         xs, ys = red.xs, red.ys
-        for k in range(n + 1):
-            if _product(xs[:k] + ys[k:]).is_zero():
+        prods = [_product(xs[:k] + ys[k:]) for k in range(n + 1)]
+        for k, p in enumerate(prods):
+            if p.is_zero():
                 raise CertificateError(
                     f"{Aq.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
         T = tensor_square(Aq)
-        factors = []
-        for j in range(n):
-            factors.append(T.bar(xs[j]))
-            factors.append(T.bar(ys[j]))
-        xmon = _single_monomial(_product(xs))
-        ymon = _single_monomial(_product(ys))
-        return certificate_product(T, factors, (ymon, xmon), (xmon, ymon))
+        xmon, ymon = _single_monomial(prods[n]), _single_monomial(prods[0])
+        return certificate_product(T, _interleaved_bars(T, xs, ys),
+                                   (ymon, xmon), (xmon, ymon))
 
     raise AlgebraError(f"unknown certificate case: {case}")
 
@@ -379,42 +347,40 @@ def bar_product_certificate(A, length: int) -> ZclCertificate:
         raise AlgebraError("length must be nonnegative")
     T = tensor_square(A)
     if length == 0:
-        return ZclCertificate(getattr(A, "label", None) or "algebra",
-                              [], ((), ()), T.field.one, 0, T)
-    bars = [(name, T.bar(A.gen(name))) for name in A.free.names]
-    bars = [(s, b) for s, b in bars if not b.is_zero()]
-    for start, (name, seed) in enumerate(bars):
-        chosen = _search_bars(seed, bars[start:], length - 1)
-        if chosen is not None:
-            factors = [seed] + [b for _, b in chosen]
-            prod = _product(factors)
-            witness = min(prod.terms)
-            return certificate_product(T, factors, witness)
+        return ZclCertificate(A.label, [], ((), ()), T.field.one, 0, T)
+    bars = bar_generators(A)
+    for start, seed in enumerate(bars):
+        cert = _search_certificate(T, [seed], bars[start:], length - 1)
+        if cert is not None:
+            return cert
     raise CertificateError(
         f"no nonzero {length}-fold bar product found over {len(bars)} generators")
 
 
-def _search_bars(seed: Element, bars, need: int):
-    """First (lexicographic) combination of bar generators with nonzero product."""
-    if need == 0:
-        return []
+def _interleaved_bars(T: TensorSquareAlgebra, xs, ys):
+    """bar(x_1), bar(y_1), bar(x_2), bar(y_2), ..."""
+    return [T.bar(e) for pair in zip(xs, ys) for e in pair]
 
+
+def _search_certificate(T: TensorSquareAlgebra, prefix, bars, need: int):
+    """Certify prefix times the first (lexicographic) `need` of the bars whose
+    product is nonzero, at the least basis tensor of that product; or None.
+
+    Each partial product is multiplied out once; certificate_product then
+    certifies the product found.
+    """
     def rec(acc, start, chosen):
+        if acc.is_zero():
+            return None
         if len(chosen) == need:
-            return list(chosen)
+            return certificate_product(T, prefix + chosen, min(acc.terms))
         for i in range(start, len(bars)):
-            name, b = bars[i]
-            nxt = acc * b
-            if nxt.is_zero():
-                continue
-            chosen.append(bars[i])
-            hit = rec(nxt, i + 1, chosen)
+            hit = rec(acc * bars[i], i + 1, chosen + [bars[i]])
             if hit is not None:
                 return hit
-            chosen.pop()
         return None
 
-    return rec(seed, 0, [])
+    return rec(_product(prefix), 0, [])
 
 
 # --------------------------------------------------------------------------

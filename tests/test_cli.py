@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -6,6 +8,12 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+
+from tcsurf import cli
+from tcsurf.errors import ModelInconsistencyError
+from tcsurf.models import arnold_algebra
+from tcsurf.presentation import quotient
+from tcsurf.zcl import bar_product_certificate, case_certificate
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -61,6 +69,40 @@ def test_zcl_certificate_climb_with_cap():
                    "--method", "certificate", "--cap", "2", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 2  # capped below the true 3
+
+
+def run_main(*args):
+    """(exit code, stdout) of cli.main run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv,certify", [
+    (("--model", "totaro", "--g", "1", "--n", "2"),
+     lambda: case_certificate("torus", 2)),
+    (("--model", "arnold", "--n", "3"),
+     lambda: bar_product_certificate(quotient(arnold_algebra(3)), 3)),
+], ids=["family", "climb"])
+def test_zcl_certificate_json_is_the_certificate_to_json(argv, certify):
+    code, out = run_main("zcl", *argv, "--method", "certificate", "--json")
+    assert code == 0
+    assert json.loads(out) == certify().to_json()
+
+
+def test_climb_stops_only_at_a_certificate_error(monkeypatch, capsys):
+    real = bar_product_certificate
+
+    def inconsistent_at_two(A, length):
+        if length == 2:
+            raise ModelInconsistencyError("model check failed")
+        return real(A, length)
+
+    monkeypatch.setattr(cli, "bar_product_certificate", inconsistent_at_two)
+    assert cli.main(["zcl", "--model", "arnold", "--n", "3",
+                     "--method", "certificate"]) == 2
+    assert "error: model check failed" in capsys.readouterr().err
 
 
 def test_groebner_check_json():
@@ -171,6 +213,9 @@ BAD_PRESENTATIONS = {
     "zero-denominator": json.dumps({
         "field": "Q", "generators": [{"name": "x", "degree": 1}],
         "relations": [[{"coeff": "1/0", "monomial": ["x"]}]]}),
+    "float-coefficient": json.dumps({
+        "field": "Q", "generators": [{"name": "x", "degree": 1}],
+        "relations": [[{"coeff": 0.1, "monomial": ["x"]}]]}),
 }
 
 
@@ -234,6 +279,12 @@ def test_build_mod_ideal():
       "--method", "certificate"), "mod-ideal does not take"),
     (("tc", "--sweep", "0", "1", "0", "--g", "5", "--n", "7"), "--sweep"),
     (("tc", "--sweep", "0", "1", "0", "--m", "1"), "--sweep"),
+    (("zcl", "--model", "totaro", "--g", "1", "--n", "2", "--cap", "0"),
+     "cap must be at least 1"),
+    (("zcl", "--model", "arnold", "--n", "3", "--method", "certificate",
+      "--cap", "-1"), "cap must be at least 1"),
+    (("zcl", "--model", "so3-mod2", "--method", "certificate", "--cap", "0"),
+     "cap must be at least 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
 def test_option_the_model_cannot_honour_is_a_usage_error(argv, message):
     proc = run_cli(*argv)

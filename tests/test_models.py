@@ -118,7 +118,7 @@ def test_totaro_sphere_small():
 
 def test_reduced_generator_identities_on_the_torus_model():
     A = totaro_algebra(1, 3)
-    red = reduced_generators(A, 1)
+    red = reduced_generators(A)
     for j in range(1, 3):
         assert (red.xs[j] * red.ys[j]).is_zero()
         for i in range(1, j):

@@ -230,6 +230,20 @@ def test_odd_prime_field_quotient_is_refused():
     {"field": "Q", "generators": [{"name": "x", "degree": 1}],
      "relations": [[{"coeff": "1/0", "monomial": ["x"]}]]},
     ["Q"],
+    # JSON numbers that are not exact integers, and booleans, are refused
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "relations": [[{"coeff": 0.1, "monomial": ["x"]}]]},
+    {"field": "GF2", "generators": [{"name": "x", "degree": 1}],
+     "relations": [[{"coeff": 0.5, "monomial": ["x"]}]], "top_degree": 1},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "relations": [[{"coeff": True, "monomial": ["x"]}]]},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1.7}]},
+    {"field": "Q", "generators": [{"name": "x", "degree": "1"}]},
+    {"field": "Q", "generators": [{"name": "x", "degree": True}]},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "top_degree": True},
+    {"field": "Q", "generators": [{"name": "x", "degree": 1}],
+     "top_degree": 1.0},
 ])
 def test_malformed_presentation_json(data):
     with pytest.raises(AlgebraError, match="malformed presentation"):

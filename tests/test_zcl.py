@@ -37,6 +37,14 @@ def test_zcl_exact_reports_exactness_and_method():
     assert capped.value == 2 and not capped.exact
 
 
+def test_cap_below_one_is_refused():
+    for cap in (0, -1):
+        with pytest.raises(AlgebraError, match="cap must be at least 1"):
+            zcl_exact(totaro_algebra(1, 2), cap=cap)
+        with pytest.raises(AlgebraError, match="cap must be at least 1"):
+            cup_length(torus_ring(), cap=cap)
+
+
 def test_zcl_variants_agree():
     for A in (torus_ring(), so3_mod2_algebra(), totaro_algebra(1, 2),
               quotient(arnold_algebra(3)),
@@ -64,7 +72,7 @@ def test_kernel_elements_are_killed_by_mu_and_form_an_ideal():
     rng = random.Random(99)
     A = totaro_algebra(1, 2)
     T = tensor_square(A)
-    flat = zero_divisor_elements(A, T)
+    flat = zero_divisor_elements(A)
     for z in flat:
         assert T.mu(z).is_zero()
     # multiply a few kernel elements by random tensors: still in the kernel
