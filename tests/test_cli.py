@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import shutil
 import subprocess
@@ -71,24 +69,15 @@ def test_zcl_certificate_climb_with_cap():
     assert json.loads(proc.stdout)["value"] == 2  # capped below the true 3
 
 
-def run_main(*args):
-    """(exit code, stdout) of cli.main run in-process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(args))
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize("argv,certify", [
     (("--model", "totaro", "--g", "1", "--n", "2"),
      lambda: case_certificate("torus", 2)),
     (("--model", "arnold", "--n", "3"),
      lambda: bar_product_certificate(quotient(arnold_algebra(3)), 3)),
 ], ids=["family", "climb"])
-def test_zcl_certificate_json_is_the_certificate_to_json(argv, certify):
-    code, out = run_main("zcl", *argv, "--method", "certificate", "--json")
-    assert code == 0
-    assert json.loads(out) == certify().to_json()
+def test_zcl_certificate_json_is_the_certificate_to_json(argv, certify, capsys):
+    assert cli.main(["zcl", *argv, "--method", "certificate", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == certify().to_json()
 
 
 def test_climb_stops_only_at_a_certificate_error(monkeypatch, capsys):
