@@ -189,8 +189,10 @@ class FreeAlgebra:
 def add_scaled(field: Field, acc: dict, terms: dict, scalar=None):
     """acc += scalar * terms in place, dropping keys whose sum cancels.
 
-    scalar None means 1.  acc and terms map keys to nonzero scalars; every
-    field's scalars (Fraction, int) are false exactly when zero.
+    scalar None means 1.  acc and terms map keys to nonzero scalars of the
+    field (over Q an int or a Fraction, over GF(2) an int); the sums and
+    products are the field's, so int data stays int, and every scalar is
+    false exactly when zero.
     """
     if scalar is not None and not scalar:
         return

@@ -1,7 +1,12 @@
 """Exact coefficient fields: the rationals and GF(2), and no others.
 
-QQ and GF2 are the only fields.  Q scalars are fractions.Fraction, always in
-lowest terms with positive denominator; GF(2) scalars are the ints 0 and 1.
+QQ and GF2 are the only fields.  A Q scalar is an int or a
+fractions.Fraction: coerce and parse give an int for every integral value
+and a Fraction only for the others, so integral data stays int through
++, - and *, the hot loops run on plain ints, and only a true quotient makes
+a Fraction.  An integral value may still arrive as either type (a product
+of Fractions can be integral), so code compares values, never types.
+GF(2) scalars are the ints 0 and 1.  Neither field accepts a bool.
 Nothing in this package ever touches a float; every linear-algebra routine
 receives one of the two field objects and calls its methods for arithmetic.
 field_from_name is the one reader of field names, so a presentation over
@@ -13,6 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedModelError
+
+
+def _not_bool(value):
+    """value itself unless it is a bool, which is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"scalar {value!r} is a boolean, not a number")
+    return value
 
 
 def _exact(text):
@@ -33,21 +45,28 @@ class Field:
 
 
 class Rationals(Field):
+    """Q: scalars are ints, and Fractions for the values that are not integers.
+
+    coerce and parse return the int for an integral value; add, neg and mul
+    keep ints as ints, and div makes a Fraction only when the quotient is
+    not an integer.  A Fraction with denominator 1 is a valid scalar too.
+    """
+
     char = 0
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
+        if isinstance(_not_bool(value), int):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def parse(self, text):
         try:
-            return Fraction(_exact(text))
+            return self.coerce(Fraction(_exact(text)))
         except ZeroDivisionError as e:
             raise ValueError(f"zero denominator in {text!r}") from e
 
@@ -64,7 +83,9 @@ class Rationals(Field):
         return -a
 
     def div(self, a, b):
-        return a / b
+        """a / b: an int when b divides a, else a Fraction."""
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
 
 
 class Gf2(Field):
@@ -74,7 +95,7 @@ class Gf2(Field):
     one = 1
 
     def coerce(self, value):
-        if isinstance(value, int):
+        if isinstance(_not_bool(value), int):
             return value % 2
         if isinstance(value, Fraction):
             if value.denominator % 2 == 0:

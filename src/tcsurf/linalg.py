@@ -22,10 +22,9 @@ every lower row for every pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .fields import Field
+from .fields import QQ, Field
 
 
 def new_subspace(field: Field, ncols: int) -> "Subspace":
@@ -107,17 +106,23 @@ class RationalSubspace(Subspace):
         self._final = True
 
     def reduce(self, vec):
-        """Residue of a vector modulo the subspace, as dict col -> Fraction."""
+        """Residue of a vector modulo the subspace, as dict col -> Q scalar.
+
+        Exact and type-preserving: each pivot entry is divided by its row's
+        lead as an int when the lead divides it and as a Fraction otherwise,
+        so an int vector reduced only by rows of lead 1 keeps int values.
+        The rows are in reduced echelon form, so eliminating one pivot
+        column leaves every other pivot column as it was: only the pivots
+        the vector holds on entry need a row operation.
+        """
         self.finalize()
-        work = {c: Fraction(v) for c, v in vec.items() if v}
-        for p in sorted(self._rows):
-            c = work.get(p)
-            if not c:
-                continue
-            prow = self._rows[p]
-            factor = c / prow[p]
+        rows = self._rows
+        work = {c: v for c, v in vec.items() if v}
+        for p in sorted(c for c in work if c in rows):
+            prow = rows[p]
+            factor = QQ.div(work[p], prow[p])
             for col, val in prow.items():
-                new = work.get(col, Fraction(0)) - factor * val
+                new = work.get(col, 0) - factor * val
                 if new:
                     work[col] = new
                 else:
@@ -125,16 +130,18 @@ class RationalSubspace(Subspace):
         return work
 
     def rows_rref(self):
-        """Canonical rows with pivot coefficient 1, sorted by pivot."""
+        """Canonical rows with pivot coefficient 1, sorted by pivot; entries
+        are ints where the lead divides them and Fractions elsewhere."""
         self.finalize()
         out = []
         for p in sorted(self._rows):
             row = self._rows[p]
             lead = row[p]
-            out.append({c: Fraction(v, lead) for c, v in row.items()})
+            out.append({c: QQ.div(v, lead) for c, v in row.items()})
         return out
 
     def rows_primitive(self):
+        """The reduced rows as stored: ints, gcd 1, positive pivot."""
         self.finalize()
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
@@ -237,6 +244,9 @@ class Gf2Subspace(Subspace):
     def rows_rref(self):
         self.finalize()
         return [_from_mask(self._rows[p]) for p in sorted(self._rows)]
+
+    # A reduced GF(2) row is already primitive: its pivot entry is 1.
+    rows_primitive = rows_rref
 
 
 def _to_mask(vec):

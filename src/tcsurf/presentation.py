@@ -185,6 +185,8 @@ class QuotientAlgebra:
 
         self.built_top = len(self.basis) - 1
         self.basis_index = [{m: i for i, m in enumerate(b)} for b in self.basis]
+        # basis monomial -> degree, read by every product in the tensor square
+        self.basis_degree = {m: d for d, b in enumerate(self.basis) for m in b}
         self.dims = [len(b) for b in self.basis]
         self.top_nonzero = max((d for d, n in enumerate(self.dims) if n), default=0)
         self.exhaustive = stopped_clean or (
@@ -379,8 +381,8 @@ class TensorSquareAlgebra:
         return [{p: i for i, p in enumerate(pairs)} for pairs in self.basis]
 
     def pair_degree(self, pair):
-        f = self.A.free
-        return f.monomial_degree(pair[0]) + f.monomial_degree(pair[1])
+        deg = self.A.basis_degree
+        return deg[pair[0]] + deg[pair[1]]
 
     # Element terms are pairs of basis monomials.
     term_degree = pair_degree
@@ -415,15 +417,15 @@ class TensorSquareAlgebra:
         below the bound are those of the full product.
         """
         A, field = self.A, self.field
-        deg = A.free.monomial_degree
-        right = [(u2, v2, c2, deg(u2), deg(v2)) for (u2, v2), c2 in t2.terms.items()]
+        deg = A.basis_degree
+        right = [(u2, v2, c2, deg[u2], deg[v2]) for (u2, v2), c2 in t2.terms.items()]
         acc = {}
         for (u1, v1), c1 in t1.terms.items():
             todo = right
             if bound is not None:
-                p, q = bound[0] - deg(u1), bound[1] - deg(v1)
+                p, q = bound[0] - deg[u1], bound[1] - deg[v1]
                 todo = [r for r in right if r[3] <= p and r[4] <= q]
-            v1_odd = deg(v1) % 2
+            v1_odd = deg[v1] % 2
             for u2, v2, c2, du2, _ in todo:
                 left = A.mul_basis(u1, u2)
                 if not left:

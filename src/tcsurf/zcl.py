@@ -103,9 +103,11 @@ class _GradedSpan:
         return all(sub.is_zero() for sub in self.subs.values())
 
     def basis_elements(self):
+        """A basis of the span: the primitive rows, which over Q have int
+        entries, so products of basis elements stay in int arithmetic."""
         out = []
         for d in sorted(self.subs):
-            for row in self.subs[d].rows_rref():
+            for row in self.subs[d].rows_primitive():
                 out.append(self.space.element_from_vec(row, d))
         return out
 

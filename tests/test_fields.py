@@ -23,6 +23,22 @@ def test_rational_coerce_rejects_floats():
         QQ.coerce(0.5)
 
 
+def test_integral_rationals_are_ints():
+    for value in (QQ.zero, QQ.one, QQ.coerce(Fraction(6, 3)), QQ.parse("-6/3"),
+                  QQ.parse("4"), QQ.div(6, 3), QQ.div(Fraction(1, 2), Fraction(1, 4))):
+        assert type(value) is int
+    assert QQ.parse("-6/3") == -2
+    assert QQ.coerce(Fraction(1, 3)) == QQ.div(1, 3) == Fraction(1, 3)
+    assert isinstance(QQ.div(1, 3), Fraction)  # a quotient, never a float
+
+
+def test_coerce_refuses_booleans():
+    for field in (QQ, GF2):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="boolean"):
+                field.coerce(flag)
+
+
 def test_gf2_arithmetic():
     assert GF2.add(1, 1) == 0
     assert GF2.mul(1, 3) == 1

@@ -114,6 +114,56 @@ def test_kernel_basis_annihilates_and_has_right_dimension():
                 assert all(v == field.zero for v in acc.values()), (field, trial)
 
 
+def fraction_residue(rows, vec):
+    """vec reduced by the reduced echelon form of rows, in Fraction
+    arithmetic only: every pivot row, scaled to lead 1, is subtracted in
+    ascending pivot order."""
+    ref = rref_rational(rows)
+    work = {c: Fraction(v) for c, v in vec.items() if v}
+    for p in sorted(ref):
+        c = work.get(p)
+        if not c:
+            continue
+        row = ref[p]
+        for col, v in row.items():
+            new = work.get(col, Fraction(0)) - c * Fraction(v, row[p])
+            if new:
+                work[col] = new
+            else:
+                work.pop(col, None)
+    return work
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_reduce_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    int_residues = fraction_residues = 0
+    for trial in range(40):
+        ncols = rng.randint(3, 10)
+        rows = []
+        for _ in range(rng.randint(1, ncols)):
+            p = rng.randrange(ncols)
+            row = {p: rng.choice([-1, 1, -2, 2, 3])}
+            for c in range(p + 1, ncols):
+                if rng.random() < 0.4:
+                    row[c] = rng.randint(-3, 3)
+            rows.append({c: v for c, v in row.items() if v})
+        sub = echelonize(QQ, ncols, rows)
+        integral = rng.random() < 0.5
+        vec = {c: (rng.randint(-3, 3) if integral or rng.random() < 0.5
+                   else Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+               for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        got = sub.reduce(vec)
+        assert got == fraction_residue(rows, vec), (trial, rows, vec)
+        leads = {p: row[p] for p, row in zip(sub.pivots, sub.rows_primitive())}
+        if integral and all(leads[p] == 1 for p, v in vec.items() if v and p in leads):
+            assert all(type(v) is int for v in got.values()), (trial, rows, vec)
+            int_residues += 1
+        elif any(isinstance(v, Fraction) for v in got.values()):
+            fraction_residues += 1
+    assert int_residues and fraction_residues
+
+
 def sparse_rows(rng, ncols, char):
     """About ncols/2 rows of 3 to 6 nonzeros each, spread over all columns."""
     rows = []

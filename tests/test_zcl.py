@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,19 @@ def test_cap_below_one_is_refused():
             zcl_exact(totaro_algebra(1, 2), cap=cap)
         with pytest.raises(AlgebraError, match="cap must be at least 1"):
             cup_length(torus_ring(), cap=cap)
+
+
+def test_integral_coefficients_stay_ints_through_zcl_exact():
+    for A, value in ((totaro_algebra(1, 4), 8), (genus2_B_algebra(3), 8)):
+        assert zcl_exact(A).value == value
+        assert A._mul_cache
+        assert not any(isinstance(c, Fraction)
+                       for prod in A._mul_cache.values() for c in prod.values())
+        assert not any(isinstance(c, Fraction)
+                       for b in bar_generators(A) for c in b.terms.values())
+    assert case_certificate("torus", 3).to_json()["coefficient"] == "-1"
+    assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2"
+    assert QQ.fmt(-1) == QQ.fmt(Fraction(-1)) == "-1"
 
 
 def test_zcl_variants_agree():
