@@ -77,30 +77,43 @@ class FreeAlgebra:
             return (-1 if flips % 2 else 1), tuple(merged)
         return 1, tuple(sorted(m1 + m2))
 
-    def monomials_of_degree(self, d):
-        """All monomials of total degree d, in ascending tuple order.
+    def monomials_of_degree(self, d, avoid=frozenset()):
+        """The monomials of total degree d that no monomial of avoid divides,
+        in ascending tuple order; avoid is a frozenset of monomials.
 
         A recurrence over lower degrees: each monomial of degree d - |g|
         whose last generator is at most g is extended by g, where g may
         repeat that last generator only if g is even or the characteristic
         is 2.  Every monomial arises once, from dropping its last generator.
+        Dropping the last generator keeps a monomial outside the multiples
+        of avoid, so the recurrence runs over those survivors alone; an
+        extension m + (g,) is skipped when a monomial of avoid that ends in
+        g divides it, the only way a multiple can arise from a survivor m.
+        The result is cached per (d, avoid).
         """
-        out = self._mon_cache.get(d)
+        key = (d, avoid)
+        out = self._mon_cache.get(key)
         if out is not None:
             return out
         if d <= 0:
             out = [()] if d == 0 else []
         else:
             char2 = self.field.char == 2
+            kills = _kill_tests(avoid)
             out = []
             for g, dg in enumerate(self.degrees):
                 if dg > d:
                     continue
                 bound = g + 1 if char2 or not self.odd[g] else g
-                out += [m + (g,) for m in self.monomials_of_degree(d - dg)
-                        if not m or m[-1] < bound]
+                lower = self.monomials_of_degree(d - dg, avoid)
+                kill = kills.get(g)
+                if kill is None:
+                    out += [m + (g,) for m in lower if not m or m[-1] < bound]
+                else:
+                    out += [m + (g,) for m in lower
+                            if (not m or m[-1] < bound) and not kill(m)]
             out.sort()
-        self._mon_cache[d] = out
+        self._mon_cache[key] = out
         return out
 
     def free_hilbert(self, through: int):
@@ -184,6 +197,26 @@ class FreeAlgebra:
     def __repr__(self):
         gens = ",".join(self.names)
         return f"FreeAlgebra({self.field.name}; {gens})"
+
+
+def _kill_tests(avoid):
+    """g -> a test of a sorted monomial m: does a monomial of avoid that
+    ends in g divide m + (g,)?  It does when the rest of it divides m as a
+    sub-multiset, that is, for sorted tuples, as a subsequence."""
+    by_last = {}
+    for k in avoid:
+        by_last.setdefault(k[-1], []).append(k[:-1])
+    return {g: _divides_any(rests) for g, rests in by_last.items()}
+
+
+def _divides_any(rests):
+    """A test of a sorted monomial m: is one of the sorted rests a
+    subsequence of it?"""
+    def divides(rest, m):
+        it = iter(m)
+        return all(g in it for g in rest)
+
+    return lambda m: any(divides(r, m) for r in rests)
 
 
 def add_scaled(field: Field, acc: dict, terms: dict, scalar=None):

@@ -212,7 +212,10 @@ def _reduced_xy(algebra, n: int):
 
 
 def _xy_span_matches(A: QuotientAlgebra, n: int) -> bool:
-    """Degree-2 ideal of the torus model == span of the reduced-pair relations."""
+    """Degree-2 ideal of the torus model == span of the reduced-pair relations.
+
+    The columns of A.ideal[2] are the surviving degree-2 monomials; at g=1
+    over Q no relation is a single monomial, so they are all of them."""
     x, y = _reduced_xy(A.free, n)
     rels = []
     for j in range(1, n):

@@ -1,13 +1,20 @@
 """Finitely presented graded algebras and their degreewise quotients.
 
 A presentation is a free supercommutative algebra plus a list of homogeneous
-relations.  The quotient is built degree by degree: in each degree the ideal
-span is the echelonized set of products (free monomial) * (relation), the
-quotient basis is the set of non-pivot monomials, and elements are kept in
-normal form with respect to that echelon.  Construction runs one window of
-degrees past the formal top so that vanishing is verified, never assumed:
-once every degree in a window of length max(generator degree) is zero, all
-higher degrees are provably zero (each monomial has a generator factor).
+relations.  A relation with a single term of positive degree kills its
+monomial: the killed monomials generate a monomial ideal M, and the other
+relations an ideal N.  The quotient is built degree by degree over the
+surviving monomials, those that no killed monomial divides.  In each degree
+the ideal span is the echelonized set of products (surviving monomial) *
+(relation of N) with their killed terms dropped, the quotient basis is the
+set of non-pivot survivors, and elements are kept in normal form with
+respect to that echelon.  This is the echelon of M + N with the unit rows
+of M left out: the pivots of M + N are the killed monomials plus the pivots
+found over the survivors, so the normal forms are those of the full
+elimination.  Construction runs one window of degrees past the formal top so
+that vanishing is verified, never assumed: once every degree in a window of
+length max(generator degree) is zero, all higher degrees are provably zero
+(each monomial has a generator factor).
 
 Also here: JSON serialization of presentations, tensor squares with the
 Koszul sign rule, Poincare duality data, and the diagonal class.
@@ -56,7 +63,9 @@ class AlgebraPresentation:
             if r.degree() is None:
                 raise HomogeneityError(f"relation is not homogeneous: {r}")
             self.relations.append(r)
-        if top_degree is not None and (not isinstance(top_degree, int) or top_degree < 0):
+        if top_degree is not None and (isinstance(top_degree, bool)
+                                       or not isinstance(top_degree, int)
+                                       or top_degree < 0):
             raise AlgebraError("top_degree must be a nonnegative integer")
         self.top_degree = top_degree
         self.label = label or "presentation"
@@ -134,8 +143,27 @@ class AlgebraPresentation:
                 f"{len(self.relations)} relations over {self.field.name})")
 
 
+def split_relations(relations):
+    """The killed monomials, those of the single-term relations of positive
+    degree, as a frozenset; and (degree, relation) for every other one."""
+    killed, rest = set(), []
+    for r in relations:
+        mon = next(iter(r.terms))
+        if len(r.terms) == 1 and mon:
+            killed.add(mon)
+        else:
+            rest.append((r.degree(), r))
+    return frozenset(killed), rest
+
+
 class QuotientAlgebra:
-    """Graded quotient of a free algebra, with degreewise normal forms."""
+    """Graded quotient of a free algebra, with degreewise normal forms.
+
+    Per degree d: mons[d] lists the surviving monomials (no killed monomial
+    divides them) in ascending order, index[d] maps each to its column,
+    ideal[d] is the echelonized span of the other relations' products over
+    those columns, and basis[d] is the survivors that are not pivots.
+    """
 
     def __init__(self, presentation: AlgebraPresentation, max_degree=None):
         pres = presentation
@@ -166,18 +194,20 @@ class QuotientAlgebra:
                 f"{self.label}: free algebra has {max(free_dims)} monomials in one "
                 f"degree, over the budget of {DEFAULT_BUDGET}")
 
-        rels = [(r.degree(), r) for r in pres.relations]
+        killed, rels = split_relations(pres.relations)
+        self.mons = [[()]]
         self.basis = [[()]]
         self.index = [{(): 0}]
         self.ideal = [echelonize(self.field, 1, [])]
         stopped_clean = False
         for d in range(1, bound + 1):
-            mons = free.monomials_of_degree(d)
+            mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             self.ideal.append(echelonize(
-                self.field, len(mons), self._ideal_vectors(d, rels, idx)))
+                self.field, len(mons), self._ideal_vectors(d, rels, idx, killed)))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
+            self.mons.append(mons)
             self.index.append(idx)
             if d >= window and all(not self.basis[d - k] for k in range(window)):
                 stopped_clean = True
@@ -193,13 +223,17 @@ class QuotientAlgebra:
             not capped and natural is not None and bound == natural)
         self._mul_cache = {}
 
-    def _ideal_vectors(self, d, rels, idx):
+    def _ideal_vectors(self, d, rels, idx, killed):
+        """Each relation times each surviving monomial of the complementary
+        degree, over the degree-d survivors: killed products are dropped.
+        A killed multiplier is left out, since its products are all killed."""
         free = self.free
         for e, r in rels:
             if e > d:
                 continue
-            for m in free.monomials_of_degree(d - e):
-                vec = {idx[mon]: c for mon, c in free.mon_times(m, r.terms).items()}
+            for m in free.monomials_of_degree(d - e, killed):
+                vec = {idx[mon]: c for mon, c in free.mon_times(m, r.terms).items()
+                       if mon in idx}
                 if vec:
                     yield vec
 
@@ -253,7 +287,9 @@ class QuotientAlgebra:
         return Element(self.free, dict(e.terms))
 
     def reduce_free(self, e: Element) -> Element:
-        """Normal form of a free-algebra element (also accepts own elements)."""
+        """Normal form of a free-algebra element (also accepts own elements).
+
+        Killed terms are dropped; the rest is reduced over the survivors."""
         field = self.field
         out = {}
         for part_deg, part in e.homogeneous_parts().items():
@@ -264,9 +300,9 @@ class QuotientAlgebra:
                     f"{self.label}: cannot reduce in degree {part_deg}, "
                     f"constructed only through {self.built_top}")
             idx = self.index[part_deg]
-            vec = {idx[m]: c for m, c in part.terms.items()}
+            vec = {idx[m]: c for m, c in part.terms.items() if m in idx}
             residue = self.ideal[part_deg].reduce(vec)
-            mons = self.free.monomials_of_degree(part_deg)
+            mons = self.mons[part_deg]
             for col, val in residue.items():
                 out[mons[col]] = field.coerce(val)
         return Element(self, out)
@@ -414,7 +450,9 @@ class TensorSquareAlgebra:
         """t1 * t2; with bound = (p, q), only terms of bidegree <= (p, q).
 
         Bidegrees only grow under multiplication, so the coefficients at or
-        below the bound are those of the full product.
+        below the bound are those of the full product.  The sum is kept as
+        left leg -> (right leg -> coefficient), so each pair of leg
+        products is added in by one add_scaled per left-leg term.
         """
         A, field = self.A, self.field
         deg = A.basis_degree
@@ -437,9 +475,9 @@ class TensorSquareAlgebra:
                 if v1_odd and du2 % 2:
                     c = field.neg(c)
                 for ml, cl in left.items():
-                    add_scaled(field, acc, {(ml, mr): cr for mr, cr in legs.items()},
-                               field.mul(c, cl))
-        return Element(self, acc)
+                    add_scaled(field, acc.setdefault(ml, {}), legs, field.mul(c, cl))
+        return Element(self, {(ml, mr): c for ml, row in acc.items()
+                              for mr, c in row.items()})
 
     def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""

@@ -223,3 +223,48 @@ def rref_gf2(vectors):
             if p in rows[q]:
                 rows[q] = rows[q] ^ rows[p]
     return rows
+
+
+def quotient_by_full_elimination(degrees, char, relations, through):
+    """Basis and normal forms of a graded quotient in degrees 0..through.
+
+    degrees maps generator id to its degree; relations are {monomial: value}
+    dicts.  In each degree every free monomial times every relation (the
+    monomial on the left, signs by koszul_merge) goes through rref_rational
+    or rref_gf2; nothing is skipped.  Returns one (basis, normal) pair per
+    degree: the sorted non-pivot monomials, and every free monomial ->
+    its normal form as {monomial: Fraction}.
+    """
+    mons = [monomials_by_multisets(degrees, d, char) for d in range(through + 1)]
+    out = []
+    for d in range(through + 1):
+        col = {m: i for i, m in enumerate(mons[d])}
+        vectors = []
+        for rel in relations:
+            e = sum(degrees[g] for g in next(iter(rel)))
+            for m in mons[d - e] if e <= d else []:
+                vec = {}
+                for mon, c in rel.items():
+                    hit = koszul_merge(degrees, m, mon, char)
+                    if hit is not None:
+                        j = col[hit[1]]
+                        vec[j] = vec.get(j, 0) + hit[0] * c
+                vectors.append(vec)
+        if char == 2:
+            rows = {p: {c: 1 for c in row} for p, row in rref_gf2(vectors).items()}
+        else:
+            rows = rref_rational(vectors)
+        basis = [m for i, m in enumerate(mons[d]) if i not in rows]
+        normal = {}
+        for i, m in enumerate(mons[d]):
+            if i not in rows:
+                normal[m] = {m: Fraction(1)}
+                continue
+            lead = rows[i][i]
+            residue = {mons[d][c]: Fraction(-v, lead)
+                       for c, v in rows[i].items() if c != i}
+            if char == 2:
+                residue = {k: v % 2 for k, v in residue.items()}
+            normal[m] = residue
+        out.append((basis, normal))
+    return out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -99,6 +100,34 @@ def test_monomials_of_degree_match_the_multiset_oracle(field):
         want = monomials_by_multisets(degrees, d, field.char)
         assert up.monomials_of_degree(d) == want, d
         assert down.monomials_of_degree(d) == want, d
+
+
+def _divides(k, m):
+    return not Counter(k) - Counter(m)
+
+
+@pytest.mark.parametrize("field, gens, avoid", [
+    # pairs, an even square, a triple and a killed generator over Q
+    (QQ, [("a", 1), ("b", 1), ("c", 1), ("w", 2), ("d", 1), ("v", 3)],
+     {(0, 2), (1, 4), (0, 4), (3, 3), (1, 2, 5), (4,)}),
+    # char-2 squares of every generator and one cross product
+    (GF2, [(f"g{i}", 1) for i in range(5)],
+     {(g, g) for g in range(5)} | {(0, 3)}),
+    # the sphere's a^4 beside squared puncture generators
+    (GF2, [("a", 1), ("e1", 1), ("e2", 1), ("e12", 1)],
+     {(0, 0, 0, 0), (1, 1), (2, 2), (3, 3), (1, 2)}),
+], ids=["Q", "GF2-squares", "GF2-a4"])
+def test_monomials_avoiding_match_the_filtered_oracle(field, gens, avoid):
+    degrees = [d for _, d in gens]
+    avoid = frozenset(avoid)
+    up, down = FreeAlgebra(field, gens), FreeAlgebra(field, gens)
+    down.monomials_of_degree(8, avoid)  # fills the lower degrees first
+    for d in range(9):
+        every = monomials_by_multisets(degrees, d, field.char)
+        want = [m for m in every if not any(_divides(k, m) for k in avoid)]
+        assert up.monomials_of_degree(d, avoid) == want, d
+        assert down.monomials_of_degree(d, avoid) == want, d
+        assert up.monomials_of_degree(d) == every, d
 
 
 def test_homogeneous_parts_and_degree(ext3):

@@ -49,6 +49,7 @@ CORPUS = [
     ["zcl", "--model", "sphere-mod2", "--n", "5", "--method", "certificate"],
     ["zcl", "--model", "arnold", "--n", "4", "--method", "certificate", "--cap", "3"],
     ["zcl", "--model", "b-sigma", "--n", "5", "--method", "certificate"],
+    ["zcl", "--model", "sphere-mod2", "--n", "7", "--method", "certificate"],
 ]
 
 

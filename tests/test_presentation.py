@@ -8,14 +8,17 @@ from tcsurf.errors import (AlgebraError, HomogeneityError,
                            TruncationError, UnsupportedModelError)
 from tcsurf.exterior import FreeAlgebra
 from tcsurf.fields import GF2, QQ
-from tcsurf.models import (arnold_algebra, punctured_plane_algebra,
-                           surface_cohomology, totaro_algebra)
+from tcsurf import presentation
+from tcsurf.models import (arnold_algebra, genus2_B_algebra,
+                           punctured_plane_algebra, so3_mod2_algebra,
+                           sphere_mod2_model, surface_cohomology,
+                           totaro_algebra)
 from tcsurf.presentation import (AlgebraPresentation, convolve, diagonal_class,
                                  duality_data, hilbert_series, quotient,
                                  tensor_square)
 from tcsurf.zcl import mod_ideal_quotient, zcl_exact
 
-from .oracles import poly_mul
+from .oracles import poly_mul, quotient_by_full_elimination
 
 
 def torus_presentation():
@@ -261,3 +264,67 @@ def test_bounded_multiply_is_the_truncated_product():
         want = {(u, v): c for (u, v), c in full.terms.items()
                 if deg(u) <= bound[0] and deg(v) <= bound[1]}
         assert T.multiply(left, a2, bound).terms == want
+
+
+def test_boolean_top_degree_is_refused():
+    free = FreeAlgebra(QQ, [("x", 2)])
+    for bad in (True, False, 1.0, -1):
+        with pytest.raises(AlgebraError, match="top_degree"):
+            AlgebraPresentation(free, [], top_degree=bad)
+
+
+QUOTIENTS = {
+    "surface2-Q": lambda: quotient(surface_cohomology(2, QQ)),
+    "surface3-Q": lambda: quotient(surface_cohomology(3, QQ)),
+    "surface2-GF2": lambda: quotient(surface_cohomology(2, GF2)),
+    "surface3-GF2": lambda: quotient(surface_cohomology(3, GF2)),
+    "b-sigma2": lambda: genus2_B_algebra(2),
+    "b-sigma3": lambda: genus2_B_algebra(3),
+    "mod-ideal3": lambda: mod_ideal_quotient(3),
+    "punctured-plane3-2": lambda: quotient(punctured_plane_algebra(3, 2)),
+    "sphere5": lambda: sphere_mod2_model(5),
+    "so3": so3_mod2_algebra,
+    "arnold4-GF2": lambda: quotient(arnold_algebra(4, GF2)),
+}
+
+
+def _full_elimination_mismatches(A):
+    """Degrees where A's basis or some free monomial's normal form differs
+    from the oracle that eliminates every free monomial times every
+    relation."""
+    pres, free = A.presentation, A.free
+    want = quotient_by_full_elimination(
+        free.degrees, A.field.char, [r.terms for r in pres.relations],
+        A.built_top)
+    assert len(want) == len(A.dims)
+    bad = []
+    for d, (basis, normal) in enumerate(want):
+        if A.basis[d] != basis or A.dims[d] != len(basis):
+            bad.append(d)
+            continue
+        for m, residue in normal.items():
+            got = A.reduce_free(free.element({m: 1})).terms
+            if {k: Fraction(v) for k, v in got.items()} != residue:
+                bad.append(d)
+                break
+    return bad
+
+
+@pytest.mark.parametrize("build", QUOTIENTS.values(), ids=QUOTIENTS.keys())
+def test_quotient_matches_full_elimination(build):
+    assert _full_elimination_mismatches(build()) == []
+
+
+@pytest.mark.parametrize("build", [QUOTIENTS["surface2-Q"],
+                                   QUOTIENTS["punctured-plane3-2"]],
+                         ids=["surface2-Q", "punctured-plane3-2"])
+def test_killing_a_multi_term_relation_breaks_the_comparison(build, monkeypatch):
+    split = presentation.split_relations
+
+    def mutated(relations):
+        killed, rest = split(relations)
+        (_, r), rest = rest[0], rest[1:]
+        return killed | {min(r.terms)}, rest
+
+    monkeypatch.setattr(presentation, "split_relations", mutated)
+    assert _full_elimination_mismatches(build())
