@@ -38,6 +38,7 @@ CORPUS = [
     ["tc", "--sweep", "2", "3", "2"],
     ["tc", "--g", "1", "--n", "3", "--method", "exact"],
     ["groebner-check", "--n", "4"],
+    ["groebner-check", "--n", "5", "--order", "reversed"],
     ["tc", "--sweep", "2", "3", "3", "--method", "exact"],
     ["tc", "--sweep", "0", "3", "3"],
     ["zcl", "--model", "totaro", "--g", "0", "--n", "2", "--method", "certificate"],
