@@ -268,3 +268,27 @@ def quotient_by_full_elimination(degrees, char, relations, through):
             normal[m] = residue
         out.append((basis, normal))
     return out
+
+
+def tuple_order_key(rank, mon):
+    """Degree-lexicographic key of a squarefree monomial under the ranks
+    rank[g]: its size, then its ranks sorted from the largest down."""
+    return (len(mon), tuple(sorted((rank[g] for g in mon), reverse=True)))
+
+
+def normal_counts_by_subsets(ngens, leads):
+    """Per degree, the subsets of range(ngens) that contain no lead.
+
+    leads are iterables of generator ids.  Every one of the 2^ngens subsets
+    is tested against every lead; trailing zero degrees are dropped.
+    """
+    lead_sets = [set(lead) for lead in leads]
+    counts = [0] * (ngens + 1)
+    for k in range(ngens + 1):
+        for sub in combinations(range(ngens), k):
+            s = set(sub)
+            if not any(lead <= s for lead in lead_sets):
+                counts[k] += 1
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts

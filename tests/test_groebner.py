@@ -7,11 +7,13 @@ from tcsurf.errors import (AlgebraError, CertificateError, MismatchError,
                            UnsupportedModelError)
 from tcsurf.exterior import FreeAlgebra
 from tcsurf.fields import GF2, QQ
-from tcsurf.groebner import (TermOrder, buchberger_check, gb_hilbert,
-                             reduce_element, s_polynomial, torus_ideal,
-                             torus_ideal_check)
+from tcsurf.groebner import (TermOrder, _normal_counts, buchberger_check,
+                             gb_hilbert, reduce_element, s_polynomial,
+                             torus_ideal, torus_ideal_check)
 from tcsurf.models import totaro_algebra
 from tcsurf.presentation import hilbert_series
+
+from .oracles import normal_counts_by_subsets, tuple_order_key
 
 
 def test_torus_relations_are_a_groebner_basis_up_to_n6():
@@ -137,6 +139,72 @@ def test_term_order_is_multiplicative_on_disjoint_monomials():
                 tuple(sorted(m2 + u)))
 
 
+def test_term_order_key_matches_the_rank_tuple_oracle():
+    rng = random.Random(13)
+    F = FreeAlgebra(QQ, [(f"g{i}", 1) for i in range(7)])
+    mons = [m for d in range(8) for m in F.monomials_of_degree(d)]
+    assert len(mons) == 2 ** 7
+    for _ in range(20):
+        names = list(F.names)
+        rng.shuffle(names)
+        order = TermOrder(F, names)
+        rank = {F.by_name[name]: pos for pos, name in enumerate(names)}
+        assert sorted(mons, key=order.key) == sorted(
+            mons, key=lambda m: tuple_order_key(rank, m))
+
+
+def _oracle_counts(free, relations, order):
+    """normal_counts_by_subsets over leads taken with the rank-tuple key."""
+    rank = {free.by_name[name]: pos for pos, name in enumerate(order.priority)}
+    leads = [max(r.terms, key=lambda m: tuple_order_key(rank, m))
+             for r in relations]
+    return normal_counts_by_subsets(free.ngens, leads)
+
+
+def test_normal_counts_match_the_subset_oracle_on_torus_ideals():
+    for n in range(1, 7):
+        free, rels, order = torus_ideal(n)
+        for o in (order, order.reversed()):
+            assert _normal_counts(free, rels, o) == _oracle_counts(
+                free, rels, o), (n, o)
+
+
+def _random_relation(rng, free):
+    mons = free.monomials_of_degree(rng.randint(1, min(3, free.ngens)))
+    picked = rng.sample(mons, rng.randint(1, min(3, len(mons))))
+    return free.element({m: rng.choice([-2, -1, 1, 3]) for m in picked})
+
+
+def test_normal_counts_match_the_subset_oracle_on_random_relations():
+    rng = random.Random(7)
+    for trial in range(60):
+        F = FreeAlgebra(QQ, [(f"g{i}", 1) for i in range(rng.randint(1, 8))])
+        names = list(F.names)
+        rng.shuffle(names)
+        order = TermOrder(F, names)
+        rels = [_random_relation(rng, F) for _ in range(rng.randint(1, 6))]
+        for some in ([], rels):
+            assert _normal_counts(F, some, order) == _oracle_counts(
+                F, some, order), trial
+
+
+def test_normal_counts_of_the_unit_ideal_are_empty():
+    F = FreeAlgebra(QQ, [("a", 1), ("b", 1)])
+    order = TermOrder(F, ["a", "b"])
+    assert _normal_counts(F, [F.one()], order) == []
+    assert _oracle_counts(F, [F.one()], order) == []
+
+
+def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
+    # a fallback to the whole free algebra (2^18 monomials) would show here
+    rep = torus_ideal_check(9)
+    free = rep.order.free
+    assert free._mon_cache
+    assert all(avoid for _, avoid in free._mon_cache)
+    assert sum(map(len, free._mon_cache.values())) == sum(
+        rep.normal_monomial_counts)
+
+
 def test_s_polynomial_cancels_the_lcm():
     free, rels, order = torus_ideal(4)
     for i in range(len(rels)):
@@ -160,6 +228,13 @@ def test_reduction_confluence_on_random_elements():
         lead_nf = reduce_element(e, rels, order, strategy="lead")
         low_nf = reduce_element(e, rels, order, strategy="low")
         assert lead_nf == low_nf
+
+
+def test_unknown_strategy_is_refused_even_for_zero():
+    free, rels, order = torus_ideal(3)
+    for e in (free.zero(), free.gen("x1")):
+        with pytest.raises(AlgebraError):
+            reduce_element(e, rels, order, strategy="bogus")
 
 
 def test_normal_form_is_a_fixed_point():
