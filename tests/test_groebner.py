@@ -183,16 +183,9 @@ def test_normal_counts_match_the_subset_oracle_on_random_relations():
         rng.shuffle(names)
         order = TermOrder(F, names)
         rels = [_random_relation(rng, F) for _ in range(rng.randint(1, 6))]
-        for some in ([], rels):
+        for some in ([], [F.one()], rels):  # empty, unit, random
             assert _normal_counts(F, some, order) == _oracle_counts(
                 F, some, order), trial
-
-
-def test_normal_counts_of_the_unit_ideal_are_empty():
-    F = FreeAlgebra(QQ, [("a", 1), ("b", 1)])
-    order = TermOrder(F, ["a", "b"])
-    assert _normal_counts(F, [F.one()], order) == []
-    assert _oracle_counts(F, [F.one()], order) == []
 
 
 def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
