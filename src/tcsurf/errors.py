@@ -30,7 +30,8 @@ class TruncationError(AlgebraError):
 
 
 class ResourceBudgetError(AlgebraError):
-    """A construction would exceed the configured monomial budget."""
+    """A quotient degree would need more columns plus relation products
+    than the budget allows."""
 
 
 class UnsupportedModelError(AlgebraError):

@@ -116,24 +116,6 @@ class FreeAlgebra:
         self._mon_cache[key] = out
         return out
 
-    def free_hilbert(self, through: int):
-        """Dimension of each degree 0..through of the free algebra.
-
-        Each generator of degree d multiplies the series by 1 + t^d when its
-        square is zero (odd degree, characteristic not 2), in place from the
-        top down, and otherwise by 1/(1 - t^d), from the bottom up.
-        """
-        series = [1] + [0] * through
-        char2 = self.field.char == 2
-        for dg, odd in zip(self.degrees, self.odd):
-            if odd and not char2:
-                for i in range(through, dg - 1, -1):
-                    series[i] += series[i - dg]
-            else:
-                for i in range(dg, through + 1):
-                    series[i] += series[i - dg]
-        return series
-
     def mon_str(self, mon) -> str:
         if not mon:
             return "1"

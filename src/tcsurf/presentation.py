@@ -38,7 +38,8 @@ from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import field_from_name
 from .linalg import echelonize, new_subspace
 
-DEFAULT_BUDGET = 2_000_000  # max free monomials in any single degree
+# bound on the columns plus relation products of any one quotient degree
+DEFAULT_BUDGET = 1_000_000
 
 
 def _json_int(value):
@@ -62,6 +63,8 @@ class AlgebraPresentation:
                 continue
             if r.degree() is None:
                 raise HomogeneityError(f"relation is not homogeneous: {r}")
+            if r.degree() == 0:
+                raise AlgebraError(f"relation {r} is a nonzero scalar")
             self.relations.append(r)
         if top_degree is not None and (isinstance(top_degree, bool)
                                        or not isinstance(top_degree, int)
@@ -163,6 +166,11 @@ class QuotientAlgebra:
     divides them) in ascending order, index[d] maps each to its column,
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
+
+    Before degree d is enumerated, the degrees below it bound its work: at
+    most sum over generators of len(mons[d - |g|]) columns, and one product
+    per relation and survivor of the complementary degree.  When the two
+    bounds together exceed DEFAULT_BUDGET, ResourceBudgetError names d.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_degree=None):
@@ -188,12 +196,6 @@ class QuotientAlgebra:
             bound = max_degree
             capped = True
 
-        free_dims = free.free_hilbert(bound)
-        if max(free_dims) > DEFAULT_BUDGET:
-            raise ResourceBudgetError(
-                f"{self.label}: free algebra has {max(free_dims)} monomials in one "
-                f"degree, over the budget of {DEFAULT_BUDGET}")
-
         killed, rels = split_relations(pres.relations)
         self.mons = [[()]]
         self.basis = [[()]]
@@ -201,6 +203,14 @@ class QuotientAlgebra:
         self.ideal = [echelonize(self.field, 1, [])]
         stopped_clean = False
         for d in range(1, bound + 1):
+            # each survivor of degree d is a survivor of a lower degree times
+            # its last generator, and each row is a survivor times a relation
+            cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
+            rows = sum(len(self.mons[d - e]) for e, _ in rels if e <= d)
+            if cols + rows > DEFAULT_BUDGET:
+                raise ResourceBudgetError(
+                    f"{self.label}: degree {d} needs up to {cols} columns and "
+                    f"{rows} relation products, over the budget of {DEFAULT_BUDGET}")
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             self.ideal.append(echelonize(

@@ -28,12 +28,13 @@ def _line(num, ok, detail):
 
 def test_criterion_1_theorem_table_sweep():
     t0 = time.time()
-    rows = sweep(2, 2, 0) + sweep(1, 3, 0) + sweep(0, 5, 0)
+    rows = sweep(3, 4, 0) + sweep(0, 5, 0)
     elapsed = time.time() - t0
     seen = {(r.g, r.n): r for r in rows}
     required = ([(0, n) for n in (1, 2, 3, 4, 5)]
                 + [(1, n) for n in (1, 2, 3)]
-                + [(2, n) for n in (1, 2)])
+                + [(2, n) for n in (1, 2)]
+                + [(3, n) for n in (1, 2, 3, 4)])
     missing = [k for k in required if k not in seen]
     not_tight = [k for k in required if k in seen and seen[k].status != "tight"]
     wrong = [k for k in required if k in seen

@@ -205,6 +205,9 @@ BAD_PRESENTATIONS = {
     "float-coefficient": json.dumps({
         "field": "Q", "generators": [{"name": "x", "degree": 1}],
         "relations": [[{"coeff": 0.1, "monomial": ["x"]}]]}),
+    "scalar-relation": json.dumps({
+        "field": "Q", "generators": [{"name": "x", "degree": 1}],
+        "relations": [[{"coeff": "1", "monomial": []}]]}),
 }
 
 

@@ -82,14 +82,6 @@ def test_monomial_counts_squarefree_and_char2():
         assert len(G.monomials_of_degree(d)) == comb(3 + d - 1, d)
 
 
-def test_free_hilbert_matches_enumeration():
-    for field in (QQ, GF2):
-        F = FreeAlgebra(field, [("a", 1), ("w", 2), ("b", 1), ("c", 3)])
-        hs = F.free_hilbert(9)
-        assert hs == [len(F.monomials_of_degree(d)) for d in range(10)], field
-    assert FreeAlgebra(QQ, [("c", 3)]).free_hilbert(2) == [1, 0, 0]
-
-
 @pytest.mark.parametrize("field", [QQ, GF2], ids=["Q", "GF2"])
 def test_monomials_of_degree_match_the_multiset_oracle(field):
     gens = [("a", 1), ("w", 2), ("b", 1), ("c", 3), ("u", 2)]

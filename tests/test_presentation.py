@@ -38,6 +38,13 @@ def test_inhomogeneous_relation_rejected():
         AlgebraPresentation(F, [F.gen("a") + F.gen("a") * F.gen("b")])
 
 
+def test_nonzero_scalar_relation_rejected():
+    F = FreeAlgebra(QQ, [("a", 1)])
+    with pytest.raises(AlgebraError, match="nonzero scalar"):
+        AlgebraPresentation(F, [F.one()])
+    assert AlgebraPresentation(F, [F.zero()]).relations == []
+
+
 def test_natural_bound_all_odd():
     pres = torus_presentation()
     assert pres.natural_bound() == 2
@@ -48,6 +55,25 @@ def test_budget_guard():
     pres = AlgebraPresentation(big, [])
     with pytest.raises(ResourceBudgetError):
         quotient(pres)  # C(40, 20) monomials in degree 20
+
+
+def test_budget_refuses_a_degree_before_enumerating_it(monkeypatch):
+    F = FreeAlgebra(QQ, [(name, 1) for name in "abcd"])
+    a, b, c, d = (F.gen(name) for name in "abcd")
+    pres = AlgebraPresentation(F, [a * b - c * d])
+    asked = []
+    enumerate_monomials = F.monomials_of_degree
+    monkeypatch.setattr(F, "monomials_of_degree", lambda deg, avoid=frozenset():
+                        asked.append(deg) or enumerate_monomials(deg, avoid))
+    # degree 3: 4 generators times 6 survivors of degree 2 bound the
+    # columns, the relation times 4 survivors of degree 1 the products
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 27)
+    with pytest.raises(ResourceBudgetError,
+                       match="degree 3 needs up to 24 columns and 4 relation"):
+        quotient(pres)
+    assert max(asked) == 2
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 28)
+    assert quotient(pres).hilbert() == [1, 4, 5]
 
 
 def test_truncated_quotient_raises_beyond_built_range():

@@ -156,6 +156,13 @@ def test_genus3_certificate_generalizes():
     assert cert.coefficient == QQ.coerce(2)
 
 
+def test_genus3_certificate_reaches_n4():
+    assert genus2_B_algebra(4, genus=3).hilbert() == [1, 24, 190, 592, 624, 20]
+    cert = case_certificate("genus2", 4, genus=3)
+    assert cert.certified_length == 10
+    assert cert.coefficient == QQ.coerce(-2)
+
+
 def test_sphere_certificates_through_n5():
     for n in range(3, 6):
         cert = case_certificate("sphere", n)
