@@ -51,6 +51,7 @@ CORPUS = [
     ["zcl", "--model", "arnold", "--n", "4", "--method", "certificate", "--cap", "3"],
     ["zcl", "--model", "b-sigma", "--n", "5", "--method", "certificate"],
     ["zcl", "--model", "sphere-mod2", "--n", "7", "--method", "certificate"],
+    ["tc", "--sweep", "3", "4", "0"],
 ]
 
 
