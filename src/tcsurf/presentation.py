@@ -167,10 +167,12 @@ class QuotientAlgebra:
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
 
-    Before degree d is enumerated, the degrees below it bound its work: at
-    most sum over generators of len(mons[d - |g|]) columns, and one product
-    per relation and survivor of the complementary degree.  When the two
-    bounds together exceed DEFAULT_BUDGET, ResourceBudgetError names d.
+    Before degree d is enumerated, the degrees below it bound its work.
+    A survivor is a survivor of lower degree times its last generator g, so
+    degree d has at most the sum over g of len(mons[d - |g|]) columns; it
+    gets one product per multi-term relation of degree e and survivor of
+    degree d - e.  When the two bounds together exceed DEFAULT_BUDGET,
+    ResourceBudgetError names d.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_degree=None):
@@ -203,8 +205,6 @@ class QuotientAlgebra:
         self.ideal = [echelonize(self.field, 1, [])]
         stopped_clean = False
         for d in range(1, bound + 1):
-            # each survivor of degree d is a survivor of a lower degree times
-            # its last generator, and each row is a survivor times a relation
             cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
             rows = sum(len(self.mons[d - e]) for e, _ in rels if e <= d)
             if cols + rows > DEFAULT_BUDGET:
