@@ -52,6 +52,7 @@ CORPUS = [
     ["zcl", "--model", "b-sigma", "--n", "5", "--method", "certificate"],
     ["zcl", "--model", "sphere-mod2", "--n", "7", "--method", "certificate"],
     ["tc", "--sweep", "3", "4", "0"],
+    ["zcl", "--model", "b-sigma", "--n", "4"],
 ]
 
 
