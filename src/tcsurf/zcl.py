@@ -1,9 +1,12 @@
 """Cup length and zero-divisor cup length.
 
 zcl A is the largest q with a nonzero q-fold product inside ker(mu), where
-mu: A (x) A -> A is multiplication.  Exact values come from degreewise
-subspace power iteration; the named certificate cases verify one explicit
-nonzero product each by full expansion and witness-coefficient extraction.
+mu: A (x) A -> A is multiplication.  Exact values come from ordered power
+iteration: a product of homogeneous elements reorders, up to sign, to
+ascending factor indices, so each step multiplies a kept product only by
+the multipliers at or below its first factor.  The named certificate cases
+verify one explicit nonzero product each by full expansion and
+witness-coefficient extraction.
 
 Since ker(mu) is the two-sided ideal generated by the bar classes
 x (x) 1 - 1 (x) x of the algebra generators (induction on monomial length
@@ -78,38 +81,19 @@ class ZclCertificate:
 
 
 class _GradedSpan:
-    """Degreewise echelonized span of homogeneous elements of a graded space.
+    """Degreewise echelonized span of homogeneous elements of a graded space
+    that offers field, dims and vectorize(e, d)."""
 
-    The space must offer field, dims, vectorize(e, d), element_from_vec(v, d).
-    """
-
-    def __init__(self, space, subs=()):
+    def __init__(self, space):
         self.space = space
-        self.subs = dict(subs)
+        self.subs = {}
 
     def insert(self, elem) -> bool:
-        grew = False
-        for d, part in elem.homogeneous_parts().items():
-            vec = self.space.vectorize(part, d)
-            sub = self.subs.get(d)
-            if sub is None:
-                sub = new_subspace(self.space.field, self.space.dims[d])
-                self.subs[d] = sub
-            if sub.insert(vec):
-                grew = True
-        return grew
-
-    def is_zero(self):
-        return all(sub.is_zero() for sub in self.subs.values())
-
-    def basis_elements(self):
-        """A basis of the span: the primitive rows, which over Q have int
-        entries, so products of basis elements stay in int arithmetic."""
-        out = []
-        for d in sorted(self.subs):
-            for row in self.subs[d].rows_primitive():
-                out.append(self.space.element_from_vec(row, d))
-        return out
+        """Add a nonzero homogeneous element; True when the span grew."""
+        d = elem.degree()
+        if d not in self.subs:
+            self.subs[d] = new_subspace(self.space.field, self.space.dims[d])
+        return self.subs[d].insert(self.space.vectorize(elem, d))
 
 
 def zero_divisor_subspace(A):
@@ -122,67 +106,70 @@ def zero_divisor_subspace(A):
     for d in range(T.top + 1):
         pairs = T.basis[d]
         ncols = A.dim(d) if d <= A.top_nonzero else 0
-        images = []
-        for (m1, m2) in pairs:
-            prod = A.mul_basis(m1, m2)
-            images.append(
-                {A.basis_index[d][m]: c for m, c in prod.items()} if ncols else {})
+        images = [{A.basis_index[d][m]: c for m, c in A.mul_basis(m1, m2).items()}
+                  if ncols else {} for m1, m2 in pairs]
         out[d] = echelonize(A.field, len(pairs),
                             kernel_basis(A.field, images, ncols))
     return out
 
 
 def zero_divisor_elements(A):
-    """Kernel bases from zero_divisor_subspace, as tensor-square elements."""
-    return _GradedSpan(tensor_square(A), zero_divisor_subspace(A)).basis_elements()
+    """Kernel bases from zero_divisor_subspace, as tensor-square elements:
+    the primitive rows, which over Q have int entries."""
+    T = tensor_square(A)
+    return [T.element_from_vec(row, d)
+            for d, sub in zero_divisor_subspace(A).items()
+            for row in sub.rows_primitive()]
 
 
 def bar_generators(A):
     """Nonzero bar classes of the algebra generators."""
     T = tensor_square(A)
-    out = []
-    for name in A.free.names:
-        b = T.bar(A.gen(name))
-        if not b.is_zero():
-            out.append(b)
-    return out
+    bars = (T.bar(A.gen(name)) for name in A.free.names)
+    return [b for b in bars if not b.is_zero()]
 
 
-def _power_iterate(space, seeds, multipliers, cap):
-    """Largest k <= cap with the iterated product span nonzero.
+def _power_iterate(space, gens, cap):
+    """Largest k <= cap with a nonzero k-fold product of gens; (value, exact).
 
-    span_1 = span(seeds), span_{k+1} = span{m * y}.  Returns (value, exact).
+    The space is graded-commutative and the gens are homogeneous, so a
+    product reorders, up to sign, to ascending factor indices.  With
+    span_k(i) the span of the k-fold products of gens[i:], span_{k+1}(i) is
+    the sum over j >= i of gens[j] * span_k(j).  Each step visits i in
+    descending order and keeps, tagged i, the products gens[i] * y that grow
+    the span; those tagged >= i are a basis of span_k(i), so gens[i]
+    multiplies only them.  j = i stays: an even generator can have a
+    nonzero cube.  The kept elements are products, not echelon rows.
     """
     if cap is not None and cap < 1:
         raise AlgebraError(f"cap must be at least 1, got {cap}")
-    cur = _GradedSpan(space)
-    for s in seeds:
-        cur.insert(s)
-    if cur.is_zero():
-        return 0, True
-    k = 1
+    level = [(len(gens), space.one())]
+    k = 0
     while cap is None or k < cap:
-        nxt = _GradedSpan(space)
-        grew = False
-        for y in cur.basis_elements():
-            for m in multipliers:
-                p = m * y
-                if not p.is_zero() and nxt.insert(p):
-                    grew = True
-        if not grew:
+        span, nxt = _GradedSpan(space), []
+        for i in reversed(range(len(gens))):
+            for tag, y in level:
+                if tag < i:
+                    break
+                p = gens[i] * y
+                if not p.is_zero() and span.insert(p):
+                    nxt.append((i, p))
+        if not nxt:
             return k, True
+        level = nxt
         k += 1
-        cur = nxt
     return k, False
 
 
 def zcl_exact(A, cap=None, via="generators") -> BoundReport:
-    """Zero-divisor cup length by degreewise power iteration.
+    """Zero-divisor cup length by ordered power iteration (_power_iterate).
 
     via="generators" multiplies by bar classes of the algebra generators;
     via="kernel-basis" uses a full kernel basis of mu in every degree.
     Both drive the same ideal powers; the first is the fast default, the
-    second the literal definition kept for cross-checks.
+    second the literal definition kept for cross-checks.  Step k keeps one
+    product per dimension of the k-th power, each multiplied only by the
+    multipliers at or below its first factor.
     """
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
@@ -192,7 +179,7 @@ def zcl_exact(A, cap=None, via="generators") -> BoundReport:
         mult = zero_divisor_elements(A)
     else:
         raise AlgebraError(f"unknown zcl variant: {via}")
-    value, exact = _power_iterate(tensor_square(A), mult, mult, cap)
+    value, exact = _power_iterate(tensor_square(A), mult, cap)
     return BoundReport("zcl", value, exact, "power-iteration", A.label, variant=via)
 
 
@@ -201,7 +188,7 @@ def cup_length(A, cap=None) -> BoundReport:
     if not A.exhaustive:
         raise TruncationError(f"cup_length needs a fully constructed algebra: {A.label}")
     gens = [g for g in A.generator_elements() if not g.is_zero()]
-    value, exact = _power_iterate(A, gens, gens, cap)
+    value, exact = _power_iterate(A, gens, cap)
     return BoundReport("cl", value, exact, "power-iteration", A.label)
 
 

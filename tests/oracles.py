@@ -225,6 +225,52 @@ def rref_gf2(vectors):
     return rows
 
 
+def unordered_power_iteration(seeds, multipliers, char, cap=None):
+    """(value, exact, dims) of the unordered power iteration on package
+    elements.
+
+    span_1 is the span of the seeds and span_{k+1} the span of every
+    multiplier times every basis row of span_k, in no order; value is the
+    largest k <= cap with span_k nonzero, exact is False when cap stopped
+    the loop, and dims lists the dimension of every span computed, the
+    last one 0 when exact.  Products come from the package's *; each span
+    is reduced by rref_rational or rref_gf2 over a column per term seen,
+    and its rows go back to elements of the seeds' class.
+    """
+    if not seeds:
+        return 0, True, [0]
+    cls, algebra = type(seeds[0]), seeds[0].algebra
+    cols, terms = {}, []
+
+    def basis(elems):
+        vectors = []
+        for e in elems:
+            for t in e.terms:
+                if t not in cols:
+                    cols[t] = len(terms)
+                    terms.append(t)
+            vectors.append({cols[t]: c for t, c in e.terms.items()})
+        if char == 2:
+            rows = {p: dict.fromkeys(row, 1) for p, row in rref_gf2(vectors).items()}
+        else:
+            rows = rref_rational(vectors)
+        return [cls(algebra, {terms[c]: v for c, v in row.items()})
+                for row in rows.values()]
+
+    span = basis(seeds)
+    dims = [len(span)]
+    if not span:
+        return 0, True, dims
+    k = 1
+    while cap is None or k < cap:
+        span = basis([m * y for y in span for m in multipliers])
+        dims.append(len(span))
+        if not span:
+            return k, True, dims
+        k += 1
+    return k, False, dims
+
+
 def quotient_by_full_elimination(degrees, char, relations, through):
     """Basis and normal forms of a graded quotient in degrees 0..through.
 

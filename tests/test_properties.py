@@ -2,7 +2,8 @@
 
 Quotient dimensions are checked against the rank of the Macaulay matrix
 computed by the independent oracles; the two zcl_exact variants are checked
-against each other; tensor-square dimensions, computed without building
+against each other, and zcl_exact and cup_length against the unordered power
+iteration of the oracles; tensor-square dimensions, computed without building
 the pair basis, are checked against the leg convolution and the pair
 counts, and coordinates round-trip; the tensor-square product of pure
 tensors is checked against the Koszul rule on products taken in A.  Examples are derandomized so the
@@ -10,15 +11,18 @@ suite is repeatable.
 """
 
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
-from tcsurf.zcl import zcl_exact
+from tcsurf import zcl
+from tcsurf.zcl import bar_generators, cup_length, zcl_exact
 
-from .oracles import gf2_rank, koszul_merge, poly_mul, rational_rank
+from .oracles import (gf2_rank, koszul_merge, poly_mul, rational_rank,
+                      unordered_power_iteration)
 
 FIELDS = {"Q": QQ, "GF2": GF2}
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -32,15 +36,18 @@ def presentations(draw, field, degrees, squares=False):
     signs make products with the forms cancel) or a sparse sum of up to
     three monomials of degree 2 or 3; either way the ideal has non-generic
     rank, where a wrong sign or a lost product changes the dimensions.
-    With squares=True every generator squares to zero, so over GF(2) the
-    quotient is finite and its tensor square can be built.
+    With squares=True every odd generator squares to zero (over Q it does
+    so anyway) and every even one cubes to zero, so the quotient is finite
+    and its tensor square can be built; the bar of an even generator keeps
+    a nonzero cube.
     """
     degs = draw(st.lists(degrees, min_size=2, max_size=4))
     free = FreeAlgebra(field, [(f"x{i}", d) for i, d in enumerate(degs)])
     coeff = st.sampled_from([1, -1, 2])
     rels = []
-    if squares and field.char == 2:
-        rels = [free.element({(g, g): 1}) for g in range(len(degs))]
+    if squares:
+        rels = [free.element({(g,) * (2 if d % 2 else 3): 1})
+                for g, d in enumerate(degs) if field.char == 2 or d % 2 == 0]
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             e = draw(st.sampled_from(degs))
@@ -54,7 +61,7 @@ def presentations(draw, field, degrees, squares=False):
             if mons:
                 rels.append(free.element(draw(st.dictionaries(
                     st.sampled_from(mons), coeff, min_size=1, max_size=3))))
-    top = len(degs) if squares else 3
+    top = sum(d if d % 2 else 2 * d for d in degs) if squares else 3
     return AlgebraPresentation(free, rels, top_degree=top)
 
 
@@ -131,6 +138,39 @@ def test_zcl_generators_matches_kernel_basis(pres):
     by_kernel = zcl_exact(A, via="kernel-basis")
     assert (by_generators.value, by_generators.exact) == \
         (by_kernel.value, by_kernel.exact)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: presentations(FIELDS[name], st.sampled_from([1, 1, 2]),
+                               squares=True)),
+    st.sampled_from([None, None, 1, 2, 3]))
+def test_power_iteration_matches_the_unordered_oracle(pres, cap):
+    A = quotient(pres)
+    char = A.field.char
+    bars = bar_generators(A)
+    assert with_span_dims(lambda: zcl_exact(A, cap=cap)) == \
+        unordered_power_iteration(bars, bars, char, cap)
+    gens = [g for g in A.generator_elements() if not g.is_zero()]
+    assert with_span_dims(lambda: cup_length(A, cap=cap)) == \
+        unordered_power_iteration(gens, gens, char, cap)
+
+
+def with_span_dims(run):
+    """(value, exact, dims) of the report run() returns, where dims is the
+    dimension of the span each power-iteration step built: equal to the
+    oracle's, since the products kept are products of generators."""
+    built = []
+
+    class Recording(zcl._GradedSpan):
+        def __init__(self, space):
+            super().__init__(space)
+            built.append(self)
+
+    with mock.patch.object(zcl, "_GradedSpan", Recording):
+        report = run()
+    dims = [sum(sub.rank for sub in span.subs.values()) for span in built]
+    return report.value, report.exact, dims
 
 
 @SETTINGS

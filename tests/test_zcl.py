@@ -9,7 +9,8 @@ from tcsurf.models import (arnold_algebra, genus2_B_algebra,
                            punctured_plane_algebra, reduced_generators,
                            so3_mod2_algebra, sphere_mod2_model,
                            surface_cohomology, totaro_algebra)
-from tcsurf.presentation import (AlgebraPresentation, quotient, tensor_square)
+from tcsurf.presentation import (AlgebraPresentation, TensorSquareAlgebra,
+                                 quotient, tensor_square)
 from tcsurf.zcl import (bar_generators, bar_product_certificate,
                         case_certificate, certificate_product, cup_length,
                         e2_probe, mod_ideal_quotient, zcl_exact,
@@ -57,6 +58,22 @@ def test_integral_coefficients_stay_ints_through_zcl_exact():
     assert case_certificate("torus", 3).to_json()["coefficient"] == "-1"
     assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2"
     assert QQ.fmt(-1) == QQ.fmt(Fraction(-1)) == "-1"
+
+
+def test_power_iteration_multiplies_only_ordered_products(monkeypatch):
+    """Each span basis element is multiplied only by the generators at or
+    below its first factor: totaro(g=1,n=4) takes 510 tensor products,
+    where multiplying every basis element by every generator took 2,040."""
+    calls = []
+    multiply = TensorSquareAlgebra.multiply
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return multiply(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorSquareAlgebra, "multiply", counted)
+    assert zcl_exact(totaro_algebra(1, 4)).value == 8
+    assert len(calls) < 600
 
 
 def test_zcl_variants_agree():
