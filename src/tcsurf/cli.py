@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: build/zcl return 0 on success; groebner-check returns 1 when
 the set is not a Groebner basis; tc returns 1 when any computed row is not
-tight (unverified rows do not fail the sweep); usage and model errors, and
-presentation files that cannot be read or parsed, return 2.
+tight (unverified and over-budget rows do not fail a sweep); usage and model
+errors, and presentation files that cannot be read or parsed, return 2.
 """
 
 from __future__ import annotations

@@ -14,13 +14,15 @@ tag ("cited" for known inputs, "dimension" or "product" for the bound rule
 applied, "derived" for values this package computed).  Status is "tight"
 when lower = theorem = upper, "gap" otherwise, and "unverified" when no
 model algebra is wired for the input (the closed form is still shown).
+A sweep row whose model exceeds the quotient budget is "over-budget": no
+lower bound, and the refusal, naming the degree, as its first fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AlgebraError, ModelInconsistencyError
+from .errors import AlgebraError, ModelInconsistencyError, ResourceBudgetError
 from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
@@ -169,7 +171,7 @@ class TcReport:
     lower: int | None
     upper: int
     theorem: int
-    status: str  # tight | gap | unverified
+    status: str  # tight | gap | unverified | over-budget
     method: str
     facts: list = dc_field(default_factory=list)
     product_tc: int = None
@@ -200,10 +202,8 @@ def tc_report(g: int, n: int, m: int = 0,
         raise AlgebraError(f"unknown method: {method}")
     got = _lower(g, n, m, method)
     if got is None:
-        note = TcFact("no model algebra is wired for this input; "
-                      "closed-form value shown unverified", theorem, "cited")
-        return TcReport(g, n, m, None, upper, theorem, "unverified",
-                        "unverified", [note] + ufacts, ptc)
+        return _row_without_lower(g, n, m, "unverified", "unverified",
+                                  "no model algebra is wired for this input")
     zlow, lfacts = got
     lower = zlow + 1
     if not (lower <= theorem <= upper):
@@ -215,6 +215,15 @@ def tc_report(g: int, n: int, m: int = 0,
                     lfacts + ufacts, ptc)
 
 
+def _row_without_lower(g, n, m, status, method, reason) -> TcReport:
+    """A row with no lower bound: the reason, then the upper-bound facts."""
+    theorem = tc_theorem(g, n, m)
+    upper, ufacts = upper_bound(g, n, m)
+    note = TcFact(f"{reason}; closed-form value shown unverified", theorem, "cited")
+    return TcReport(g, n, m, None, upper, theorem, status, method,
+                    [note] + ufacts, product_space_tc(g, n))
+
+
 def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
     """Reports for every 0 <= g <= gmax, 1 <= n <= nmax, 0 <= m <= mmax."""
     if gmax < 0 or nmax < 1 or mmax < 0:
@@ -223,10 +232,14 @@ def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
             for m in range(mmax + 1):
-                out.append(tc_report(g, n, m, method=method))
+                try:
+                    out.append(tc_report(g, n, m, method=method))
+                except ResourceBudgetError as err:
+                    out.append(_row_without_lower(g, n, m, "over-budget",
+                                                  method, str(err)))
     return out
 
 
 def all_tight(reports) -> bool:
-    """True when no computed row shows a gap (unverified rows do not count)."""
+    """True when no row shows a gap; unverified and over-budget rows pass."""
     return all(r.status != "gap" for r in reports)

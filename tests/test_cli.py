@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tcsurf import cli
+from tcsurf import cli, presentation
 from tcsurf.errors import ModelInconsistencyError
 from tcsurf.models import arnold_algebra
 from tcsurf.presentation import quotient
@@ -130,6 +130,17 @@ def test_tc_sweep_exit_code_and_table():
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     assert len(lines) == 4
     assert all("tight" in l for l in lines)
+
+
+def test_tc_sweep_prints_over_budget_rows_and_exits_zero(monkeypatch, capsys):
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 200)
+    assert cli.main(["tc", "--sweep", "2", "3", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert lines[-1].startswith("g=2 n=3 m=0  lower=? upper=9 theorem=9")
+    assert lines[-1].endswith("over-budget")
+    assert cli.main(["tc", "--g", "2", "--n", "3"]) == 2
+    assert "error: b-sigma(g=2,n=3): degree 3" in capsys.readouterr().err
 
 
 def test_tc_sweep_with_unverified_rows_still_exits_zero():

@@ -1,6 +1,7 @@
 import pytest
 
-from tcsurf.errors import AlgebraError
+from tcsurf import presentation
+from tcsurf.errors import AlgebraError, ResourceBudgetError
 from tcsurf.tcreport import (TcFact, TcReport, all_tight, product_space_tc,
                              sweep, tc_report, tc_theorem, upper_bound)
 
@@ -108,6 +109,24 @@ def test_sweep_rectangle_and_tightness():
     assert all_tight(rows)  # unverified torus m=1 rows do not count as gaps
     computed = [r for r in rows if r.status != "unverified"]
     assert computed and all(r.status == "tight" for r in computed)
+
+
+def test_sweep_marks_a_row_over_the_budget(monkeypatch):
+    # b-sigma(g=2,n=3) is the one model of this rectangle whose quotient
+    # needs more than 200 columns plus relation products in a degree
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 200)
+    rows = sweep(2, 3, 0)
+    over = [r for r in rows if r.status == "over-budget"]
+    assert [(r.g, r.n, r.m) for r in over] == [(2, 3, 0)]
+    row = over[0]
+    assert row.lower is None and row.upper == row.theorem == 9
+    assert row.facts[0].description.startswith(
+        "b-sigma(g=2,n=3): degree 3 needs up to 504 columns")
+    assert row.to_json()["status"] == "over-budget"
+    assert all(r.status == "tight" for r in rows if r is not row)
+    assert all_tight(rows)
+    with pytest.raises(ResourceBudgetError, match="degree 3"):
+        tc_report(2, 3, 0)
 
 
 def test_sweep_validates_bounds():
