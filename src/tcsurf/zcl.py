@@ -2,11 +2,9 @@
 
 zcl A is the largest q with a nonzero q-fold product inside ker(mu), where
 mu: A (x) A -> A is multiplication.  Exact values come from ordered power
-iteration: a product of homogeneous elements reorders, up to sign, to
-ascending factor indices, so each step multiplies a kept product only by
-the multipliers at or below its first factor.  The named certificate cases
-verify one explicit nonzero product each by full expansion and
-witness-coefficient extraction.
+iteration, which multiplies each kept product only by the multipliers at
+or below its first factor; the named certificate cases verify one explicit
+nonzero product each by full expansion and witness-coefficient extraction.
 
 Since ker(mu) is the two-sided ideal generated by the bar classes
 x (x) 1 - 1 (x) x of the algebra generators (induction on monomial length
@@ -106,8 +104,11 @@ def zero_divisor_subspace(A):
     for d in range(T.top + 1):
         pairs = T.basis[d]
         ncols = A.dim(d) if d <= A.top_nonzero else 0
-        images = [{A.basis_index[d][m]: c for m, c in A.mul_basis(m1, m2).items()}
-                  if ncols else {} for m1, m2 in pairs]
+        images = []
+        for (m1, m2) in pairs:
+            prod = A.mul_basis(m1, m2)
+            images.append(
+                {A.basis_index[d][m]: c for m, c in prod.items()} if ncols else {})
         out[d] = echelonize(A.field, len(pairs),
                             kernel_basis(A.field, images, ncols))
     return out
@@ -168,8 +169,7 @@ def zcl_exact(A, cap=None, via="generators") -> BoundReport:
     via="kernel-basis" uses a full kernel basis of mu in every degree.
     Both drive the same ideal powers; the first is the fast default, the
     second the literal definition kept for cross-checks.  Step k keeps one
-    product per dimension of the k-th power, each multiplied only by the
-    multipliers at or below its first factor.
+    product of k multipliers per dimension of the k-th power.
     """
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
