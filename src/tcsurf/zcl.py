@@ -80,18 +80,21 @@ class ZclCertificate:
 
 class _GradedSpan:
     """Degreewise echelonized span of homogeneous elements of a graded space
-    that offers field, dims and vectorize(e, d)."""
+    that offers field, dims, term_degree, vectorize and element_from_vec."""
 
     def __init__(self, space):
         self.space = space
         self.subs = {}
 
-    def insert(self, elem) -> bool:
-        """Add a nonzero homogeneous element; True when the span grew."""
-        d = elem.degree()
+    def insert(self, elem):
+        """Add a nonzero homogeneous element; if the span grew, return it on
+        the basis terms, which unlike a product's fresh terms are shared."""
+        space = self.space
+        d = space.term_degree(next(iter(elem.terms)))
         if d not in self.subs:
-            self.subs[d] = new_subspace(self.space.field, self.space.dims[d])
-        return self.subs[d].insert(self.space.vectorize(elem, d))
+            self.subs[d] = new_subspace(space.field, space.dims[d])
+        vec = space.vectorize(elem, d)
+        return space.element_from_vec(vec, d) if self.subs[d].insert(vec) else None
 
 
 def zero_divisor_subspace(A):
@@ -140,7 +143,8 @@ def _power_iterate(space, gens, cap):
     descending order and keeps, tagged i, the products gens[i] * y that grow
     the span; those tagged >= i are a basis of span_k(i), so gens[i]
     multiplies only them.  j = i stays: an even generator can have a
-    nonzero cube.  The kept elements are products, not echelon rows.
+    nonzero cube.  The kept elements are products, not echelon rows, so
+    they stay sparse and, over Q, integral.
     """
     if cap is not None and cap < 1:
         raise AlgebraError(f"cap must be at least 1, got {cap}")
@@ -153,8 +157,8 @@ def _power_iterate(space, gens, cap):
                 if tag < i:
                     break
                 p = gens[i] * y
-                if not p.is_zero() and span.insert(p):
-                    nxt.append((i, p))
+                if not p.is_zero() and (kept := span.insert(p)) is not None:
+                    nxt.append((i, kept))
         if not nxt:
             return k, True
         level = nxt
@@ -168,8 +172,7 @@ def zcl_exact(A, cap=None, via="generators") -> BoundReport:
     via="generators" multiplies by bar classes of the algebra generators;
     via="kernel-basis" uses a full kernel basis of mu in every degree.
     Both drive the same ideal powers; the first is the fast default, the
-    second the literal definition kept for cross-checks.  Step k keeps one
-    product of k multipliers per dimension of the k-th power.
+    second the literal definition kept for cross-checks.
     """
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")

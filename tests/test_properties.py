@@ -15,10 +15,10 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from tcsurf import zcl
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
-from tcsurf import zcl
 from tcsurf.zcl import bar_generators, cup_length, zcl_exact
 
 from .oracles import (gf2_rank, koszul_merge, poly_mul, rational_rank,
