@@ -26,8 +26,7 @@ from .models import (ReducedGenerators, arnold_algebra, genus2_B_algebra,
 from .zcl import (BoundReport, E2Report, ZclCertificate,
                   bar_product_certificate, bar_generators, case_certificate,
                   certificate_product, cup_length, e2_probe,
-                  mod_ideal_quotient, zcl_exact, zero_divisor_elements,
-                  zero_divisor_subspace)
+                  mod_ideal_quotient, zcl_exact)
 from .groebner import (GbReport, TermOrder, buchberger_check, gb_hilbert,
                        reduce_element, s_polynomial, torus_ideal,
                        torus_ideal_check)
@@ -51,7 +50,7 @@ __all__ = [
     "BoundReport", "E2Report", "ZclCertificate", "bar_product_certificate",
     "bar_generators", "case_certificate", "certificate_product",
     "cup_length", "e2_probe", "mod_ideal_quotient",
-    "zcl_exact", "zero_divisor_elements", "zero_divisor_subspace",
+    "zcl_exact",
     "GbReport", "TermOrder", "buchberger_check", "gb_hilbert",
     "reduce_element", "s_polynomial", "torus_ideal", "torus_ideal_check",
     "TcFact", "TcReport", "all_tight", "product_space_tc", "sweep",

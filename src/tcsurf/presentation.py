@@ -23,7 +23,6 @@ Koszul sign rule, Poincare duality data, and the diagonal class.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 
 from .errors import (
     AlgebraError,
@@ -350,11 +349,6 @@ class QuotientAlgebra:
             vec[idx[mon]] = c
         return vec
 
-    def element_from_vec(self, vec, d: int) -> Element:
-        basis = self.basis[d]
-        field = self.field
-        return Element(self, {basis[i]: field.coerce(c) for i, c in vec.items()})
-
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
 
@@ -385,20 +379,15 @@ def convolve(a, b):
 
 
 class TensorSquareAlgebra:
-    """A (x) A with the Koszul sign rule, basis = pairs of basis monomials.
+    """A (x) A with the Koszul sign rule; its terms are pairs of basis
+    monomials.
 
-    The square holds only its dims and its lazy pair bases; every product
+    The square holds only its dims, computed on construction as the
+    convolution of the leg dimensions; it lists no pairs.  Every product
     reads both legs from A.mul_basis, which caches them.  On a truncated
     quotient (built only through some degree cap) the legs stop at the
     built range, and a product whose legs would leave it raises
     TruncationError from A.reduce_free, so callers prune with a bound.
-
-    dims is computed on construction, as the convolution of the leg
-    dimensions.  The pair lists basis[d] and their position dicts index[d]
-    are built, for every degree at once, the first time they are read:
-    only coordinates (vectorize, element_from_vec) and the kernel of mu
-    need them.  Certificate expansion (tensor, bar, multiply, mu) reads
-    neither, so it never pays for the quadratically many pairs.
     """
 
     def __init__(self, A: QuotientAlgebra):
@@ -410,21 +399,6 @@ class TensorSquareAlgebra:
         self.label = f"{A.label} (x) {A.label}"
         legs = [A.dim(e) for e in range(leg_top + 1)]
         self.dims = convolve(legs, legs)
-
-    @cached_property
-    def basis(self):
-        """basis[d]: the pairs (m1, m2) of total degree d, by ascending |m1|."""
-        A, leg_top = self.A, self.leg_top
-        return [[(m1, m2)
-                 for e in range(max(0, d - leg_top), min(d, leg_top) + 1)
-                 for m1 in A.basis_monomials(e)
-                 for m2 in A.basis_monomials(d - e)]
-                for d in range(self.top + 1)]
-
-    @cached_property
-    def index(self):
-        """index[d]: pair -> its position in basis[d]."""
-        return [{p: i for i, p in enumerate(pairs)} for pairs in self.basis]
 
     def pair_degree(self, pair):
         deg = self.A.basis_degree
@@ -495,20 +469,6 @@ class TensorSquareAlgebra:
         for (m1, m2), c in t.terms.items():
             add_scaled(self.field, acc, self.A.mul_basis(m1, m2), c)
         return Element(self.A, acc)
-
-    def vectorize(self, t: Element, d: int):
-        idx = self.index[d]
-        vec = {}
-        for pair, c in t.terms.items():
-            if self.pair_degree(pair) != d:
-                raise HomogeneityError("vectorize needs a homogeneous tensor element")
-            vec[idx[pair]] = c
-        return vec
-
-    def element_from_vec(self, vec, d: int) -> Element:
-        basis = self.basis[d]
-        field = self.field
-        return Element(self, {basis[i]: field.coerce(c) for i, c in vec.items()})
 
     def __repr__(self):
         return f"TensorSquareAlgebra({self.A.label}, dims={self.dims})"

@@ -9,16 +9,17 @@ nonzero product each by full expansion and witness-coefficient extraction.
 Since ker(mu) is the two-sided ideal generated by the bar classes
 x (x) 1 - 1 (x) x of the algebra generators (induction on monomial length
 via (uv)bar = ubar (v (x) 1) + (1 (x) u) vbar), the power Z^q is nonzero
-exactly when some q-fold product of bar generators is nonzero.  The default
-iteration therefore multiplies by bar generators only; via="kernel-basis"
-runs the same loop with a full kernel basis instead, as a cross-check.
+exactly when some q-fold product of bar generators is nonzero, and the
+iteration multiplies by bar generators only.  tests/oracles.py holds the
+cross-check that iterates with a full kernel basis of mu instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, CertificateError, TruncationError
+from .errors import (AlgebraError, CertificateError, HomogeneityError,
+                     TruncationError)
 from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
 from .models import (
@@ -80,50 +81,39 @@ class ZclCertificate:
 
 class _GradedSpan:
     """Degreewise echelonized span of homogeneous elements of a graded space
-    that offers field, dims, term_degree, vectorize and element_from_vec."""
+    that offers field, dims and term_degree.
+
+    Each degree numbers its own columns: a term gets the next one the first
+    time the span meets it, so no basis of the whole space is listed.  A
+    span's rank does not depend on its column order.
+    """
 
     def __init__(self, space):
         self.space = space
         self.subs = {}
+        self.cols = {}   # degree -> (term -> column, terms by column)
 
     def insert(self, elem):
         """Add a nonzero homogeneous element; if the span grew, return it on
-        the basis terms, which unlike a product's fresh terms are shared."""
+        the span's terms, which unlike a product's fresh terms are shared."""
         space = self.space
         d = space.term_degree(next(iter(elem.terms)))
         if d not in self.subs:
             self.subs[d] = new_subspace(space.field, space.dims[d])
-        vec = space.vectorize(elem, d)
-        return space.element_from_vec(vec, d) if self.subs[d].insert(vec) else None
-
-
-def zero_divisor_subspace(A):
-    """Per-degree kernel of mu: (A (x) A)^d -> A^d, as echelonized subspaces."""
-    if not A.exhaustive:
-        raise TruncationError(
-            f"zero_divisor_subspace needs a fully constructed algebra: {A.label}")
-    T = tensor_square(A)
-    out = {}
-    for d in range(T.top + 1):
-        pairs = T.basis[d]
-        ncols = A.dim(d) if d <= A.top_nonzero else 0
-        images = []
-        for (m1, m2) in pairs:
-            prod = A.mul_basis(m1, m2)
-            images.append(
-                {A.basis_index[d][m]: c for m, c in prod.items()} if ncols else {})
-        out[d] = echelonize(A.field, len(pairs),
-                            kernel_basis(A.field, images, ncols))
-    return out
-
-
-def zero_divisor_elements(A):
-    """Kernel bases from zero_divisor_subspace, as tensor-square elements:
-    the primitive rows, which over Q have int entries."""
-    T = tensor_square(A)
-    return [T.element_from_vec(row, d)
-            for d, sub in zero_divisor_subspace(A).items()
-            for row in sub.rows_primitive()]
+            self.cols[d] = ({}, [])
+        index, terms = self.cols[d]
+        vec = {}
+        for t, c in elem.terms.items():
+            if space.term_degree(t) != d:
+                raise HomogeneityError("a span needs homogeneous elements")
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(terms)
+                terms.append(t)
+            vec[j] = c
+        if not self.subs[d].insert(vec):
+            return None
+        return Element(space, {terms[j]: c for j, c in vec.items()})
 
 
 def bar_generators(A):
@@ -146,6 +136,8 @@ def _power_iterate(space, gens, cap):
     nonzero cube.  The kept elements are products, not echelon rows, so
     they stay sparse and, over Q, integral.
     """
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+        raise AlgebraError(f"cap must be an integer, got {cap!r}")
     if cap is not None and cap < 1:
         raise AlgebraError(f"cap must be at least 1, got {cap}")
     level = [(len(gens), space.one())]
@@ -166,24 +158,14 @@ def _power_iterate(space, gens, cap):
     return k, False
 
 
-def zcl_exact(A, cap=None, via="generators") -> BoundReport:
-    """Zero-divisor cup length by ordered power iteration (_power_iterate).
-
-    via="generators" multiplies by bar classes of the algebra generators;
-    via="kernel-basis" uses a full kernel basis of mu in every degree.
-    Both drive the same ideal powers; the first is the fast default, the
-    second the literal definition kept for cross-checks.
-    """
+def zcl_exact(A, cap=None) -> BoundReport:
+    """Zero-divisor cup length by ordered power iteration (_power_iterate)
+    over the bar classes of the algebra generators."""
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
-    if via == "generators":
-        mult = bar_generators(A)
-    elif via == "kernel-basis":
-        mult = zero_divisor_elements(A)
-    else:
-        raise AlgebraError(f"unknown zcl variant: {via}")
-    value, exact = _power_iterate(tensor_square(A), mult, cap)
-    return BoundReport("zcl", value, exact, "power-iteration", A.label, variant=via)
+    value, exact = _power_iterate(tensor_square(A), bar_generators(A), cap)
+    return BoundReport("zcl", value, exact, "power-iteration", A.label,
+                       variant="generators")
 
 
 def cup_length(A, cap=None) -> BoundReport:

@@ -1,7 +1,9 @@
 """Independent oracles the tests freeze expected values against.
 
 Everything here is deliberately naive and separate from the package:
-different algorithms, different data layout, no shared helpers.
+different algorithms, different data layout, no shared helpers.  The
+kernel and power-iteration oracles take their products from the package
+but do their own enumeration and elimination.
 """
 
 from fractions import Fraction
@@ -9,6 +11,9 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 import sympy
+
+from tcsurf.exterior import Element
+from tcsurf.presentation import tensor_square
 
 
 def poly_mul(a, b):
@@ -269,6 +274,45 @@ def unordered_power_iteration(seeds, multipliers, char, cap=None):
             return k, True, dims
         k += 1
     return k, False, dims
+
+
+def tensor_pairs(A, d):
+    """The pairs (m1, m2) of basis monomials of A of total degree d, by
+    ascending degree of m1; on a truncated A only legs it has built."""
+    top = A.built_top
+    return [(m1, m2) for e in range(max(0, d - top), min(d, top) + 1)
+            for m1 in A.basis_monomials(e) for m2 in A.basis_monomials(d - e)]
+
+
+def kernel_of_mu(A):
+    """{d: a basis of ker(mu: (A (x) A)^d -> A^d)} as package elements of
+    the tensor square.
+
+    Pair i of degree d gets the row [image of mu | unit vector i], its image
+    read from A.mul_basis over the columns of A^d; the rows of the reduced
+    echelon form (rref_rational or rref_gf2) whose pivot lies past those
+    columns are the kernel.  mu is onto (a (x) 1 -> a), so each kernel has
+    dimension T.dims[d] - dim A^d, which is asserted.
+    """
+    T = tensor_square(A)
+    out = {}
+    for d in range(T.top + 1):
+        pairs = tensor_pairs(A, d)
+        col = {m: i for i, m in enumerate(A.basis_monomials(d))}
+        m = len(col)
+        vectors = []
+        for i, (m1, m2) in enumerate(pairs):
+            row = {col[mon]: c for mon, c in A.mul_basis(m1, m2).items()}
+            row[m + i] = 1
+            vectors.append(row)
+        if A.field.char == 2:
+            rows = {p: dict.fromkeys(row, 1) for p, row in rref_gf2(vectors).items()}
+        else:
+            rows = rref_rational(vectors)
+        out[d] = [Element(T, {pairs[c - m]: v for c, v in row.items()})
+                  for p, row in sorted(rows.items()) if p >= m]
+        assert len(out[d]) == T.dims[d] - A.dim(d), (A.label, d)
+    return out
 
 
 def quotient_by_full_elimination(degrees, char, relations, through):
