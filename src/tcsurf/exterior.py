@@ -1,7 +1,9 @@
 """Free supercommutative algebras on graded generators.
 
 A monomial is a sorted tuple of generator ids; a repeated id means a power.
-Elements are sparse dicts monomial -> scalar.  Products follow the sign rule
+Elements are sparse dicts monomial -> scalar.  Bulk loops pack monomials
+into int exponent vectors (FreeAlgebra.pack), where a product is an add and
+a divisibility test a subtract.  Products follow the sign rule
 
     (u1 x v1) * (u2 x v2) = (-1)^(|v1||u2|) u1u2 x v1v2
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MismatchError
+from .errors import AlgebraError, MismatchError
 from .fields import Field
 
 
@@ -49,6 +51,7 @@ class FreeAlgebra:
         self.names = tuple(g.name for g in self.generators)
         self.by_name = {g.name: g.gid for g in self.generators}
         self._mon_cache = {}
+        self._odd_fields = {}  # width -> low bits of the odd generators' fields
 
     # -- monomials ---------------------------------------------------------
 
@@ -61,21 +64,46 @@ class FreeAlgebra:
             return 1, m2
         if not m2:
             return 1, m1
-        odd = self.odd
-        if self.field.char != 2:
-            # sign: one flip per pair of odd generators that passes another
-            flips = 0
-            for g in m2:
-                if odd[g]:
-                    flips += sum(1 for h in m1 if h > g and odd[h])
-            merged = sorted(m1 + m2)
-            prev = -1
-            for g in merged:
-                if g == prev and odd[g]:
-                    return None
-                prev = g
-            return (-1 if flips % 2 else 1), tuple(merged)
-        return 1, tuple(sorted(m1 + m2))
+        odd1, _ = self.odd_bits(m1, 1)
+        odd2, above2 = self.odd_bits(m2, 1)
+        if odd1 & odd2:
+            return None
+        sign = -1 if (odd1 & above2).bit_count() & 1 else 1
+        return sign, tuple(sorted(m1 + m2))
+
+    def pack(self, mons, w):
+        """Each monomial as an exponent vector in one int: the exponent of
+        generator g sits in the w-bit field at offset w*g.  The sum of two
+        packed monomials is their product's, as long as no field
+        overflows."""
+        units = [1 << (w * g) for g in range(self.ngens)]
+        return [sum(map(units.__getitem__, m)) for m in mons]
+
+    def odd_bits(self, mon, w):
+        """(odd, above) for a monomial, as bits of vectors packed at width w.
+
+        odd holds the low bit of the field of each odd generator of mon;
+        above holds the low bit of the field of each odd generator h with an
+        odd number of mon's odd generators below h.  For a monomial p
+        packed at width w whose odd generators have exponent at most 1,
+        p * mon is zero when p & odd is nonzero, and otherwise carries the
+        sign (-1)^popcount(p & above): moving mon's odd generators into
+        place passes each odd generator of p above them once.  Over a field
+        of characteristic 2 there are no signs, and both are 0.
+        """
+        if self.field.char == 2:
+            return 0, 0
+        every = self._odd_fields.get(w)
+        if every is None:
+            every = self._odd_fields[w] = sum(
+                1 << (w * g) for g, o in enumerate(self.odd) if o)
+        odd = above = 0
+        for g in mon:
+            if self.odd[g]:
+                low = 1 << (w * g)
+                odd |= low
+                above ^= every & -(low << w)
+        return odd, above
 
     def monomials_of_degree(self, d, avoid=frozenset()):
         """The monomials of total degree d that no monomial of avoid divides,
@@ -88,8 +116,12 @@ class FreeAlgebra:
         Dropping the last generator keeps a monomial outside the multiples
         of avoid, so the recurrence runs over those survivors alone; an
         extension m + (g,) is skipped when a monomial of avoid that ends in
-        g divides it, the only way a multiple can arise from a survivor m.
-        The result is cached per (d, avoid).
+        g divides it, that is, when the rest of that monomial divides m.
+        The test runs on packed exponent vectors (see pack) with a guard
+        bit on top of each field: with G the guard bits, rest divides m
+        exactly when ((m | G) - rest) & G == G, since a field borrows from
+        its own guard bit and never further.  The field width covers both
+        d and the exponents of avoid.  The result is cached per (d, avoid).
         """
         key = (d, avoid)
         out = self._mon_cache.get(key)
@@ -99,19 +131,27 @@ class FreeAlgebra:
             out = [()] if d == 0 else []
         else:
             char2 = self.field.char == 2
-            kills = _kill_tests(avoid)
+            w = max([d, *map(len, avoid)]).bit_length() + 1
+            guard = sum(1 << (w * g + w - 1) for g in range(self.ngens))
+            rests = {}
+            for k in avoid:
+                rests.setdefault(k[-1], []).append(k[:-1])
+            packed = {}  # lower degree -> its survivors packed, with guard bits
             out = []
             for g, dg in enumerate(self.degrees):
                 if dg > d:
                     continue
                 bound = g + 1 if char2 or not self.odd[g] else g
                 lower = self.monomials_of_degree(d - dg, avoid)
-                kill = kills.get(g)
-                if kill is None:
+                if g not in rests:
                     out += [m + (g,) for m in lower if not m or m[-1] < bound]
-                else:
-                    out += [m + (g,) for m in lower
-                            if (not m or m[-1] < bound) and not kill(m)]
+                    continue
+                if dg not in packed:
+                    packed[dg] = [p | guard for p in self.pack(lower, w)]
+                kill = self.pack(rests[g], w)
+                out += [m + (g,) for m, p in zip(lower, packed[dg])
+                        if (not m or m[-1] < bound)
+                        and all((p - r) & guard != guard for r in kill)]
             out.sort()
         self._mon_cache[key] = out
         return out
@@ -161,12 +201,32 @@ class FreeAlgebra:
         return Element(self, {(self.by_name[name],): self.field.one})
 
     def element(self, terms: dict):
+        """An element from monomial -> scalar; zero scalars are dropped.
+
+        Every key must be a monomial in canonical form: an ascending tuple
+        of generator ids, repeating an odd generator only in characteristic
+        2.  Anything else raises AlgebraError.
+        """
         clean = {}
         for mon, c in terms.items():
+            mon = tuple(mon)
+            self._check_monomial(mon)
             c = self.field.coerce(c)
             if c != self.field.zero:
-                clean[tuple(mon)] = c
+                clean[mon] = c
         return Element(self, clean)
+
+    def _check_monomial(self, mon):
+        for g in mon:
+            if type(g) is not int or not 0 <= g < self.ngens:
+                raise AlgebraError(f"{mon!r}: {g!r} is not a generator id "
+                                   f"of {self!r}")
+        for g, h in zip(mon, mon[1:]):
+            if g > h:
+                raise AlgebraError(f"{mon!r} is not in ascending order")
+            if g == h and self.odd[g] and self.field.char != 2:
+                raise AlgebraError(f"{mon!r} repeats the odd generator "
+                                   f"{self.names[g]}")
 
     def multiply(self, e1: "Element", e2: "Element") -> "Element":
         if e1.algebra is not self or e2.algebra is not self:
@@ -179,26 +239,6 @@ class FreeAlgebra:
     def __repr__(self):
         gens = ",".join(self.names)
         return f"FreeAlgebra({self.field.name}; {gens})"
-
-
-def _kill_tests(avoid):
-    """g -> a test of a sorted monomial m: does a monomial of avoid that
-    ends in g divide m + (g,)?  It does when the rest of it divides m as a
-    sub-multiset, that is, for sorted tuples, as a subsequence."""
-    by_last = {}
-    for k in avoid:
-        by_last.setdefault(k[-1], []).append(k[:-1])
-    return {g: _divides_any(rests) for g, rests in by_last.items()}
-
-
-def _divides_any(rests):
-    """A test of a sorted monomial m: is one of the sorted rests a
-    subsequence of it?"""
-    def divides(rest, m):
-        it = iter(m)
-        return all(g in it for g in rest)
-
-    return lambda m: any(divides(r, m) for r in rests)
 
 
 def add_scaled(field: Field, acc: dict, terms: dict, scalar=None):

@@ -166,6 +166,16 @@ class QuotientAlgebra:
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
 
+    The rows of ideal[d] are formed on packed exponent vectors
+    (FreeAlgebra.pack), local to degree d and of width d.bit_length() + 1,
+    wide enough for any exponent of degree <= d.  A survivor of degree
+    d - e times a term of a relation of degree e is one integer add, looked
+    up among the packed survivors of degree d; a product that is killed,
+    or that repeats an odd generator over Q, is no survivor and is dropped.
+    Its Koszul sign is the parity of one popcount (FreeAlgebra.odd_bits).
+    The rows come relation by relation, each over the survivors in
+    ascending order, with the same entries as FreeAlgebra.mul_mon gives.
+
     Before degree d is enumerated, the degrees below it bound its work.
     A survivor is a survivor of lower degree times its last generator g, so
     degree d has at most the sum over g of len(mons[d - |g|]) columns; it
@@ -213,7 +223,7 @@ class QuotientAlgebra:
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             self.ideal.append(echelonize(
-                self.field, len(mons), self._ideal_vectors(d, rels, idx, killed)))
+                self.field, len(mons), self._ideal_vectors(d, rels, mons, killed)))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
             self.mons.append(mons)
@@ -232,17 +242,28 @@ class QuotientAlgebra:
             not capped and natural is not None and bound == natural)
         self._mul_cache = {}
 
-    def _ideal_vectors(self, d, rels, idx, killed):
+    def _ideal_vectors(self, d, rels, mons, killed):
         """Each relation times each surviving monomial of the complementary
-        degree, over the degree-d survivors: killed products are dropped.
-        A killed multiplier is left out, since its products are all killed."""
-        free = self.free
+        degree, over the degree-d survivors mons, on packed vectors (see the
+        class docstring).  A killed multiplier is left out, since its
+        products are all killed."""
+        free, neg = self.free, self.field.neg
+        w = d.bit_length() + 1
+        cols = {p: i for i, p in enumerate(free.pack(mons, w))}
+        lower = {}
         for e, r in rels:
             if e > d:
                 continue
-            for m in free.monomials_of_degree(d - e, killed):
-                vec = {idx[mon]: c for mon, c in free.mon_times(m, r.terms).items()
-                       if mon in idx}
+            terms = [(p, c, neg(c), free.odd_bits(t, w)[1])
+                     for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
+            if d - e not in lower:
+                lower[d - e] = free.pack(free.monomials_of_degree(d - e, killed), w)
+            for pm in lower[d - e]:
+                vec = {}
+                for pt, c, nc, above in terms:
+                    col = cols.get(pm + pt)
+                    if col is not None:
+                        vec[col] = nc if (pm & above).bit_count() & 1 else c
                 if vec:
                     yield vec
 

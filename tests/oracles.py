@@ -360,6 +360,27 @@ def quotient_by_full_elimination(degrees, char, relations, through):
     return out
 
 
+def full_elimination_mismatches(A):
+    """Degrees where the quotient A's basis or some free monomial's normal
+    form differs from quotient_by_full_elimination of its presentation."""
+    pres, free = A.presentation, A.free
+    want = quotient_by_full_elimination(
+        free.degrees, A.field.char, [r.terms for r in pres.relations],
+        A.built_top)
+    assert len(want) == len(A.dims)
+    bad = []
+    for d, (basis, normal) in enumerate(want):
+        if A.basis[d] != basis or A.dims[d] != len(basis):
+            bad.append(d)
+            continue
+        for m, residue in normal.items():
+            got = A.reduce_free(free.element({m: 1})).terms
+            if {k: Fraction(v) for k, v in got.items()} != residue:
+                bad.append(d)
+                break
+    return bad
+
+
 def tuple_order_key(rank, mon):
     """Degree-lexicographic key of a squarefree monomial under the ranks
     rank[g]: its size, then its ranks sorted from the largest down."""

@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
+from tcsurf.errors import AlgebraError
 from tcsurf.exterior import FreeAlgebra, add_scaled
 from tcsurf.fields import GF2, QQ
+from tcsurf.presentation import AlgebraPresentation, quotient
 
 from .oracles import koszul_merge, monomials_by_multisets
 
@@ -120,6 +122,35 @@ def test_monomials_avoiding_match_the_filtered_oracle(field, gens, avoid):
         assert up.monomials_of_degree(d, avoid) == want, d
         assert down.monomials_of_degree(d, avoid) == want, d
         assert up.monomials_of_degree(d) == every, d
+
+
+@pytest.mark.parametrize("mon", [(1, 0), (0, 0), (3,), (-1,), (0, 2, 1),
+                                 (True,), ("a",)],
+                         ids=["reversed", "odd-square", "out-of-range",
+                              "negative", "unsorted", "bool", "name"])
+def test_element_refuses_non_canonical_monomials(ext3, mon):
+    with pytest.raises(AlgebraError):
+        ext3.element({mon: 1})
+
+
+def test_element_keeps_canonical_powers():
+    F = FreeAlgebra(QQ, [("a", 1), ("w", 2)])
+    assert F.element({(1, 1): 2}) == 2 * F.gen("w") * F.gen("w")
+    G = FreeAlgebra(GF2, [("a", 1), ("b", 1)])
+    assert G.element({(0, 0): 1}) == G.gen("a") * G.gen("a")
+    with pytest.raises(AlgebraError):
+        G.element({(1, 0, 0): 1})
+
+
+def test_a_reversed_key_is_no_relation():
+    # b*a + a*b is zero: read with (1, 0) as a monomial of its own, it
+    # would kill the top class and give [1, 2, 0]
+    F = FreeAlgebra(QQ, [("a", 1), ("b", 1)])
+    a, b = F.gen("a"), F.gen("b")
+    with pytest.raises(AlgebraError):
+        F.element({(1, 0): 1})
+    pres = AlgebraPresentation(F, [b * a + a * b], top_degree=2)
+    assert quotient(pres).hilbert() == [1, 2, 1]
 
 
 def test_homogeneous_parts_and_degree(ext3):

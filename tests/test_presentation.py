@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,7 @@ from tcsurf.presentation import (AlgebraPresentation, convolve, diagonal_class,
                                  tensor_square)
 from tcsurf.zcl import mod_ideal_quotient, zcl_exact
 
-from .oracles import poly_mul, quotient_by_full_elimination, tensor_pairs
+from .oracles import full_elimination_mismatches, poly_mul, tensor_pairs
 
 
 def torus_presentation():
@@ -298,6 +297,21 @@ def test_boolean_top_degree_is_refused():
             AlgebraPresentation(free, [], top_degree=bad)
 
 
+def _gf2_power_killed(k, top_degree):
+    """One GF(2) generator a of degree 1 with a^k = 0."""
+    F = FreeAlgebra(GF2, [("a", 1)])
+    return AlgebraPresentation(F, [F.element({(0,) * k: 1})],
+                               top_degree=top_degree)
+
+
+def _gf2_a2_is_b():
+    """GF(2) on a of degree 1 and b of degree 2 with a^2 = b and a^8 = 0."""
+    F = FreeAlgebra(GF2, [("a", 1), ("b", 2)])
+    a, b = F.gen("a"), F.gen("b")
+    return AlgebraPresentation(F, [a * a + b, F.element({(0,) * 8: 1})],
+                               top_degree=9)
+
+
 QUOTIENTS = {
     "surface2-Q": lambda: quotient(surface_cohomology(2, QQ)),
     "surface3-Q": lambda: quotient(surface_cohomology(3, QQ)),
@@ -310,34 +324,17 @@ QUOTIENTS = {
     "sphere5": lambda: sphere_mod2_model(5),
     "so3": so3_mod2_algebra,
     "arnold4-GF2": lambda: quotient(arnold_algebra(4, GF2)),
+    # exponents reach 8, a power of two, at the edge of a packed field
+    "a8-GF2": lambda: quotient(_gf2_power_killed(8, top_degree=9)),
+    "sphere-Q": lambda: quotient(surface_cohomology(0, QQ)),
+    # a^2 and b fill packed fields whose widths differ by a power of two
+    "a2-is-b-GF2": lambda: quotient(_gf2_a2_is_b()),
 }
-
-
-def _full_elimination_mismatches(A):
-    """Degrees where A's basis or some free monomial's normal form differs
-    from the oracle that eliminates every free monomial times every
-    relation."""
-    pres, free = A.presentation, A.free
-    want = quotient_by_full_elimination(
-        free.degrees, A.field.char, [r.terms for r in pres.relations],
-        A.built_top)
-    assert len(want) == len(A.dims)
-    bad = []
-    for d, (basis, normal) in enumerate(want):
-        if A.basis[d] != basis or A.dims[d] != len(basis):
-            bad.append(d)
-            continue
-        for m, residue in normal.items():
-            got = A.reduce_free(free.element({m: 1})).terms
-            if {k: Fraction(v) for k, v in got.items()} != residue:
-                bad.append(d)
-                break
-    return bad
 
 
 @pytest.mark.parametrize("build", QUOTIENTS.values(), ids=QUOTIENTS.keys())
 def test_quotient_matches_full_elimination(build):
-    assert _full_elimination_mismatches(build()) == []
+    assert full_elimination_mismatches(build()) == []
 
 
 @pytest.mark.parametrize("build", [QUOTIENTS["surface2-Q"],
@@ -352,4 +349,4 @@ def test_killing_a_multi_term_relation_breaks_the_comparison(build, monkeypatch)
         return killed | {min(r.terms)}, rest
 
     monkeypatch.setattr(presentation, "split_relations", mutated)
-    assert _full_elimination_mismatches(build())
+    assert full_elimination_mismatches(build())

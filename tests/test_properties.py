@@ -1,7 +1,8 @@
 """Differential property tests on small random homogeneous presentations.
 
 Quotient dimensions are checked against the rank of the Macaulay matrix
-computed by the independent oracles; zcl_exact is checked against the
+computed by the independent oracles, and quotient bases and normal forms
+against the oracles' elimination over every free monomial; zcl_exact is checked against the
 oracles' power iteration with a full kernel basis of mu, and zcl_exact and
 cup_length against their unordered power iteration; tensor-square
 dimensions, computed without listing pairs, are checked against the leg
@@ -21,8 +22,9 @@ from tcsurf.fields import GF2, QQ
 from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.zcl import bar_generators, cup_length, zcl_exact
 
-from .oracles import (gf2_rank, kernel_of_mu, koszul_merge, poly_mul,
-                      rational_rank, tensor_pairs, unordered_power_iteration)
+from .oracles import (full_elimination_mismatches, gf2_rank, kernel_of_mu,
+                      koszul_merge, poly_mul, rational_rank, tensor_pairs,
+                      unordered_power_iteration)
 
 FIELDS = {"Q": QQ, "GF2": GF2}
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -127,6 +129,13 @@ def test_quotient_dims_match_macaulay_rank_over_q(pres):
 @given(presentations(GF2, st.sampled_from([1, 1, 2])))
 def test_quotient_dims_match_macaulay_rank_over_gf2(pres):
     check_dims(pres)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: presentations(FIELDS[name], st.sampled_from([1, 1, 2]))))
+def test_bases_and_normal_forms_match_full_elimination(pres):
+    assert full_elimination_mismatches(quotient(pres)) == []
 
 
 @SETTINGS
