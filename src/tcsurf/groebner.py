@@ -90,23 +90,28 @@ def _order_algebra(order: TermOrder, elements) -> FreeAlgebra:
 _PICKS = {"lead": max, "low": min}
 
 
+def _lead_table(relations, order: TermOrder):
+    """(lead as a set, lead, relation) for each relation under the order."""
+    return [(set(lmon), lmon, r) for r in relations for lmon in (order.lead(r),)]
+
+
 def reduce_element(e: Element, relations, order: TermOrder,
-                   strategy: str = "lead") -> Element:
+                   strategy: str = "lead", *, leads=None) -> Element:
     """Normal form of e against the relations under the order.
 
     strategy picks which reducible monomial to clear next: "lead" takes the
     largest, "low" the smallest.  With a Groebner basis both sequences end
     at the same normal form; that is a tested property, not an assumption.
+    leads, when given, is _lead_table(relations, order), which a caller that
+    reduces many elements against one order builds once.
     """
     pick = _PICKS.get(strategy)
     if pick is None:
         raise AlgebraError(f"unknown reduction strategy: {strategy}")
     free = _order_algebra(order, [e, *relations])
     field = free.field
-    leads = []
-    for r in relations:
-        lmon = order.lead(r)
-        leads.append((set(lmon), lmon, r))
+    if leads is None:
+        leads = _lead_table(relations, order)
     work = dict(e.terms)
     done = {}
     while work:
@@ -176,18 +181,20 @@ def _normal_counts(free: FreeAlgebra, relations, order: TermOrder):
 
 def _run_check(relations, order: TermOrder):
     free = relations[0].algebra
+    leads = _lead_table(relations, order)
     log = []
     ok = True
     for i, f in enumerate(relations):
-        for v in sorted(set(order.lead(f))):
+        for v in leads[i][1]:
             prod = Element(free, free.mon_times((v,), f.terms))
-            rem = reduce_element(prod, relations, order)
+            rem = reduce_element(prod, relations, order, leads=leads)
             log.append((("self", i, free.names[v]), repr(rem)))
             if not rem.is_zero():
                 ok = False
         for j in range(i + 1, len(relations)):
             s = s_polynomial(f, relations[j], order)
-            rem = reduce_element(s, relations, order) if not s.is_zero() else s
+            rem = (reduce_element(s, relations, order, leads=leads)
+                   if not s.is_zero() else s)
             log.append(((i, j), repr(rem)))
             if not rem.is_zero():
                 ok = False

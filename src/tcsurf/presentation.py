@@ -399,13 +399,28 @@ def convolve(a, b):
 # tensor square
 
 
+class _LegOperator(dict):
+    """Basis monomial u -> normal form of a u, as a term dict, for one
+    element a of A; each entry is filled from A.mul_basis on first use."""
+
+    def __init__(self, A: QuotientAlgebra, a: Element):
+        super().__init__()
+        self.A, self.a = A, a
+
+    def __missing__(self, u):
+        hit = self[u] = {}
+        for m, c in self.a.terms.items():
+            add_scaled(self.A.field, hit, self.A.mul_basis(m, u), c)
+        return hit
+
+
 class TensorSquareAlgebra:
     """A (x) A with the Koszul sign rule; its terms are pairs of basis
     monomials.
 
     The square holds only its dims, computed on construction as the
     convolution of the leg dimensions; it lists no pairs.  Every product
-    reads both legs from A.mul_basis, which caches them.  On a truncated
+    reads its legs from A.mul_basis, which caches them.  On a truncated
     quotient (built only through some degree cap) the legs stop at the
     built range, and a product whose legs would leave it raises
     TruncationError from A.reduce_free, so callers prune with a bound.
@@ -483,6 +498,39 @@ class TensorSquareAlgebra:
                     add_scaled(field, acc.setdefault(ml, {}), legs, field.mul(c, cl))
         return Element(self, {(ml, mr): c for ml, row in acc.items()
                               for mr, c in row.items()})
+
+    def bar_multiplier(self, a: Element):
+        """The map t -> bar(a) * t for a nonzero homogeneous a in A, through
+        two leg operators:
+
+            bar(a) * sum c u(x)v = sum c [(a u)(x)v - (-1)^{|a||u|} u(x)(a v)].
+
+        The map keeps a table from each basis monomial u to the normal form
+        of a u, filled from A.mul_basis the first time it meets u, and sums
+        a product into one dict of pairs.  multiply is the general product.
+        """
+        field = self.field
+        add, mul, neg = field.add, field.mul, field.neg
+        deg = self.A.basis_degree
+        a_odd = a.degree() % 2
+        times_a = _LegOperator(self.A, a)
+
+        def multiply(t: Element) -> Element:
+            acc = {}
+            get = acc.get
+            for (u, v), c in t.terms.items():
+                for au, cu in times_a[u].items():
+                    key, x = (au, v), mul(c, cu)
+                    prev = get(key)
+                    acc[key] = x if prev is None else add(prev, x)
+                s = c if a_odd and deg[u] % 2 else neg(c)
+                for av, cv in times_a[v].items():
+                    key, x = (u, av), mul(s, cv)
+                    prev = get(key)
+                    acc[key] = x if prev is None else add(prev, x)
+            return Element(self, {k: c for k, c in acc.items() if c})
+
+        return multiply
 
     def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""

@@ -3,8 +3,10 @@
 zcl A is the largest q with a nonzero q-fold product inside ker(mu), where
 mu: A (x) A -> A is multiplication.  Exact values come from ordered power
 iteration, which multiplies each kept product only by the multipliers at
-or below its first factor; the named certificate cases verify one explicit
-nonzero product each by full expansion and witness-coefficient extraction.
+or below its first factor (strictly below it when that multiplier squares
+to zero), each bar through its two leg operators; the named certificate
+cases verify one explicit nonzero product each by full expansion and
+witness-coefficient extraction.
 
 Since ker(mu) is the two-sided ideal generated by the bar classes
 x (x) 1 - 1 (x) x of the algebra generators (induction on monomial length
@@ -104,10 +106,10 @@ class _GradedSpan:
         index, terms = self.cols[d]
         vec = {}
         for t, c in elem.terms.items():
-            if space.term_degree(t) != d:
-                raise HomogeneityError("a span needs homogeneous elements")
             j = index.get(t)
             if j is None:
+                if space.term_degree(t) != d:
+                    raise HomogeneityError("a span needs homogeneous elements")
                 j = index[t] = len(terms)
                 terms.append(t)
             vec[j] = c
@@ -123,32 +125,36 @@ def bar_generators(A):
     return [b for b in bars if not b.is_zero()]
 
 
-def _power_iterate(space, gens, cap):
+def _power_iterate(space, gens, cap, times):
     """Largest k <= cap with a nonzero k-fold product of gens; (value, exact).
 
-    The space is graded-commutative and the gens are homogeneous, so a
-    product reorders, up to sign, to ascending factor indices.  With
-    span_k(i) the span of the k-fold products of gens[i:], span_{k+1}(i) is
-    the sum over j >= i of gens[j] * span_k(j).  Each step visits i in
-    descending order and keeps, tagged i, the products gens[i] * y that grow
-    the span; those tagged >= i are a basis of span_k(i), so gens[i]
-    multiplies only them.  j = i stays: an even generator can have a
-    nonzero cube.  The kept elements are products, not echelon rows, so
-    they stay sparse and, over Q, integral.
+    times[i](y) is gens[i] * y.  The space is graded-commutative and the
+    gens are homogeneous, so a product reorders, up to sign, to ascending
+    factor indices.  With span_k(i) the span of the k-fold products of
+    gens[i:], span_{k+1}(i) is the sum over j >= i of gens[j] * span_k(j).
+    Each step visits i in descending order and keeps, tagged i, the products
+    gens[i] * y that grow the span; those tagged >= i are a basis of
+    span_k(i), so gens[i] multiplies only them.  A kept element tagged i is
+    gens[i] * y', so when gens[i] squares to zero it kills that element too,
+    and gens[i] multiplies only those tagged above i; a generator with a
+    nonzero square (an even one can have a nonzero cube) keeps j = i.  The
+    kept elements are products, not echelon rows, so they stay sparse and,
+    over Q, integral.
     """
     if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
         raise AlgebraError(f"cap must be an integer, got {cap!r}")
     if cap is not None and cap < 1:
         raise AlgebraError(f"cap must be at least 1, got {cap}")
+    lowest = [i + 1 if (g * g).is_zero() else i for i, g in enumerate(gens)]
     level = [(len(gens), space.one())]
     k = 0
     while cap is None or k < cap:
         span, nxt = _GradedSpan(space), []
         for i in reversed(range(len(gens))):
             for tag, y in level:
-                if tag < i:
+                if tag < lowest[i]:
                     break
-                p = gens[i] * y
+                p = times[i](y)
                 if not p.is_zero() and (kept := span.insert(p)) is not None:
                     nxt.append((i, kept))
         if not nxt:
@@ -160,10 +166,14 @@ def _power_iterate(space, gens, cap):
 
 def zcl_exact(A, cap=None) -> BoundReport:
     """Zero-divisor cup length by ordered power iteration (_power_iterate)
-    over the bar classes of the algebra generators."""
+    over the bar classes of the algebra generators, each multiplying
+    through TensorSquareAlgebra.bar_multiplier."""
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
-    value, exact = _power_iterate(tensor_square(A), bar_generators(A), cap)
+    T = tensor_square(A)
+    gens = [a for a in A.generator_elements() if not a.is_zero()]
+    value, exact = _power_iterate(T, [T.bar(a) for a in gens], cap,
+                                  [T.bar_multiplier(a) for a in gens])
     return BoundReport("zcl", value, exact, "power-iteration", A.label,
                        variant="generators")
 
@@ -173,7 +183,7 @@ def cup_length(A, cap=None) -> BoundReport:
     if not A.exhaustive:
         raise TruncationError(f"cup_length needs a fully constructed algebra: {A.label}")
     gens = [g for g in A.generator_elements() if not g.is_zero()]
-    value, exact = _power_iterate(A, gens, cap)
+    value, exact = _power_iterate(A, gens, cap, [g.__mul__ for g in gens])
     return BoundReport("cl", value, exact, "power-iteration", A.label)
 
 

@@ -198,6 +198,24 @@ def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
         rep.normal_monomial_counts)
 
 
+def test_the_check_takes_each_lead_once_per_order(monkeypatch):
+    """The check builds its lead table once per order: besides that table
+    and the normal counts, only the S-polynomials take leads (two each),
+    where taking every lead in every reduction took 21,564 at n=9."""
+    calls = []
+    lead = TermOrder.lead
+
+    def counted(self, e):
+        calls.append(1)
+        return lead(self, e)
+
+    monkeypatch.setattr(TermOrder, "lead", counted)
+    _, rels, _ = torus_ideal(9)
+    rep = torus_ideal_check(9)
+    assert rep.is_groebner and len(rep.orders_tried) == 1
+    assert len(calls) == 2 * len(rels) + 2 * comb(len(rels), 2)
+
+
 def test_s_polynomial_cancels_the_lcm():
     free, rels, order = torus_ideal(4)
     for i in range(len(rels)):

@@ -166,6 +166,30 @@ def test_mu_is_an_algebra_map():
         assert T.mu(T.multiply(s, t)) == T.mu(s) * T.mu(t)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: quotient(surface_cohomology(1)), so3_mod2_algebra,
+    lambda: quotient(surface_cohomology(0)), lambda: sphere_mod2_model(4)],
+    ids=["torus-Q", "so3-GF2", "sphere-Q", "sphere-mod2-GF2"])
+def test_bar_multiplier_matches_the_general_product(build):
+    """bar_multiplier(a)(t) == multiply(bar(a), t) for every generator a and
+    drawn homogeneous t of every degree.  The torus has odd generators and
+    tensors whose legs differ in parity, so a dropped sign, or a sign taken
+    on the wrong leg, changes its products."""
+    rng = random.Random(5)
+    A = build()
+    T = tensor_square(A)
+    scalars = [1] if A.field is GF2 else [-2, -1, 1, 3]
+    for a in A.generator_elements():
+        times, bar = T.bar_multiplier(a), T.bar(a)
+        assert times(T.one()) == bar
+        for d in range(T.top + 1):
+            pairs = tensor_pairs(A, d)
+            for _ in range(6 if pairs else 0):
+                drawn = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+                t = Element(T, {p: rng.choice(scalars) for p in drawn})
+                assert times(t) == T.multiply(bar, t), (a, t)
+
+
 def test_bar_classes_are_zero_divisors():
     A = totaro_algebra(1, 2)
     T = tensor_square(A)

@@ -19,6 +19,7 @@ from tcsurf.zcl import (bar_generators, bar_product_certificate,
                         e2_probe, mod_ideal_quotient, zcl_exact)
 
 from .oracles import kernel_of_mu, unordered_power_iteration
+from .test_properties import with_span_dims
 
 
 def torus_ring():
@@ -73,19 +74,37 @@ def test_integral_coefficients_stay_ints_through_zcl_exact():
 
 
 def test_power_iteration_multiplies_only_ordered_products(monkeypatch):
-    """Each span basis element is multiplied only by the generators at or
-    below its first factor: totaro(g=1,n=4) takes 510 tensor products,
-    where multiplying every basis element by every generator took 2,040."""
-    calls = []
+    """Each kept product is multiplied only by the bars at or below its
+    first factor, and strictly below it when that bar squares to zero.  The
+    bar kernel forms 255 products for totaro(g=1,n=4) and 1,937 for
+    b-sigma(n=3); keeping the bar's own tag took 510 and 3,294, and
+    multiplying every basis element by every generator took 2,040 and
+    16,284.  The general product only squares each bar, once."""
+    formed, general = [], []
+    bar_multiplier = TensorSquareAlgebra.bar_multiplier
     multiply = TensorSquareAlgebra.multiply
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
+    def counted_bar(self, a):
+        times = bar_multiplier(self, a)
+
+        def counted(t):
+            formed.append(1)
+            return times(t)
+        return counted
+
+    def counted_multiply(self, *args, **kwargs):
+        general.append(1)
         return multiply(self, *args, **kwargs)
 
-    monkeypatch.setattr(TensorSquareAlgebra, "multiply", counted)
-    assert zcl_exact(totaro_algebra(1, 4)).value == 8
-    assert len(calls) < 600
+    monkeypatch.setattr(TensorSquareAlgebra, "bar_multiplier", counted_bar)
+    monkeypatch.setattr(TensorSquareAlgebra, "multiply", counted_multiply)
+    for A, value, products in ((totaro_algebra(1, 4), 8, 255),
+                               (genus2_B_algebra(3), 8, 1937)):
+        formed.clear()
+        general.clear()
+        assert zcl_exact(A).value == value
+        assert len(formed) == products
+        assert len(general) == len(bar_generators(A))
 
 
 def test_power_iteration_spans_number_only_the_terms_they_meet(monkeypatch):
@@ -121,14 +140,23 @@ def test_span_refuses_an_inhomogeneous_element():
 
 
 def test_zcl_variants_agree():
+    """zcl_exact against the unordered iteration over a kernel basis of mu
+    (values) and over the bars (values and per-step span dimensions).  On
+    the sphere S^2 over Q and on sphere_mod2_model(4) some bars have nonzero
+    squares: skipping j = i for every bar would give 1 and 3, not 2 and 5."""
     for A in (torus_ring(), so3_mod2_algebra(), totaro_algebra(1, 2),
               quotient(arnold_algebra(3)),
-              quotient(punctured_plane_algebra(2, 1))):
+              quotient(punctured_plane_algebra(2, 1)),
+              quotient(surface_cohomology(0)), sphere_mod2_model(4)):
+        char = A.field.char
         kernel = [z for zs in kernel_of_mu(A).values() for z in zs]
         a = zcl_exact(A)
-        value, exact, _ = unordered_power_iteration(kernel, kernel, A.field.char)
+        value, exact, _ = unordered_power_iteration(kernel, kernel, char)
         assert a.value == value, A.label
         assert a.exact and exact
+        bars = bar_generators(A)
+        assert with_span_dims(lambda: zcl_exact(A)) == \
+            unordered_power_iteration(bars, bars, char), A.label
 
 
 def test_zcl_rejects_truncated_algebras():
