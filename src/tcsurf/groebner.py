@@ -92,7 +92,11 @@ _PICKS = {"lead": max, "low": min}
 
 def _lead_table(relations, order: TermOrder):
     """(lead as a set, lead, relation) for each relation under the order."""
-    return [(set(lmon), lmon, r) for r in relations for lmon in (order.lead(r),)]
+    leads = []
+    for r in relations:
+        lmon = order.lead(r)
+        leads.append((set(lmon), lmon, r))
+    return leads
 
 
 def reduce_element(e: Element, relations, order: TermOrder,

@@ -515,7 +515,7 @@ class TensorSquareAlgebra:
         a_odd = a.degree() % 2
         times_a = _LegOperator(self.A, a)
 
-        def multiply(t: Element) -> Element:
+        def product(t: Element) -> Element:
             acc = {}
             get = acc.get
             for (u, v), c in t.terms.items():
@@ -530,7 +530,7 @@ class TensorSquareAlgebra:
                     acc[key] = x if prev is None else add(prev, x)
             return Element(self, {k: c for k, c in acc.items() if c})
 
-        return multiply
+        return product
 
     def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""
