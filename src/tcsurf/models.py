@@ -357,8 +357,8 @@ def _check_xJyK_independent(B: QuotientAlgebra):
             m = m * red.ys[k - 1]
         by_degree.setdefault(len(J) + len(K), []).append(m)
     for d, elems in by_degree.items():
-        vecs = [B.vectorize(e, d) for e in elems]
-        span = echelonize(B.field, B.dim(d), vecs)
+        vecs = [{B.index[d][m]: c for m, c in e.terms.items()} for e in elems]
+        span = echelonize(B.field, len(B.index[d]), vecs)
         if span.rank != len(elems):
             raise ModelInconsistencyError(
                 f"{B.label}: x_J y_K monomials dependent in degree {d} "

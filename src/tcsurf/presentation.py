@@ -158,6 +158,31 @@ def split_relations(relations):
     return frozenset(killed), rest
 
 
+class _ProductRow(dict):
+    """Basis monomial m2 -> normal form of m1 m2, as a term dict, for one
+    basis monomial m1 of a quotient; each entry is filled on first use.  A
+    product that is a basis monomial up to sign is its own normal form."""
+
+    def __init__(self, A, m1):
+        super().__init__()
+        self.A, self.m1 = A, m1
+
+    def __missing__(self, m2):
+        A = self.A
+        pair = A.free.mul_mon(self.m1, m2)
+        if pair is None:
+            hit = {}
+        else:
+            sign, mon = pair
+            coeff = A.field.one if sign > 0 else A.field.neg(A.field.one)
+            if mon in A.basis_degree:
+                hit = {mon: coeff}
+            else:
+                hit = A.reduce_free(Element(A.free, {mon: coeff})).terms
+        self[m2] = hit
+        return hit
+
+
 class QuotientAlgebra:
     """Graded quotient of a free algebra, with degreewise normal forms.
 
@@ -233,14 +258,13 @@ class QuotientAlgebra:
                 break
 
         self.built_top = len(self.basis) - 1
-        self.basis_index = [{m: i for i, m in enumerate(b)} for b in self.basis]
         # basis monomial -> degree, read by every product in the tensor square
         self.basis_degree = {m: d for d, b in enumerate(self.basis) for m in b}
         self.dims = [len(b) for b in self.basis]
         self.top_nonzero = max((d for d, n in enumerate(self.dims) if n), default=0)
         self.exhaustive = stopped_clean or (
             not capped and natural is not None and bound == natural)
-        self._mul_cache = {}
+        self._mul_cache = {}  # basis monomial m1 -> _ProductRow of m1
 
     def _ideal_vectors(self, d, rels, mons, killed):
         """Each relation times each surviving monomial of the complementary
@@ -341,34 +365,18 @@ class QuotientAlgebra:
         prod = self.free.multiply(self.element_in_free(e1), self.element_in_free(e2))
         return self.reduce_free(prod)
 
+    def products_by(self, m1):
+        """The product table's row for the basis monomial m1: a dict from
+        each basis monomial m2 to the normal form of m1 m2, as a term dict,
+        each entry filled on first use."""
+        row = self._mul_cache.get(m1)
+        if row is None:
+            row = self._mul_cache[m1] = _ProductRow(self, m1)
+        return row
+
     def mul_basis(self, m1, m2):
         """Normal form of the product of two basis monomials, as a term dict."""
-        key = (m1, m2)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            free = self.free
-            pair = free.mul_mon(m1, m2)
-            if pair is None:
-                hit = {}
-            else:
-                sign, mon = pair
-                coeff = self.field.one if sign > 0 else self.field.neg(self.field.one)
-                hit = self.reduce_free(Element(free, {mon: coeff})).terms
-            self._mul_cache[key] = hit
-        return hit
-
-    def vectorize(self, e: Element, d: int):
-        """Coordinates of a normal-form element over the degree-d basis."""
-        idx = self.basis_index[d]
-        vec = {}
-        for mon, c in e.terms.items():
-            if self.free.monomial_degree(mon) != d:
-                raise HomogeneityError("vectorize needs a homogeneous element")
-            if mon not in idx:
-                raise AlgebraError(f"{self.label}: {self.free.mon_str(mon)} is not "
-                                   "a basis monomial (element not in normal form?)")
-            vec[idx[mon]] = c
-        return vec
+        return self.products_by(m1)[m2]
 
     def __repr__(self):
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
@@ -399,31 +407,17 @@ def convolve(a, b):
 # tensor square
 
 
-class _LegOperator(dict):
-    """Basis monomial u -> normal form of a u, as a term dict, for one
-    element a of A; each entry is filled from A.mul_basis on first use."""
-
-    def __init__(self, A: QuotientAlgebra, a: Element):
-        super().__init__()
-        self.A, self.a = A, a
-
-    def __missing__(self, u):
-        hit = self[u] = {}
-        for m, c in self.a.terms.items():
-            add_scaled(self.A.field, hit, self.A.mul_basis(m, u), c)
-        return hit
-
-
 class TensorSquareAlgebra:
     """A (x) A with the Koszul sign rule; its terms are pairs of basis
     monomials.
 
     The square holds only its dims, computed on construction as the
     convolution of the leg dimensions; it lists no pairs.  Every product
-    reads its legs from A.mul_basis, which caches them.  On a truncated
-    quotient (built only through some degree cap) the legs stop at the
-    built range, and a product whose legs would leave it raises
-    TruncationError from A.reduce_free, so callers prune with a bound.
+    reads its legs from A's product table (A.products_by), which caches
+    them.  On a truncated quotient (built only through some degree cap)
+    the legs stop at the built range, and a product whose legs would leave
+    it raises TruncationError from A.reduce_free, so callers prune with a
+    bound.
     """
 
     def __init__(self, A: QuotientAlgebra):
@@ -467,70 +461,44 @@ class TensorSquareAlgebra:
         return self.tensor(a, self.A.one()) - self.tensor(self.A.one(), a)
 
     def multiply(self, t1: Element, t2: Element, bound=None) -> Element:
-        """t1 * t2; with bound = (p, q), only terms of bidegree <= (p, q).
+        """t1 * t2 term by term, by
 
-        Bidegrees only grow under multiplication, so the coefficients at or
-        below the bound are those of the full product.  The sum is kept as
-        left leg -> (right leg -> coefficient), so each pair of leg
-        products is added in by one add_scaled per left-leg term.
+            (x (x) y) * (u (x) v) = (-1)^{|y||u|} (x u) (x) (y v),
+
+        summed into one dict of pairs.  Both legs are read from A's product
+        table, a row per left monomial (A.products_by).  With bound =
+        (p, q), only terms of bidegree <= (p, q) are formed: bidegrees only
+        grow under multiplication, so the coefficients at or below the
+        bound are those of the full product.
         """
         A, field = self.A, self.field
-        deg = A.basis_degree
-        right = [(u2, v2, c2, deg[u2], deg[v2]) for (u2, v2), c2 in t2.terms.items()]
-        acc = {}
-        for (u1, v1), c1 in t1.terms.items():
-            todo = right
-            if bound is not None:
-                p, q = bound[0] - deg[u1], bound[1] - deg[v1]
-                todo = [r for r in right if r[3] <= p and r[4] <= q]
-            v1_odd = deg[v1] % 2
-            for u2, v2, c2, du2, _ in todo:
-                left = A.mul_basis(u1, u2)
-                if not left:
-                    continue
-                legs = A.mul_basis(v1, v2)
-                if not legs:
-                    continue
-                c = field.mul(c1, c2)
-                if v1_odd and du2 % 2:
-                    c = field.neg(c)
-                for ml, cl in left.items():
-                    add_scaled(field, acc.setdefault(ml, {}), legs, field.mul(c, cl))
-        return Element(self, {(ml, mr): c for ml, row in acc.items()
-                              for mr, c in row.items()})
-
-    def bar_multiplier(self, a: Element):
-        """The map t -> bar(a) * t for a nonzero homogeneous a in A, through
-        two leg operators:
-
-            bar(a) * sum c u(x)v = sum c [(a u)(x)v - (-1)^{|a||u|} u(x)(a v)].
-
-        The map keeps a table from each basis monomial u to the normal form
-        of a u, filled from A.mul_basis the first time it meets u, and sums
-        a product into one dict of pairs.  multiply is the general product.
-        """
-        field = self.field
         add, mul, neg = field.add, field.mul, field.neg
-        deg = self.A.basis_degree
-        a_odd = a.degree() % 2
-        times_a = _LegOperator(self.A, a)
-
-        def product(t: Element) -> Element:
-            acc = {}
-            get = acc.get
-            for (u, v), c in t.terms.items():
-                for au, cu in times_a[u].items():
-                    key, x = (au, v), mul(c, cu)
-                    prev = get(key)
-                    acc[key] = x if prev is None else add(prev, x)
-                s = c if a_odd and deg[u] % 2 else neg(c)
-                for av, cv in times_a[v].items():
-                    key, x = (u, av), mul(s, cv)
-                    prev = get(key)
-                    acc[key] = x if prev is None else add(prev, x)
-            return Element(self, {k: c for k, c in acc.items() if c})
-
-        return product
+        deg = A.basis_degree
+        acc = {}
+        get = acc.get
+        for (x, y), c1 in t1.terms.items():
+            if bound is not None:
+                p, q = bound[0] - deg[x], bound[1] - deg[y]
+            x_row, y_row, y_odd = A.products_by(x), A.products_by(y), deg[y] % 2
+            for (u, v), c2 in t2.terms.items():
+                if bound is not None and (deg[u] > p or deg[v] > q):
+                    continue
+                xu = x_row[u]
+                if not xu:
+                    continue
+                yv = y_row[v]
+                if not yv:
+                    continue
+                c = mul(c1, c2)
+                if y_odd and deg[u] % 2:
+                    c = neg(c)
+                for ml, cl in xu.items():
+                    cl = mul(c, cl)
+                    for mr, cr in yv.items():
+                        key, z = (ml, mr), mul(cl, cr)
+                        prev = get(key)
+                        acc[key] = z if prev is None else add(prev, z)
+        return Element(self, {k: c for k, c in acc.items() if c})
 
     def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""
@@ -549,7 +517,7 @@ def tensor_square(A: QuotientAlgebra) -> TensorSquareAlgebra:
     The memo is for identity, not speed: elements compare equal only within
     one algebra object, so a class built here (the diagonal of
     surface_diagonal) must live in the square every other caller gets.  The
-    square holds no products; they are cached by A.mul_basis.
+    square holds no products; A's product table caches their legs.
     """
     T = getattr(A, "_tensor_square", None)
     if T is None:

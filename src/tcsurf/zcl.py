@@ -4,7 +4,7 @@ zcl A is the largest q with a nonzero q-fold product inside ker(mu), where
 mu: A (x) A -> A is multiplication.  Exact values come from ordered power
 iteration, which multiplies each kept product only by the multipliers at
 or below its first factor (strictly below it when that multiplier squares
-to zero), each bar through its two leg operators; the named certificate
+to zero), through the tensor square's one product; the named certificate
 cases verify one explicit nonzero product each by full expansion and
 witness-coefficient extraction.
 
@@ -125,13 +125,14 @@ def bar_generators(A):
     return [b for b in bars if not b.is_zero()]
 
 
-def _power_iterate(space, gens, cap, times):
+def _power_iterate(space, gens, cap):
     """Largest k <= cap with a nonzero k-fold product of gens; (value, exact).
 
-    times[i](y) is gens[i] * y.  The space is graded-commutative and the
-    gens are homogeneous, so a product reorders, up to sign, to ascending
-    factor indices.  With span_k(i) the span of the k-fold products of
-    gens[i:], span_{k+1}(i) is the sum over j >= i of gens[j] * span_k(j).
+    Each product is gens[i] * y, the space's own multiply.  The space is
+    graded-commutative and the gens are homogeneous, so a product
+    reorders, up to sign, to ascending factor indices.  With span_k(i) the
+    span of the k-fold products of gens[i:], span_{k+1}(i) is the sum over
+    j >= i of gens[j] * span_k(j).
     Each step visits i in descending order and keeps, tagged i, the products
     gens[i] * y that grow the span; those tagged >= i are a basis of
     span_k(i), so gens[i] multiplies only them.  A kept element tagged i is
@@ -154,7 +155,7 @@ def _power_iterate(space, gens, cap, times):
             for tag, y in level:
                 if tag < lowest[i]:
                     break
-                p = times[i](y)
+                p = gens[i] * y
                 if not p.is_zero() and (kept := span.insert(p)) is not None:
                     nxt.append((i, kept))
         if not nxt:
@@ -166,14 +167,11 @@ def _power_iterate(space, gens, cap, times):
 
 def zcl_exact(A, cap=None) -> BoundReport:
     """Zero-divisor cup length by ordered power iteration (_power_iterate)
-    over the bar classes of the algebra generators, each multiplying
-    through TensorSquareAlgebra.bar_multiplier."""
+    over the bar classes of the algebra generators (bar_generators), each
+    product formed by TensorSquareAlgebra.multiply."""
     if not A.exhaustive:
         raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
-    T = tensor_square(A)
-    gens = [a for a in A.generator_elements() if not a.is_zero()]
-    value, exact = _power_iterate(T, [T.bar(a) for a in gens], cap,
-                                  [T.bar_multiplier(a) for a in gens])
+    value, exact = _power_iterate(tensor_square(A), bar_generators(A), cap)
     return BoundReport("zcl", value, exact, "power-iteration", A.label,
                        variant="generators")
 
@@ -183,7 +181,7 @@ def cup_length(A, cap=None) -> BoundReport:
     if not A.exhaustive:
         raise TruncationError(f"cup_length needs a fully constructed algebra: {A.label}")
     gens = [g for g in A.generator_elements() if not g.is_zero()]
-    value, exact = _power_iterate(A, gens, cap, [g.__mul__ for g in gens])
+    value, exact = _power_iterate(A, gens, cap)
     return BoundReport("cl", value, exact, "power-iteration", A.label)
 
 

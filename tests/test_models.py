@@ -2,6 +2,7 @@ import pytest
 
 from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
                            UnsupportedModelError)
+from tcsurf import models
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            model_options, punctured_plane_algebra,
@@ -84,6 +85,17 @@ def test_xJyK_pair_count():
             by_size[len(J) + len(K)] = by_size.get(len(J) + len(K), 0) + 1
         for s, c in by_size.items():
             assert c == (s + 1) * comb(n - 1, s)
+
+
+def test_dependent_xJyK_monomials_name_their_degree(monkeypatch):
+    """A repeated x_J y_K pair makes its degree dependent, and the model
+    check refuses the quotient there."""
+    pairs = xJyK_pairs
+    monkeypatch.setattr(models, "xJyK_pairs",
+                        lambda n: pairs(n) + [((2,), (3,))])
+    with pytest.raises(ModelInconsistencyError,
+                       match=r"dependent in degree 2 \(rank 3 of 4\)"):
+        genus2_B_algebra(3)
 
 
 def test_diagonal_annihilation_up_to_genus_three():

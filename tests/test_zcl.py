@@ -60,14 +60,25 @@ def test_cap_that_is_not_an_int_is_refused():
             cup_length(torus_ring(), cap=cap)
 
 
+def _cached_fractions(A):
+    """The Fraction coefficients of every product in A's product table."""
+    return [c for row in A._mul_cache.values() for prod in row.values()
+            for c in prod.values() if isinstance(c, Fraction)]
+
+
 def test_integral_coefficients_stay_ints_through_zcl_exact():
     for A, value in ((totaro_algebra(1, 4), 8), (genus2_B_algebra(3), 8)):
         assert zcl_exact(A).value == value
-        assert A._mul_cache
-        assert not any(isinstance(c, Fraction)
-                       for prod in A._mul_cache.values() for c in prod.values())
+        assert sum(len(row) for row in A._mul_cache.values()) > 100
+        assert not _cached_fractions(A)
         assert not any(isinstance(c, Fraction)
                        for b in bar_generators(A) for c in b.terms.values())
+    # a Fraction planted in one cached product is found
+    row = next(row for row in A._mul_cache.values()
+               if any(row.values()))
+    prod = next(prod for prod in row.values() if prod)
+    prod[next(iter(prod))] = Fraction(1, 2)
+    assert _cached_fractions(A) == [Fraction(1, 2)]
     assert case_certificate("torus", 3).to_json()["coefficient"] == "-1"
     assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2"
     assert QQ.fmt(-1) == QQ.fmt(Fraction(-1)) == "-1"
@@ -75,36 +86,26 @@ def test_integral_coefficients_stay_ints_through_zcl_exact():
 
 def test_power_iteration_multiplies_only_ordered_products(monkeypatch):
     """Each kept product is multiplied only by the bars at or below its
-    first factor, and strictly below it when that bar squares to zero.  The
-    bar kernel forms 255 products for totaro(g=1,n=4) and 1,937 for
-    b-sigma(n=3); keeping the bar's own tag took 510 and 3,294, and
-    multiplying every basis element by every generator took 2,040 and
-    16,284.  The general product only squares each bar, once."""
-    formed, general = [], []
-    bar_multiplier = TensorSquareAlgebra.bar_multiplier
+    first factor, and strictly below it when that bar squares to zero.
+    zcl_exact forms 263 tensor products for totaro(g=1,n=4), 255 in the
+    iteration and one square per bar for its 8 bars, and 1,949 for
+    b-sigma(n=3), 1,937 and 12 squares.  Keeping the bar's own tag took
+    510 and 3,294 iteration products, and multiplying every basis element
+    by every generator took 2,040 and 16,284."""
+    formed = []
     multiply = TensorSquareAlgebra.multiply
 
-    def counted_bar(self, a):
-        times = bar_multiplier(self, a)
-
-        def counted(t):
-            formed.append(1)
-            return times(t)
-        return counted
-
     def counted_multiply(self, *args, **kwargs):
-        general.append(1)
+        formed.append(1)
         return multiply(self, *args, **kwargs)
 
-    monkeypatch.setattr(TensorSquareAlgebra, "bar_multiplier", counted_bar)
     monkeypatch.setattr(TensorSquareAlgebra, "multiply", counted_multiply)
-    for A, value, products in ((totaro_algebra(1, 4), 8, 255),
-                               (genus2_B_algebra(3), 8, 1937)):
+    for A, value, bars, products in ((totaro_algebra(1, 4), 8, 8, 263),
+                                     (genus2_B_algebra(3), 8, 12, 1949)):
+        assert len(bar_generators(A)) == bars
         formed.clear()
-        general.clear()
         assert zcl_exact(A).value == value
         assert len(formed) == products
-        assert len(general) == len(bar_generators(A))
 
 
 def test_power_iteration_spans_number_only_the_terms_they_meet(monkeypatch):
