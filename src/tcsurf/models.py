@@ -357,8 +357,9 @@ def _check_xJyK_independent(B: QuotientAlgebra):
             m = m * red.ys[k - 1]
         by_degree.setdefault(len(J) + len(K), []).append(m)
     for d, elems in by_degree.items():
-        vecs = [{B.index[d][m]: c for m, c in e.terms.items()} for e in elems]
-        span = echelonize(B.field, len(B.index[d]), vecs)
+        idx = B.index[d]
+        vecs = [{idx[m]: c for m, c in e.terms.items()} for e in elems]
+        span = echelonize(B.field, len(idx), vecs)
         if span.rank != len(elems):
             raise ModelInconsistencyError(
                 f"{B.label}: x_J y_K monomials dependent in degree {d} "
