@@ -53,6 +53,7 @@ CORPUS = [
     ["zcl", "--model", "sphere-mod2", "--n", "7", "--method", "certificate"],
     ["tc", "--sweep", "3", "4", "0"],
     ["zcl", "--model", "b-sigma", "--n", "4"],
+    ["tc", "--sweep", "0", "2", "4"],
 ]
 
 
