@@ -20,7 +20,7 @@ lower bound, and the refusal, naming the degree, as its first fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import AlgebraError, ModelInconsistencyError, ResourceBudgetError
 from .models import MODELS, model_options
@@ -39,23 +39,68 @@ class TcFact:
                 "kind": self.kind}
 
 
-def tc_theorem(g: int, n: int, m: int = 0) -> int:
-    """Closed-form tc of F(Sigma_g minus m points, n)."""
+def _dim_facts(space: str, dim: int):
+    return [
+        TcFact(f"{space} carrying a complex of dimension {dim}", dim, "dimension"),
+        TcFact(f"tc <= 2*{dim} + 1 on a {dim}-dimensional complex",
+               2 * dim + 1, "dimension"),
+    ]
+
+
+def _family(g: int, n: int, m: int):
+    """(closed-form tc, upper-bound fact chain, model) of the row's family.
+
+    The chain's last fact is the bound.  The model is the (token, options)
+    whose zcl bounds tc from below, or None when none is wired.
+    """
     if g < 0 or n < 1 or m < 0:
         raise AlgebraError("need g >= 0, n >= 1, m >= 0")
+    if m == 0 and g == 0:
+        if n <= 2:
+            chain = [TcFact("n <= 2 sphere configurations have the homotopy "
+                            "type of the sphere; tc(S^2) = 3", 3, "cited")]
+            return 3, chain, ("totaro", {"g": 0, "n": n})
+        chain = [
+            TcFact("tc(SO(3)) = cat(SO(3)) = 4", 4, "cited"),
+            TcFact(f"tc of {n - 3} points in the twice-punctured plane "
+                   f"is 2({n - 3}) + 1 = {2 * n - 5}", 2 * n - 5, "cited"),
+            TcFact(f"frame splitting: tc <= 4 + {2 * n - 5} - 1",
+                   2 * n - 2, "product"),
+        ]
+        return 2 * n - 2, chain, ("sphere-mod2", {"n": n})
+    if m == 0 and g == 1:
+        chain = [TcFact("tc of the torus = 3", 3, "cited")]
+        if n > 1:
+            chain += _dim_facts(
+                f"configurations of {n - 1} points on the once-punctured torus",
+                n - 1)
+            chain.append(TcFact(
+                f"bundle splitting over the torus: tc <= 3 + {2 * n - 1} - 1",
+                2 * n + 1, "product"))
+        return 2 * n + 1, chain, ("totaro", {"g": 1, "n": n})
     if m == 0:
-        if g == 0:
-            return 3 if n <= 2 else 2 * n - 2
-        if g == 1:
-            return 2 * n + 1
-        return 2 * n + 3
-    if g == 0:
-        if m == 1:
-            return 1 if n == 1 else 2 * n - 2
-        if m == 2:
-            return 2 * n
-        return 2 * n + 1
-    return 2 * n + 1
+        chain = _dim_facts(f"configurations of {n} points on a genus-{g} surface",
+                           n + 1)
+        return 2 * n + 3, chain, ("b-sigma", {"g": g, "n": n})
+    if g == 0 and m == 1:
+        if n == 1:
+            return 1, _dim_facts("the plane (contractible)", 0), ("arnold", {"n": 1})
+        chain = [TcFact(f"tc of {n} points in the plane is 2n - 2",
+                        2 * n - 2, "cited")]
+        return 2 * n - 2, chain, ("arnold", {"n": n})
+    if g == 0 and m == 2:
+        chain = [TcFact(f"tc of {n} points in the once-punctured plane is 2n",
+                        2 * n, "cited")]
+        return 2 * n, chain, ("punctured-plane", {"n": n, "punctures": 1})
+    chain = _dim_facts(f"configurations of {n} points on an open surface", n)
+    if g == 0 and m == 3:
+        return 2 * n + 1, chain, ("punctured-plane", {"n": n, "punctures": 2})
+    return 2 * n + 1, chain, None
+
+
+def tc_theorem(g: int, n: int, m: int = 0) -> int:
+    """Closed-form tc of F(Sigma_g minus m points, n)."""
+    return _family(g, n, m)[0]
 
 
 def product_space_tc(g: int, n: int) -> int:
@@ -65,83 +110,19 @@ def product_space_tc(g: int, n: int) -> int:
     return 2 * n + 1 if g <= 1 else 4 * n + 1
 
 
-def _dim_facts(space: str, dim: int):
-    return [
-        TcFact(f"{space} carrying a complex of dimension {dim}", dim, "dimension"),
-        TcFact(f"tc <= 2*{dim} + 1 on a {dim}-dimensional complex",
-               2 * dim + 1, "dimension"),
-    ]
-
-
 def upper_bound(g: int, n: int, m: int = 0):
     """Best encoded upper bound and the fact chain that produces it."""
-    if g < 0 or n < 1 or m < 0:
-        raise AlgebraError("need g >= 0, n >= 1, m >= 0")
-    if m == 0:
-        if g == 0:
-            if n <= 2:
-                return 3, [TcFact(
-                    "n <= 2 sphere configurations have the homotopy type of "
-                    "the sphere; tc(S^2) = 3", 3, "cited")]
-            facts = [
-                TcFact("tc(SO(3)) = cat(SO(3)) = 4", 4, "cited"),
-                TcFact(f"tc of {n - 3} points in the twice-punctured plane "
-                       f"is 2({n - 3}) + 1 = {2 * n - 5}", 2 * n - 5, "cited"),
-                TcFact(f"frame splitting: tc <= 4 + {2 * n - 5} - 1",
-                       2 * n - 2, "product"),
-            ]
-            return 2 * n - 2, facts
-        if g == 1:
-            if n == 1:
-                return 3, [TcFact("tc of the torus = 3", 3, "cited")]
-            facts = [TcFact("tc of the torus = 3", 3, "cited")]
-            facts += _dim_facts(
-                f"configurations of {n - 1} points on the once-punctured torus",
-                n - 1)
-            facts.append(TcFact(
-                f"bundle splitting over the torus: tc <= 3 + {2 * n - 1} - 1",
-                2 * n + 1, "product"))
-            return 2 * n + 1, facts
-        facts = _dim_facts(
-            f"configurations of {n} points on a genus-{g} surface", n + 1)
-        return 2 * n + 3, facts
-    if g == 0:
-        if m == 1:
-            if n == 1:
-                return 1, _dim_facts("the plane (contractible)", 0)
-            return 2 * n - 2, [TcFact(
-                f"tc of {n} points in the plane is 2n - 2", 2 * n - 2, "cited")]
-        if m == 2:
-            return 2 * n, [TcFact(
-                f"tc of {n} points in the once-punctured plane is 2n",
-                2 * n, "cited")]
-    facts = _dim_facts(f"configurations of {n} points on an open surface", n)
-    return 2 * n + 1, facts
+    chain = _family(g, n, m)[1]
+    return chain[-1].value, chain
 
 
-def _model_for(g: int, n: int, m: int):
-    """(model token, options) whose zcl bounds tc from below, or None."""
-    if m == 0:
-        if g == 1 or (g == 0 and n <= 2):
-            return "totaro", {"g": g, "n": n}
-        return ("sphere-mod2", {"n": n}) if g == 0 else ("b-sigma", {"g": g, "n": n})
-    if g == 0 and m == 1:
-        return "arnold", {"n": n}
-    if g == 0 and m <= 3:
-        return "punctured-plane", {"n": n, "punctures": m - 1}
-    return None
-
-
-def _lower(g: int, n: int, m: int, method: str):
-    """(zcl lower bound, facts) on the mapped model, or None when none is wired.
+def _lower(g: int, n: int, theorem: int, model, method: str):
+    """(zcl lower bound, facts) on the family's (token, options) model.
 
     "exact" runs zcl_exact; otherwise the model's certificate family is
     used, or else a bar-product search of length tc - 1.
     """
-    found = _model_for(g, n, m)
-    if found is None:
-        return None
-    token, given = found
+    token, given = model
     spec = MODELS[token]
     options = model_options(token, **given)
     if method == "exact":
@@ -154,8 +135,7 @@ def _lower(g: int, n: int, m: int, method: str):
         if case is not None:
             cert = case_certificate(case, n, genus=g)
         else:
-            cert = bar_product_certificate(spec.build(**options),
-                                           tc_theorem(g, n, m) - 1)
+            cert = bar_product_certificate(spec.build(**options), theorem - 1)
         z = cert.certified_length
         fact = TcFact(
             f"nonzero {z}-fold zero-divisor product on {cert.algebra} "
@@ -173,8 +153,8 @@ class TcReport:
     theorem: int
     status: str  # tight | gap | unverified | over-budget
     method: str
-    facts: list = dc_field(default_factory=list)
-    product_tc: int = None
+    facts: list
+    product_tc: int
 
     def to_json(self):
         return {
@@ -195,33 +175,30 @@ class TcReport:
 def tc_report(g: int, n: int, m: int = 0,
               method: str = "certificate") -> TcReport:
     """Full report for one input; see the module docstring for the contract."""
-    theorem = tc_theorem(g, n, m)
-    upper, ufacts = upper_bound(g, n, m)
+    theorem, chain, model = _family(g, n, m)
     ptc = product_space_tc(g, n)
     if method not in ("certificate", "exact"):
         raise AlgebraError(f"unknown method: {method}")
-    got = _lower(g, n, m, method)
-    if got is None:
+    if model is None:
         return _row_without_lower(g, n, m, "unverified", "unverified",
                                   "no model algebra is wired for this input")
-    zlow, lfacts = got
-    lower = zlow + 1
+    zlow, lfacts = _lower(g, n, theorem, model, method)
+    lower, upper = zlow + 1, chain[-1].value
     if not (lower <= theorem <= upper):
         raise ModelInconsistencyError(
             f"bound order violated at (g={g}, n={n}, m={m}): "
             f"{lower} <= {theorem} <= {upper} fails")
     status = "tight" if lower == theorem == upper else "gap"
     return TcReport(g, n, m, lower, upper, theorem, status, method,
-                    lfacts + ufacts, ptc)
+                    lfacts + chain, ptc)
 
 
 def _row_without_lower(g, n, m, status, method, reason) -> TcReport:
     """A row with no lower bound: the reason, then the upper-bound facts."""
-    theorem = tc_theorem(g, n, m)
-    upper, ufacts = upper_bound(g, n, m)
+    theorem, chain, _ = _family(g, n, m)
     note = TcFact(f"{reason}; closed-form value shown unverified", theorem, "cited")
-    return TcReport(g, n, m, None, upper, theorem, status, method,
-                    [note] + ufacts, product_space_tc(g, n))
+    return TcReport(g, n, m, None, chain[-1].value, theorem, status, method,
+                    [note] + chain, product_space_tc(g, n))
 
 
 def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
