@@ -9,20 +9,25 @@ A report combines three independent numbers for F(Sigma_g minus m points, n):
            tc(fiber) - 1 seeded with known constants,
   theorem  the closed-form value the two are expected to pinch.
 
+One function, _family, names each row's family and gives its closed form,
+its upper-bound fact chain and the model its lower bound is read from.
 Upper bounds are encoded facts, not computations; every fact carries a kind
 tag ("cited" for known inputs, "dimension" or "product" for the bound rule
 applied, "derived" for values this package computed).  Status is "tight"
 when lower = theorem = upper, "gap" otherwise, and "unverified" when no
 model algebra is wired for the input (the closed form is still shown).
-A sweep row whose model exceeds the quotient budget is "over-budget": no
-lower bound, and the refusal, naming the degree, as its first fact.
+A sweep row whose model refuses the input is "unverified" too, with the
+refusal as its first fact.  A sweep row whose model exceeds the quotient
+budget is "over-budget": no lower bound, and the refusal, naming the
+degree, as its first fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, ModelInconsistencyError, ResourceBudgetError
+from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
+                     UnsupportedModelError)
 from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
@@ -37,6 +42,18 @@ class TcFact:
     def to_json(self):
         return {"description": self.description, "value": self.value,
                 "kind": self.kind}
+
+
+def tc_theorem(g: int, n: int, m: int = 0) -> int:
+    """Closed-form tc of F(Sigma_g minus m points, n)."""
+    return _family(g, n, m)[0]
+
+
+def product_space_tc(g: int, n: int) -> int:
+    """tc of the n-fold product of the closed surface, for comparison."""
+    if g < 0 or n < 1:
+        raise AlgebraError("need g >= 0, n >= 1")
+    return 2 * n + 1 if g <= 1 else 4 * n + 1
 
 
 def _dim_facts(space: str, dim: int):
@@ -96,18 +113,6 @@ def _family(g: int, n: int, m: int):
     if g == 0 and m == 3:
         return 2 * n + 1, chain, ("punctured-plane", {"n": n, "punctures": 2})
     return 2 * n + 1, chain, None
-
-
-def tc_theorem(g: int, n: int, m: int = 0) -> int:
-    """Closed-form tc of F(Sigma_g minus m points, n)."""
-    return _family(g, n, m)[0]
-
-
-def product_space_tc(g: int, n: int) -> int:
-    """tc of the n-fold product of the closed surface, for comparison."""
-    if g < 0 or n < 1:
-        raise AlgebraError("need g >= 0, n >= 1")
-    return 2 * n + 1 if g <= 1 else 4 * n + 1
 
 
 def upper_bound(g: int, n: int, m: int = 0):
@@ -214,6 +219,9 @@ def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
                 except ResourceBudgetError as err:
                     out.append(_row_without_lower(g, n, m, "over-budget",
                                                   method, str(err)))
+                except UnsupportedModelError as err:
+                    out.append(_row_without_lower(g, n, m, "unverified",
+                                                  "unverified", str(err)))
     return out
 
 

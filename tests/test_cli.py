@@ -143,6 +143,18 @@ def test_tc_sweep_prints_over_budget_rows_and_exits_zero(monkeypatch, capsys):
     assert "error: b-sigma(g=2,n=3): degree 3" in capsys.readouterr().err
 
 
+def test_tc_sweep_prints_a_refused_model_as_unverified(capsys):
+    # b-sigma refuses genus 12: its handles run out of letter pairs
+    assert cli.main(["tc", "--sweep", "12", "1", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert lines[-1] == ("g=12 n=1 m=0  lower=? upper=5 theorem=5  "
+                         "product=5  unverified")
+    assert cli.main(["tc", "--g", "12", "--n", "1"]) == 2
+    assert "error: genus 12 exceeds the letter-pair naming scheme" in \
+        capsys.readouterr().err
+
+
 def test_tc_sweep_with_unverified_rows_still_exits_zero():
     proc = run_cli("tc", "--sweep", "1", "1", "1")
     assert proc.returncode == 0

@@ -31,6 +31,18 @@ def test_theorem_rejects_bad_input():
     for bad in ((-1, 1, 0), (0, 0, 0), (1, 1, -2)):
         with pytest.raises(AlgebraError):
             tc_theorem(*bad)
+        with pytest.raises(AlgebraError):
+            upper_bound(*bad)
+
+
+def test_every_closed_form_meets_its_upper_bound_chain():
+    for g in range(5):
+        for n in range(1, 9):
+            for m in range(7):
+                val, facts = upper_bound(g, n, m)
+                assert val == tc_theorem(g, n, m), (g, n, m)
+                assert {f.kind for f in facts} <= {"cited", "dimension",
+                                                   "product"}, (g, n, m)
 
 
 def test_product_space_column():
@@ -127,6 +139,19 @@ def test_sweep_marks_a_row_over_the_budget(monkeypatch):
     assert all_tight(rows)
     with pytest.raises(ResourceBudgetError, match="degree 3"):
         tc_report(2, 3, 0)
+
+
+def test_sweep_marks_a_refused_model_unverified():
+    rows = sweep(12, 1, 0)
+    assert len(rows) == 13
+    assert all(r.status == "tight" for r in rows[:-1])
+    row = rows[-1]
+    assert (row.g, row.status, row.lower, row.theorem) == (12, "unverified",
+                                                          None, 5)
+    assert row.facts[0].description == (
+        "genus 12 exceeds the letter-pair naming scheme; "
+        "closed-form value shown unverified")
+    assert all_tight(rows)
 
 
 def test_sweep_validates_bounds():
