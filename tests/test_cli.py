@@ -151,8 +151,8 @@ def test_tc_sweep_prints_a_refused_model_as_unverified(capsys):
     assert lines[-1] == ("g=12 n=1 m=0  lower=? upper=5 theorem=5  "
                          "product=5  unverified")
     assert cli.main(["tc", "--g", "12", "--n", "1"]) == 2
-    assert "error: genus 12 exceeds the letter-pair naming scheme" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: genus 12 exceeds the letter-pair naming scheme" in err
 
 
 def test_tc_sweep_with_unverified_rows_still_exits_zero():
