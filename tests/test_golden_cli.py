@@ -54,6 +54,7 @@ CORPUS = [
     ["tc", "--sweep", "3", "4", "0"],
     ["zcl", "--model", "b-sigma", "--n", "4"],
     ["tc", "--sweep", "0", "2", "4"],
+    ["zcl", "--model", "arnold", "--n", "3", "--field", "gf2", "--method", "certificate"],
 ]
 
 
