@@ -1,15 +1,17 @@
 """Builders for the specific algebras the toolkit works with.
 
-Surface cohomology rings, Arnold algebras, arrangement algebras of a plane
-with one or two points removed, the diagonal-ideal quotients modeling
-configuration spaces of surfaces, the genus-2 auxiliary quotient, and the
-mod-2 model for configuration spaces of the sphere.
+Surface cohomology rings, the Orlik-Solomon algebras of configurations in
+a plane with any number k >= 0 of points removed (the Arnold algebra at
+k = 0), the diagonal-ideal quotients modeling configuration spaces of
+surfaces, the genus-2 auxiliary quotient, and the mod-2 model for
+configuration spaces of the sphere.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .errors import (
@@ -37,6 +39,14 @@ def _handle_letters(g: int):
             for p in range(g)]
 
 
+def _require_int(value, low: int, message: str, error=AlgebraError):
+    """Refuse a builder count that is not an int (a bool included) or is below low."""
+    if type(value) is not int:
+        raise AlgebraError(f"expected an integer, got {value!r}")
+    if value < low:
+        raise error(message)
+
+
 def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
     """Cohomology ring of the closed orientable surface of genus g.
 
@@ -44,8 +54,7 @@ def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
     a,b (one pair per handle), all degree-2 products zero except the handle
     products, which are all identified.
     """
-    if g < 0:
-        raise AlgebraError("genus must be nonnegative")
+    _require_int(g, 0, "genus must be nonnegative")
     if g == 0:
         free = FreeAlgebra(field, [("w", 2)])
         w = free.gen("w")
@@ -73,75 +82,49 @@ def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
 
 
 def arnold_algebra(n: int, field: Field = QQ) -> AlgebraPresentation:
-    """Cohomology of the configuration space of n points in the plane.
-
-    Generators a{i}{j} for i<j in degree 1; triple relations
-    a_ij a_ik - a_ij a_jk + a_ik a_jk for i<j<k.
-    """
-    if n < 1:
-        raise AlgebraError("need at least one point")
-    gens = [(f"a{i}{j}", 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    free = FreeAlgebra(field, gens)
-    rels = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                gij = free.gen(f"a{i}{j}")
-                gik = free.gen(f"a{i}{k}")
-                gjk = free.gen(f"a{j}{k}")
-                rels.append(gij * gik - gij * gjk + gik * gjk)
-    if field.char == 2:
-        for name in free.names:
-            x = free.gen(name)
-            rels.append(x * x)
-    return AlgebraPresentation(free, rels, top_degree=n - 1, label=f"arnold(n={n})")
+    return punctured_plane_algebra(n, 0, field)
 
 
 def punctured_plane_algebra(points: int, punctures: int,
                             field: Field = GF2) -> AlgebraPresentation:
-    """Arrangement algebra for n points moving in a plane with punctures removed.
+    """Orlik-Solomon algebra of n = points in a plane with k = punctures removed.
 
-    Generators: e{i}_q (point i around puncture q, degree 1) and e{i}_{j}
-    (points i<j, degree 1).  Relations: squares (char 2), the parallel pair
-    e{i}_0 e{i}_1, triples among points, and the circuit relations tying a
-    puncture generator pair to the point-pair generator.  Hilbert series is
-    the product of (1 + (q_count + j) t) over j = 0..points-1, which the
-    tests verify; the parallel-pair relation is required for that count.
+    F(C minus k points, n) is the complement of a fiber-type arrangement,
+    so its cohomology is the Orlik-Solomon algebra (Orlik-Terao,
+    *Arrangements of Hyperplanes*).  Generators, all in degree 1: e{i}_q
+    (point i around puncture q) and e{i}{j} (points i < j).  Relations:
+    squares (char 2) and the three Orlik-Solomon families, namely the
+    parallel pairs e{i}_p e{i}_q (p < q), the point triples, and the
+    puncture circuits tying e{i}_q, e{j}_q to e{i}{j}.  The Hilbert series
+    is the product of (1 + (k + j) t) over j = 0..n-1, which the tests
+    verify.  k = 0 is the Arnold algebra of F(C, n): its generators are
+    a{i}{j}, its label arnold(n=...), its top degree n - 1, and n >= 1.
     """
-    if punctures not in (1, 2):
-        raise UnsupportedModelError(f"punctures={punctures}: only 1 or 2 supported")
-    if points < 0:
-        raise AlgebraError("points must be nonnegative")
-    gens = []
-    for i in range(1, points + 1):
-        for q in range(punctures):
-            gens.append((f"e{i}_{q}", 1))
-    for i in range(1, points + 1):
-        for j in range(i + 1, points + 1):
-            gens.append((f"e{i}{j}", 1))
+    _require_int(punctures, 0, "punctures must be nonnegative")
+    if punctures:
+        _require_int(points, 0, "points must be nonnegative")
+    else:
+        _require_int(points, 1, "need at least one point")
+    pair = "a" if punctures == 0 else "e"
+    pts = range(1, points + 1)
+    gens = [(f"e{i}_{q}", 1) for i in pts for q in range(punctures)]
+    gens += [(f"{pair}{i}{j}", 1) for i, j in combinations(pts, 2)]
     free = FreeAlgebra(field, gens)
-    rels = []
-    if field.char == 2:
-        for name in free.names:
-            x = free.gen(name)
-            rels.append(x * x)
-    if punctures == 2:
-        for i in range(1, points + 1):
-            rels.append(free.gen(f"e{i}_0") * free.gen(f"e{i}_1"))
-    for i in range(1, points + 1):
-        for j in range(i + 1, points + 1):
-            for k in range(j + 1, points + 1):
-                gij = free.gen(f"e{i}{j}")
-                gik = free.gen(f"e{i}{k}")
-                gjk = free.gen(f"e{j}{k}")
-                rels.append(gij * gik - gij * gjk + gik * gjk)
+    gen = free.gen
+    rels = [gen(x) * gen(x) for x in free.names] if field.char == 2 else []
+    for i in pts:
+        for p, q in combinations(range(punctures), 2):
+            rels.append(gen(f"e{i}_{p}") * gen(f"e{i}_{q}"))
+    for i, j, l in combinations(pts, 3):
+        gij, gil, gjl = (gen(f"{pair}{a}{b}") for a, b in ((i, j), (i, l), (j, l)))
+        rels.append(gij * gil - gij * gjl + gil * gjl)
     for q in range(punctures):
-        for i in range(1, points + 1):
-            for j in range(i + 1, points + 1):
-                ei = free.gen(f"e{i}_{q}")
-                ej = free.gen(f"e{j}_{q}")
-                eij = free.gen(f"e{i}{j}")
-                rels.append(ei * ej - ei * eij + ej * eij)
+        for i, j in combinations(pts, 2):
+            ei, ej, eij = gen(f"e{i}_{q}"), gen(f"e{j}_{q}"), gen(f"e{i}{j}")
+            rels.append(ei * ej - ei * eij + ej * eij)
+    if punctures == 0:
+        return AlgebraPresentation(free, rels, top_degree=points - 1,
+                                   label=f"arnold(n={points})")
     return AlgebraPresentation(
         free, rels, top_degree=points,
         label=f"punctured-plane(n={points},k={punctures})")
@@ -264,10 +247,8 @@ def totaro_algebra(g: int, n: int) -> QuotientAlgebra:
     For g=1 the degree-2 ideal is checked against the reduced-generator
     relation span.
     """
-    if n < 1:
-        raise AlgebraError("need at least one point")
-    if g < 0:
-        raise AlgebraError("genus must be nonnegative")
+    _require_int(n, 1, "need at least one point")
+    _require_int(g, 0, "genus must be nonnegative")
     A = _build_diagonal_model(g, n, label=f"totaro(g={g},n={n})")
     if g == 1 and not _xy_span_matches(A, n):
         raise ModelInconsistencyError(
@@ -321,10 +302,8 @@ def genus2_B_algebra(n: int, genus: int = 2) -> QuotientAlgebra:
     Kills c_i c_j, c_i d_j, d_i d_j across distinct slots.  Postcondition:
     the reduced monomials x_J y_K with max J < min K stay independent.
     """
-    if n < 1:
-        raise AlgebraError("need at least one point")
-    if genus < 2:
-        raise AlgebraError("the pair ideal needs genus >= 2")
+    _require_int(n, 1, "need at least one point")
+    _require_int(genus, 2, "the pair ideal needs genus >= 2")
     B = _build_diagonal_model(
         genus, n, extra_rels=lambda free: _pair_ideal_relations(free, n),
         label=f"b-sigma(g={genus},n={n})")
@@ -381,9 +360,8 @@ def sphere_mod2_model(n: int) -> QuotientAlgebra:
     Tensor product of the truncated algebra on a (a^4 = 0) with the
     two-puncture plane algebra on n-3 points.
     """
-    if n < 3:
-        raise UnsupportedModelError(
-            f"n={n}: the mod-2 sphere model needs n >= 3")
+    _require_int(n, 3, f"n={n}: the mod-2 sphere model needs n >= 3",
+                 UnsupportedModelError)
     pp = punctured_plane_algebra(n - 3, 2, GF2)
     gens = [("a", 1)] + [(g.name, g.degree) for g in pp.free.generators]
     free = FreeAlgebra(GF2, gens)
@@ -404,10 +382,8 @@ def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
     Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
     lives in degree n, and certificate expansion is pruned leg-wise to n.
     """
-    if n < 1:
-        raise AlgebraError("n must be positive")
-    if genus < 1:
-        raise AlgebraError("the mod-ideal model needs genus >= 1")
+    _require_int(n, 1, "n must be positive")
+    _require_int(genus, 1, "the mod-ideal model needs genus >= 1")
     def extra(free):
         x, y = _reduced_xy(free, n)
         rels = [x[0] * y[0]]

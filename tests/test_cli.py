@@ -259,6 +259,14 @@ def test_explicit_zero_is_not_rewritten(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_punctures_is_a_model_error():
+    proc = run_cli("build", "--model", "punctured-plane", "--n", "2",
+                   "--punctures", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_build_mod_ideal():
     proc = run_cli("build", "--model", "mod-ideal", "--n", "2", "--json")
     assert proc.returncode == 0, proc.stderr

@@ -55,6 +55,7 @@ CORPUS = [
     ["zcl", "--model", "b-sigma", "--n", "4"],
     ["tc", "--sweep", "0", "2", "4"],
     ["zcl", "--model", "arnold", "--n", "3", "--field", "gf2", "--method", "certificate"],
+    ["build", "--model", "punctured-plane", "--n", "2", "--punctures", "3"],
 ]
 
 

@@ -5,7 +5,8 @@ from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
 from tcsurf import models
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
-                           model_options, punctured_plane_algebra,
+                           mod_ideal_quotient, model_options,
+                           punctured_plane_algebra,
                            reduced_generators, resolve_model, so3_mod2_algebra,
                            sphere_mod2_model, surface_cohomology,
                            surface_diagonal, totaro_algebra, xJyK_pairs)
@@ -37,10 +38,13 @@ def test_arnold_matches_rising_product():
 
 
 def test_punctured_plane_matches_product_formula():
-    for n in range(0, 5):
-        for k in (1, 2):
-            got = quotient(punctured_plane_algebra(n, k)).hilbert()
-            assert got == punctured_hilbert(n, k), (n, k)
+    for field in (QQ, GF2):
+        for k in range(5):
+            for n in range(0 if k else 1, 5):
+                got = quotient(punctured_plane_algebra(n, k, field)).hilbert()
+                want = punctured_hilbert(n, k)
+                # k = 0: the oracle's factor (1 + 0 t) leaves one trailing zero
+                assert got == (want[:-1] if k == 0 else want), (field, n, k)
 
 
 def test_punctured_plane_one_puncture_is_arnold_shifted():
@@ -49,9 +53,28 @@ def test_punctured_plane_one_puncture_is_arnold_shifted():
         assert got == quotient(arnold_algebra(n + 1)).hilbert()
 
 
-def test_punctured_plane_rejects_unsupported_punctures():
-    with pytest.raises(UnsupportedModelError):
-        punctured_plane_algebra(2, 3)
+def test_punctured_plane_rejects_negative_counts():
+    for points, punctures in ((2, -1), (0, 0)):
+        with pytest.raises(AlgebraError):
+            punctured_plane_algebra(points, punctures)
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: arnold_algebra(v),
+    lambda v: punctured_plane_algebra(v, 2),
+    lambda v: punctured_plane_algebra(2, v),
+    lambda v: surface_cohomology(v),
+    lambda v: totaro_algebra(1, v),
+    lambda v: totaro_algebra(v, 2),
+    lambda v: genus2_B_algebra(v),
+    lambda v: sphere_mod2_model(v),
+    lambda v: mod_ideal_quotient(v),
+], ids=["arnold", "punctured-points", "punctures", "surface", "totaro-n",
+        "totaro-g", "b-sigma", "sphere-mod2", "mod-ideal"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=repr)
+def test_builders_refuse_non_integer_counts(build, value):
+    with pytest.raises(AlgebraError):
+        build(value)
 
 
 def test_totaro_torus_matches_closed_form():

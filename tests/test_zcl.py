@@ -355,7 +355,9 @@ def test_bar_product_certificate_lengths():
     for n, want in ((1, 0), (2, 1), (3, 3), (4, 5)):
         cert = bar_product_certificate(quotient(arnold_algebra(n)), want)
         assert cert.certified_length == want
-    for n, k, want in ((1, 1, 1), (2, 1, 3), (3, 1, 5), (2, 2, 4)):
+    for n, k, want in ((1, 1, 1), (2, 1, 3), (3, 1, 5), (2, 2, 4),
+                       (1, 3, 2), (2, 3, 4), (3, 3, 6),
+                       (1, 4, 2), (2, 4, 4), (3, 4, 6)):
         cert = bar_product_certificate(
             quotient(punctured_plane_algebra(n, k)), want)
         assert cert.certified_length == want
