@@ -82,6 +82,7 @@ def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
 
 
 def arnold_algebra(n: int, field: Field = QQ) -> AlgebraPresentation:
+    """The Arnold algebra of F(C, n): the plane algebra with no punctures."""
     return punctured_plane_algebra(n, 0, field)
 
 
@@ -116,7 +117,8 @@ def punctured_plane_algebra(points: int, punctures: int,
         for p, q in combinations(range(punctures), 2):
             rels.append(gen(f"e{i}_{p}") * gen(f"e{i}_{q}"))
     for i, j, l in combinations(pts, 3):
-        gij, gil, gjl = (gen(f"{pair}{a}{b}") for a, b in ((i, j), (i, l), (j, l)))
+        gij, gil, gjl = (gen(f"{pair}{a}{b}")
+                         for a, b in ((i, j), (i, l), (j, l)))
         rels.append(gij * gil - gij * gjl + gil * gjl)
     for q in range(punctures):
         for i, j in combinations(pts, 2):
