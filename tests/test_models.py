@@ -53,22 +53,22 @@ def test_punctured_plane_one_puncture_is_arnold_shifted():
         assert got == quotient(arnold_algebra(n + 1)).hilbert()
 
 
-def test_punctured_plane_rejects_negative_counts():
+def test_punctured_plane_rejects_out_of_range_counts():
     for points, punctures in ((2, -1), (0, 0)):
         with pytest.raises(AlgebraError):
             punctured_plane_algebra(points, punctures)
 
 
 @pytest.mark.parametrize("build", [
-    lambda v: arnold_algebra(v),
+    arnold_algebra,
     lambda v: punctured_plane_algebra(v, 2),
     lambda v: punctured_plane_algebra(2, v),
-    lambda v: surface_cohomology(v),
+    surface_cohomology,
     lambda v: totaro_algebra(1, v),
     lambda v: totaro_algebra(v, 2),
-    lambda v: genus2_B_algebra(v),
-    lambda v: sphere_mod2_model(v),
-    lambda v: mod_ideal_quotient(v),
+    genus2_B_algebra,
+    sphere_mod2_model,
+    mod_ideal_quotient,
 ], ids=["arnold", "punctured-points", "punctures", "surface", "totaro-n",
         "totaro-g", "b-sigma", "sphere-mod2", "mod-ideal"])
 @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=repr)
