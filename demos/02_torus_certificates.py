@@ -12,7 +12,7 @@ from tcsurf import case_certificate, totaro_algebra, zcl_exact
 
 def main():
     for n in range(1, 6):
-        cert = case_certificate("torus", n)
+        cert = case_certificate("torus", totaro_algebra(1, n))
         data = cert.to_json()
         print(f"n = {n}: product of {cert.certified_length} zero-divisors")
         print(f"  witness   {data['witness'][0]} (x) {data['witness'][1]}")

@@ -10,8 +10,8 @@ bit for bit, then extends the seed by interleaved pair classes to
 certify zcl >= 2n + 2 for the n-point models B(n).
 """
 
-from tcsurf import (QQ, case_certificate, quotient, surface_cohomology,
-                    tensor_square)
+from tcsurf import (QQ, case_certificate, genus2_B_algebra, quotient,
+                    surface_cohomology, tensor_square)
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
     print()
 
     for n in range(1, 4):
-        cert = case_certificate("genus2", n)
+        cert = case_certificate("genus2", genus2_B_algebra(n))
         data = cert.to_json()
         print(f"B({n}): certified length {cert.certified_length}, "
               f"coefficient {data['coefficient']}")

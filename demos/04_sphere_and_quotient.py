@@ -9,13 +9,13 @@ built only through degree n; a nonzero witness is only valid if it
 stays nonzero against every membership probe of that ideal.
 """
 
-from tcsurf import case_certificate
+from tcsurf import case_certificate, mod_ideal_quotient, sphere_mod2_model
 
 
 def main():
     print("F(S^2, n) mod 2, certified length 2n - 3:")
     for n in range(3, 7):
-        cert = case_certificate("sphere", n)
+        cert = case_certificate("sphere", sphere_mod2_model(n))
         data = cert.to_json()
         print(f"  n = {n}: length {cert.certified_length}, "
               f"witness {data['witness'][0]} (x) {data['witness'][1]}")
@@ -24,7 +24,7 @@ def main():
     print("Genus-2 diagonal model mod ideal (mod-ideal), "
           "certified length 2n:")
     for n in range(1, 5):
-        cert = case_certificate("punctured-mod-ideal", n)
+        cert = case_certificate("punctured-mod-ideal", mod_ideal_quotient(n))
         data = cert.to_json()
         print(f"  n = {n}: length {cert.certified_length}, "
               f"coefficient {data['coefficient']}, "

@@ -39,11 +39,11 @@ def _field_arg(tok):
     return field_from_name(_FIELD_ALIASES.get(tok.lower(), tok))
 
 
-def _model_args(p: argparse.ArgumentParser):
+def _model_args(p: argparse.ArgumentParser, required: bool):
     def takers(option):
         return ", ".join(t for t, spec in MODELS.items() if option in spec.defaults)
 
-    p.add_argument("--model", required=True, choices=tuple(MODELS))
+    p.add_argument("--model", required=required, choices=tuple(MODELS))
     p.add_argument("--g", type=int, default=None, help="genus")
     p.add_argument("--n", type=int, default=None, help="number of points")
     p.add_argument("--punctures", type=int, default=None,
@@ -113,18 +113,17 @@ def _climb_certificate(A, cap) -> ZclCertificate:
 def _cmd_zcl(args):
     spec = MODELS[args.model]
     options = model_options(args.model, **_given(args))
-    if args.method == "certificate":
-        case = spec.case(options)
-        if case is None:
-            result = _climb_certificate(spec.build(**options), args.cap)
-        elif args.cap is not None:
-            raise AlgebraError(f"--cap does not apply to the {case} "
-                               "certificate, whose length is fixed")
-        else:
-            result = case_certificate(case, options["n"],
-                                      genus=options.get("g", 2))
+    case = spec.case(options) if args.method == "certificate" else None
+    if case is not None and args.cap is not None:
+        raise AlgebraError(f"--cap does not apply to the {case} "
+                           "certificate, whose length is fixed")
+    A = spec.build(**options)
+    if args.method == "exact":
+        result = zcl_exact(A, cap=args.cap)
+    elif case is None:
+        result = _climb_certificate(A, args.cap)
     else:
-        result = zcl_exact(spec.build(**options), cap=args.cap)
+        result = case_certificate(case, A)
     report = result.to_json()
     if args.json:
         print(json.dumps(report, indent=2))
@@ -136,8 +135,6 @@ def _cmd_zcl(args):
 
 
 def _cmd_groebner(args):
-    if args.model != "torus-ideal":
-        raise AlgebraError(f"unknown ideal family: {args.model}")
     rep = torus_ideal_check(args.n, args.order)
     if args.json:
         out = rep.to_json()
@@ -183,20 +180,17 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a model algebra")
-    _model_args(b)
+    # --model is not required when a file is given
+    _model_args(b, required=False)
     b.add_argument("--presentation", default=None, metavar="FILE",
                    help="load a presentation JSON file instead of a builder")
     b.add_argument("--dump-presentation", default=None, metavar="FILE",
                    help="write the presentation JSON ('-' for stdout)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(run=_cmd_build)
-    # --model is not required when a file is given
-    for a in b._actions:
-        if a.dest == "model":
-            a.required = False
 
     z = sub.add_parser("zcl", help="zero-divisor cup length")
-    _model_args(z)
+    _model_args(z, required=True)
     z.add_argument("--method", choices=("exact", "certificate"),
                    default="exact")
     z.add_argument("--cap", type=int, default=None,

@@ -36,3 +36,11 @@ class ResourceBudgetError(AlgebraError):
 
 class UnsupportedModelError(AlgebraError):
     """Parameters outside the range any builder supports."""
+
+
+def _require_int(value, low: int, message: str, error=AlgebraError):
+    """Refuse a count that is not an int (a bool included) or is below low."""
+    if type(value) is not int:
+        raise AlgebraError(f"expected an integer, got {value!r}")
+    if value < low:
+        raise error(message)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (AlgebraError, CertificateError, MismatchError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, _require_int)
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import QQ
 
@@ -260,8 +260,7 @@ def torus_ideal(n: int):
     Returns (free, relations, default_order); the default priority is
     x2 < y2 < x3 < y3 < ... < xn < yn < x1 < y1.
     """
-    if n < 1:
-        raise AlgebraError("n must be positive")
+    _require_int(n, 1, "n must be positive")
     gens = []
     for i in range(1, n + 1):
         gens.append((f"x{i}", 1))

@@ -18,6 +18,7 @@ from .errors import (
     AlgebraError,
     ModelInconsistencyError,
     UnsupportedModelError,
+    _require_int,
 )
 from .exterior import Element, FreeAlgebra
 from .fields import GF2, QQ, Field
@@ -37,14 +38,6 @@ def _handle_letters(g: int):
         raise UnsupportedModelError(f"genus {g} exceeds the letter-pair naming scheme")
     return [(string.ascii_lowercase[2 * p], string.ascii_lowercase[2 * p + 1])
             for p in range(g)]
-
-
-def _require_int(value, low: int, message: str, error=AlgebraError):
-    """Refuse a builder count that is not an int (a bool included) or is below low."""
-    if type(value) is not int:
-        raise AlgebraError(f"expected an integer, got {value!r}")
-    if value < low:
-        raise error(message)
 
 
 def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
@@ -268,8 +261,9 @@ class ReducedGenerators:
 
 def reduced_generators(A: QuotientAlgebra) -> ReducedGenerators:
     """Reduced generators of a diagonal-ideal model; torus identities checked."""
-    if A.genus < 1:
-        raise AlgebraError("reduced generators need genus >= 1")
+    if getattr(A, "genus", 0) < 1:
+        raise AlgebraError(f"{A.label}: reduced generators need a "
+                           "diagonal-ideal model of genus >= 1")
     n = A.points
     xs, ys = _reduced_xy(A, n)
     if A.genus == 1:
@@ -409,7 +403,7 @@ class ModelSpec:
     defaults names every option the model takes (g, n, punctures, field)
     with the value used when it is not given; build(**options) returns the
     quotient algebra; case(options) names the fixed-length certificate
-    family of zcl.case_certificate for those options, or None.
+    family of zcl.case_certificate that runs on that algebra, or None.
     """
 
     build: Callable

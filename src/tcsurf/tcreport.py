@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, _require_int)
 from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
@@ -51,8 +51,8 @@ def tc_theorem(g: int, n: int, m: int = 0) -> int:
 
 def product_space_tc(g: int, n: int) -> int:
     """tc of the n-fold product of the closed surface, for comparison."""
-    if g < 0 or n < 1:
-        raise AlgebraError("need g >= 0, n >= 1")
+    for value, low in ((g, 0), (n, 1)):
+        _require_int(value, low, "need g >= 0, n >= 1")
     return 2 * n + 1 if g <= 1 else 4 * n + 1
 
 
@@ -70,8 +70,8 @@ def _family(g: int, n: int, m: int):
     The chain's last fact is the bound.  The model is the (token, options)
     whose zcl bounds tc from below, or None when none is wired.
     """
-    if g < 0 or n < 1 or m < 0:
-        raise AlgebraError("need g >= 0, n >= 1, m >= 0")
+    for value, low in ((g, 0), (n, 1), (m, 0)):
+        _require_int(value, low, "need g >= 0, n >= 1, m >= 0")
     if m == 0 and g == 0:
         if n <= 2:
             chain = [TcFact("n <= 2 sphere configurations have the homotopy "
@@ -121,8 +121,9 @@ def upper_bound(g: int, n: int, m: int = 0):
     return chain[-1].value, chain
 
 
-def _lower(g: int, n: int, theorem: int, model, method: str):
-    """(zcl lower bound, facts) on the family's (token, options) model.
+def _lower(theorem: int, model, method: str):
+    """(zcl lower bound, facts) on the family's (token, options) model,
+    built once.
 
     "exact" runs zcl_exact; otherwise the model's certificate family is
     used, or else a bar-product search of length tc - 1.
@@ -130,17 +131,17 @@ def _lower(g: int, n: int, theorem: int, model, method: str):
     token, given = model
     spec = MODELS[token]
     options = model_options(token, **given)
+    A = spec.build(**options)
     if method == "exact":
-        A = spec.build(**options)
         z = zcl_exact(A).value
         fact = TcFact(f"zcl({A.label}) = {z} by exact power iteration",
                       z, "derived")
     else:
         case = spec.case(options)
         if case is not None:
-            cert = case_certificate(case, n, genus=g)
+            cert = case_certificate(case, A)
         else:
-            cert = bar_product_certificate(spec.build(**options), theorem - 1)
+            cert = bar_product_certificate(A, theorem - 1)
         z = cert.certified_length
         fact = TcFact(
             f"nonzero {z}-fold zero-divisor product on {cert.algebra} "
@@ -187,7 +188,7 @@ def tc_report(g: int, n: int, m: int = 0,
     if model is None:
         return _row_without_lower(g, n, m, "unverified", "unverified",
                                   "no model algebra is wired for this input")
-    zlow, lfacts = _lower(g, n, theorem, model, method)
+    zlow, lfacts = _lower(theorem, model, method)
     lower, upper = zlow + 1, chain[-1].value
     if not (lower <= theorem <= upper):
         raise ModelInconsistencyError(
@@ -208,8 +209,8 @@ def _row_without_lower(g, n, m, status, method, reason) -> TcReport:
 
 def sweep(gmax: int, nmax: int, mmax: int = 0, method: str = "certificate"):
     """Reports for every 0 <= g <= gmax, 1 <= n <= nmax, 0 <= m <= mmax."""
-    if gmax < 0 or nmax < 1 or mmax < 0:
-        raise AlgebraError("need gmax >= 0, nmax >= 1, mmax >= 0")
+    for value, low in ((gmax, 0), (nmax, 1), (mmax, 0)):
+        _require_int(value, low, "need gmax >= 0, nmax >= 1, mmax >= 0")
     out = []
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):

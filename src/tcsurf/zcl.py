@@ -21,16 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     TruncationError)
+                     TruncationError, _require_int)
 from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
-from .models import (
-    genus2_B_algebra,
-    mod_ideal_quotient,
-    reduced_generators,
-    sphere_mod2_model,
-    totaro_algebra,
-)
+from .models import mod_ideal_quotient, reduced_generators, totaro_algebra
 from .presentation import TensorSquareAlgebra, tensor_square
 
 
@@ -251,47 +245,50 @@ def _product(elems):
     return acc
 
 
-def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
-    """The named certificate families.
+def case_certificate(case: str, A) -> ZclCertificate:
+    """The named certificate families, each run on the model it is handed,
+    the one MODELS builds for the family's token.
 
-    torus: prod of xbar_j ybar_j on the torus model, length 2n, witness
-      y1..yn (x) x1..xn.
-    genus2: abar1 bbar1 cbar1 dbar1 prod_{j>=2} xbar_j ybar_j on the B
-      quotient, length 2n+2, witness inside (w1 y2..yn) (x) (w1 x2..xn).
-    sphere: abar^3 times 2(n-3) bar generators of the puncture factor found
-      by first-success lexicographic search, length 2n-3, over GF(2).
-    punctured-mod-ideal: all 2n bars on the mod-ideal quotient, length 2n,
-      after checking every x1..xk y_{k+1}..y_n is nonzero there.
+    torus: on totaro_algebra(1, n), prod of xbar_j ybar_j, length 2n,
+      witness y1..yn (x) x1..xn.
+    genus2: on genus2_B_algebra(n, g), g >= 2, abar1 bbar1 cbar1 dbar1
+      prod_{j>=2} xbar_j ybar_j, length 2n+2, witness inside
+      (w1 y2..yn) (x) (w1 x2..xn).
+    sphere: on sphere_mod2_model(n), abar^3 times 2(n-3) bar generators of
+      the puncture factor found by first-success lexicographic search,
+      length 2n-3, over GF(2).
+    punctured-mod-ideal: on mod_ideal_quotient(n, g), all 2n bars, length
+      2n, after checking every x1..xk y_{k+1}..y_n is nonzero there.
 
-    genus is the surface genus of the genus2 and punctured-mod-ideal
-    models; the torus and sphere families ignore it.
+    n is A.points; the genus is the one reduced_generators(A) reads.  A
+    model the family cannot run on raises AlgebraError, and
+    certificate_product verifies every factor and witness.
     """
-    if n < 1:
-        raise AlgebraError("n must be positive")
+    T = tensor_square(A)
     if case == "torus":
-        A = totaro_algebra(1, n)
-        T = tensor_square(A)
         red = reduced_generators(A)
         wit = (_single_monomial(_product(red.ys)), _single_monomial(_product(red.xs)))
         return certificate_product(T, _interleaved_bars(T, red.xs, red.ys), wit)
 
     if case == "genus2":
-        B = genus2_B_algebra(n, genus)
-        T = tensor_square(B)
-        red = reduced_generators(B)
-        factors = ([T.bar(B.gen(s)) for s in ("a1", "b1", "c1", "d1")]
+        red = reduced_generators(A)
+        if A.genus < 2:
+            raise AlgebraError(f"{A.label}: the genus2 family needs genus >= 2")
+        factors = ([T.bar(A.gen(s)) for s in ("a1", "b1", "c1", "d1")]
                    + _interleaved_bars(T, red.xs[1:], red.ys[1:]))
-        w1 = B.gen("a1") * B.gen("b1")
+        w1 = A.gen("a1") * A.gen("b1")
         L = _product([w1] + red.ys[1:])
         R = _product([w1] + red.xs[1:])
         if L.is_zero() or R.is_zero():
-            raise CertificateError(f"{B.label}: witness legs vanish")
+            raise CertificateError(f"{A.label}: witness legs vanish")
         return certificate_product(T, factors, *[
             (m1, m2) for m1 in sorted(L.terms) for m2 in sorted(R.terms)])
 
     if case == "sphere":
-        A = sphere_mod2_model(n)
-        T = tensor_square(A)
+        n = getattr(A, "points", 0)
+        if n < 3 or "a" not in A.free.by_name:
+            raise AlgebraError(
+                f"{A.label}: the sphere family needs a sphere-mod2 model")
         al = T.bar(A.gen("a"))
         bars = [T.bar(A.gen(name)) for name in A.free.names if name != "a"]
         need = 2 * (n - 3)
@@ -302,15 +299,13 @@ def case_certificate(case: str, n: int, genus: int = 2) -> ZclCertificate:
         return cert
 
     if case == "punctured-mod-ideal":
-        Aq = mod_ideal_quotient(n, genus)
-        red = reduced_generators(Aq)
-        xs, ys = red.xs, red.ys
+        red = reduced_generators(A)
+        xs, ys, n = red.xs, red.ys, A.points
         prods = [_product(xs[:k] + ys[k:]) for k in range(n + 1)]
         for k, p in enumerate(prods):
             if p.is_zero():
                 raise CertificateError(
-                    f"{Aq.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
-        T = tensor_square(Aq)
+                    f"{A.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
         xmon, ymon = _single_monomial(prods[n]), _single_monomial(prods[0])
         return certificate_product(T, _interleaved_bars(T, xs, ys),
                                    (ymon, xmon), (xmon, ymon))
@@ -325,8 +320,7 @@ def bar_product_certificate(A, length: int) -> ZclCertificate:
     factor may repeat once), so success certifies zcl(A) >= length.  Much
     cheaper than zcl_exact when only a lower bound is needed.
     """
-    if length < 0:
-        raise AlgebraError("length must be nonnegative")
+    _require_int(length, 0, "length must be nonnegative")
     T = tensor_square(A)
     if length == 0:
         return ZclCertificate(A.label, [], ((), ()), T.field.one, 0, T)

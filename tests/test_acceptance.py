@@ -10,7 +10,8 @@ import time
 from tcsurf.fields import QQ
 from tcsurf.groebner import gb_hilbert, torus_ideal_check
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
-                           punctured_plane_algebra, so3_mod2_algebra,
+                           mod_ideal_quotient, punctured_plane_algebra,
+                           so3_mod2_algebra,
                            sphere_mod2_model, surface_cohomology,
                            surface_diagonal, totaro_algebra)
 from tcsurf.presentation import hilbert_series, quotient, tensor_square
@@ -60,19 +61,20 @@ def test_criterion_2_zcl_exactness():
 def test_criterion_3_certificate_suite():
     results = []
     for n in range(1, 6):
-        c = case_certificate("torus", n)
+        c = case_certificate("torus", totaro_algebra(1, n))
         results.append(("torus", n, c.certified_length == 2 * n
                         and c.coefficient != 0))
     for n in range(1, 4):
-        c = case_certificate("genus2", n)
+        c = case_certificate("genus2", genus2_B_algebra(n))
         results.append(("genus2", n, c.certified_length == 2 * n + 2
                         and c.coefficient != 0))
     for n in range(3, 7):
-        c = case_certificate("sphere", n)
+        c = case_certificate("sphere", sphere_mod2_model(n))
         results.append(("sphere", n, c.certified_length == 2 * n - 3
                         and c.coefficient != 0))
     for n in range(1, 5):
-        c = case_certificate("punctured-mod-ideal", n)
+        c = case_certificate("punctured-mod-ideal",
+                             mod_ideal_quotient(n))
         results.append(("mod-ideal", n, c.certified_length == 2 * n
                         and c.coefficient != 0))
 

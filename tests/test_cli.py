@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from tcsurf import cli, presentation
+from tcsurf import cli, models, presentation
 from tcsurf.errors import ModelInconsistencyError
-from tcsurf.models import arnold_algebra
+from tcsurf.models import arnold_algebra, totaro_algebra
 from tcsurf.presentation import quotient
+from tcsurf.tcreport import tc_report
 from tcsurf.zcl import bar_product_certificate, case_certificate
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -71,7 +72,7 @@ def test_zcl_certificate_climb_with_cap():
 
 @pytest.mark.parametrize("argv,certify", [
     (("--model", "totaro", "--g", "1", "--n", "2"),
-     lambda: case_certificate("torus", 2)),
+     lambda: case_certificate("torus", totaro_algebra(1, 2))),
     (("--model", "arnold", "--n", "3"),
      lambda: bar_product_certificate(quotient(arnold_algebra(3)), 3)),
 ], ids=["family", "climb"])
@@ -265,6 +266,29 @@ def test_negative_punctures_is_a_model_error():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_groebner_check_refuses_an_unknown_ideal_family():
+    proc = run_cli("groebner-check", "--model", "other", "--n", "2")
+    assert proc.returncode == 2
+    assert "invalid choice: 'other'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tc_and_zcl_build_the_model_once_through_the_table(monkeypatch):
+    real, built = models.totaro_algebra, []
+
+    def counted(g, n):
+        built.append((g, n))
+        return real(g, n)
+
+    monkeypatch.setattr(models, "totaro_algebra", counted)
+    assert tc_report(1, 3).status == "tight"
+    assert built == [(1, 3)]
+    built.clear()
+    assert cli.main(["zcl", "--model", "totaro", "--g", "1", "--n", "3",
+                     "--method", "certificate"]) == 0
+    assert built == [(1, 3)]
 
 
 def test_build_mod_ideal():

@@ -16,6 +16,15 @@ from tcsurf.presentation import hilbert_series
 from .oracles import normal_counts_by_subsets, tuple_order_key
 
 
+@pytest.mark.parametrize("call", [
+    lambda: torus_ideal(2.5), lambda: torus_ideal(True),
+    lambda: torus_ideal_check(2.5),
+], ids=["ideal-2.5", "ideal-True", "check-2.5"])
+def test_torus_ideal_count_that_is_not_an_int_is_refused(call):
+    with pytest.raises(AlgebraError, match="expected an integer"):
+        call()
+
+
 def test_torus_relations_are_a_groebner_basis_up_to_n6():
     for n in range(2, 7):
         rep = torus_ideal_check(n)

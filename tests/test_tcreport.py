@@ -35,6 +35,17 @@ def test_theorem_rejects_bad_input():
             upper_bound(*bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: tc_theorem(0, 2.5, 0), lambda: tc_theorem(True, 2, 0),
+    lambda: upper_bound(1, 2, 0.0), lambda: tc_report(1, True, 0),
+    lambda: product_space_tc(1, 2.5), lambda: sweep(1.5, 2, 0),
+], ids=["theorem-n", "theorem-g", "upper-m", "report-n", "product-n",
+        "sweep-gmax"])
+def test_counts_that_are_not_ints_are_refused(call):
+    with pytest.raises(AlgebraError, match="expected an integer"):
+        call()
+
+
 def test_every_closed_form_meets_its_upper_bound_chain():
     for g in range(5):
         for n in range(1, 9):

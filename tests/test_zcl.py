@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -79,7 +80,8 @@ def test_integral_coefficients_stay_ints_through_zcl_exact():
     prod = next(prod for prod in row.values() if prod)
     prod[next(iter(prod))] = Fraction(1, 2)
     assert _cached_fractions(A) == [Fraction(1, 2)]
-    assert case_certificate("torus", 3).to_json()["coefficient"] == "-1"
+    cert = case_certificate("torus", totaro_algebra(1, 3))
+    assert cert.to_json()["coefficient"] == "-1"
     assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2"
     assert QQ.fmt(-1) == QQ.fmt(Fraction(-1)) == "-1"
 
@@ -206,24 +208,25 @@ def test_zcl_at_least_cup_length():
 def test_torus_certificates_through_n5():
     coeffs = {1: 1, 2: -1, 3: -1, 4: 1, 5: 1}
     for n in range(1, 6):
-        cert = case_certificate("torus", n)
+        A = totaro_algebra(1, n)
+        cert = case_certificate("torus", A)
         assert cert.certified_length == 2 * n
         assert cert.coefficient == QQ.coerce(coeffs[n])
-        A = totaro_algebra(1, n)
         names = tuple(A.free.mon_str(m) for m in cert.witness)
         assert names == ("*".join(f"b{i}" for i in range(1, n + 1)),
                          "*".join(f"a{i}" for i in range(1, n + 1)))
 
 
 def test_certificate_never_exceeds_exact():
-    cert = case_certificate("torus", 2)
-    assert cert.certified_length <= zcl_exact(totaro_algebra(1, 2)).value
+    A = totaro_algebra(1, 2)
+    cert = case_certificate("torus", A)
+    assert cert.certified_length <= zcl_exact(A).value
 
 
 def test_genus2_certificates_through_n3():
     coeffs = {1: 2, 2: 2, 3: -2}
     for n in range(1, 4):
-        cert = case_certificate("genus2", n)
+        cert = case_certificate("genus2", genus2_B_algebra(n))
         assert cert.certified_length == 2 * n + 2
         assert cert.coefficient == QQ.coerce(coeffs[n])
 
@@ -239,21 +242,22 @@ def test_genus2_seed_identity_bit_exact():
 
 
 def test_genus3_certificate_generalizes():
-    cert = case_certificate("genus2", 2, genus=3)
+    cert = case_certificate("genus2", genus2_B_algebra(2, genus=3))
     assert cert.certified_length == 6
     assert cert.coefficient == QQ.coerce(2)
 
 
 def test_genus3_certificate_reaches_n4():
-    assert genus2_B_algebra(4, genus=3).hilbert() == [1, 24, 190, 592, 624, 20]
-    cert = case_certificate("genus2", 4, genus=3)
+    B = genus2_B_algebra(4, genus=3)
+    assert B.hilbert() == [1, 24, 190, 592, 624, 20]
+    cert = case_certificate("genus2", B)
     assert cert.certified_length == 10
     assert cert.coefficient == QQ.coerce(-2)
 
 
 def test_sphere_certificates_through_n5():
     for n in range(3, 6):
-        cert = case_certificate("sphere", n)
+        cert = case_certificate("sphere", sphere_mod2_model(n))
         assert cert.certified_length == 2 * n - 3
         assert cert.coefficient == 1  # GF(2)
 
@@ -266,7 +270,7 @@ def test_sphere_certificate_matches_exact_value():
 def test_mod_ideal_certificates_all_k():
     coeffs = {1: 1, 2: -1, 3: -1, 4: 1}
     for n in range(1, 5):
-        cert = case_certificate("punctured-mod-ideal", n)
+        cert = case_certificate("punctured-mod-ideal", mod_ideal_quotient(n))
         assert cert.certified_length == 2 * n
         assert cert.coefficient == QQ.coerce(coeffs[n])
 
@@ -364,15 +368,35 @@ def test_bar_product_certificate_lengths():
 
 
 @pytest.mark.parametrize("certify", [
-    lambda: case_certificate("torus", 2),
-    lambda: case_certificate("genus2", 2),
-    lambda: case_certificate("sphere", 4),
-    lambda: case_certificate("punctured-mod-ideal", 3),
+    lambda: case_certificate("torus", totaro_algebra(1, 2)),
+    lambda: case_certificate("genus2", genus2_B_algebra(2)),
+    lambda: case_certificate("sphere", sphere_mod2_model(4)),
+    lambda: case_certificate("punctured-mod-ideal", mod_ideal_quotient(3)),
     lambda: bar_product_certificate(quotient(arnold_algebra(4)), 5),
 ], ids=["torus", "genus2", "sphere", "punctured-mod-ideal", "bar-product"])
 def test_certificates_never_build_the_pair_basis(certify):
     T = certify().tensor_algebra
     assert "basis" not in vars(T) and "index" not in vars(T)
+
+
+@pytest.mark.parametrize("case,build", [
+    ("torus", lambda: quotient(arnold_algebra(3))),
+    ("genus2", lambda: totaro_algebra(1, 2)),
+    ("sphere", so3_mod2_algebra),
+    ("sphere", lambda: totaro_algebra(1, 2)),
+    ("punctured-mod-ideal", lambda: quotient(surface_cohomology(1))),
+], ids=["torus-on-arnold", "genus2-on-torus", "sphere-on-so3",
+        "sphere-on-torus", "mod-ideal-on-surface"])
+def test_family_refuses_a_model_it_cannot_run_on(case, build):
+    A = build()
+    with pytest.raises(AlgebraError, match=re.escape(A.label)):
+        case_certificate(case, A)
+
+
+@pytest.mark.parametrize("length", [2.5, True], ids=repr)
+def test_bar_product_length_that_is_not_an_int_is_refused(length):
+    with pytest.raises(AlgebraError, match="expected an integer"):
+        bar_product_certificate(quotient(arnold_algebra(3)), length)
 
 
 def test_bar_product_certificate_fails_past_the_truth():
@@ -442,7 +466,8 @@ def test_mod_ideal_quotient_rejects_degenerate_sizes():
 
 def test_mod_ideal_certificate_honours_the_genus():
     for n, length in ((2, 4), (3, 6)):
-        cert = case_certificate("punctured-mod-ideal", n, genus=3)
+        cert = case_certificate("punctured-mod-ideal",
+                                mod_ideal_quotient(n, genus=3))
         assert cert.algebra == f"mod-ideal(g=3,n={n})"
         assert cert.certified_length == length
         assert cert.coefficient != 0
