@@ -9,50 +9,46 @@ Hilbert series oracles, and a Groebner-basis verification of the torus
 relation ideal.
 """
 
-from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     MismatchError, ModelInconsistencyError,
-                     NotPoincareDualityError, ResourceBudgetError,
-                     TruncationError, UnsupportedModelError)
-from .fields import GF2, QQ
-from .exterior import Element, FreeAlgebra
-from .presentation import (AlgebraPresentation, DualityData, QuotientAlgebra,
-                           TensorSquareAlgebra, convolve, diagonal_class,
-                           duality_data, hilbert_series, quotient,
-                           tensor_square)
-from .models import (ReducedGenerators, arnold_algebra, genus2_B_algebra,
-                     punctured_plane_algebra, reduced_generators,
-                     resolve_model, so3_mod2_algebra, sphere_mod2_model,
-                     surface_cohomology, surface_diagonal, totaro_algebra)
-from .zcl import (BoundReport, E2Report, ZclCertificate,
-                  bar_product_certificate, bar_generators, case_certificate,
-                  certificate_product, cup_length, e2_probe,
-                  mod_ideal_quotient, zcl_exact)
-from .groebner import (GbReport, TermOrder, buchberger_check, gb_hilbert,
-                       reduce_element, s_polynomial, torus_ideal,
-                       torus_ideal_check)
-from .tcreport import (TcFact, TcReport, all_tight, product_space_tc, sweep,
-                       tc_report, tc_theorem, upper_bound)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError", "CertificateError", "HomogeneityError", "MismatchError",
-    "ModelInconsistencyError", "NotPoincareDualityError",
-    "ResourceBudgetError", "TruncationError", "UnsupportedModelError",
-    "GF2", "QQ", "Element", "FreeAlgebra",
-    "AlgebraPresentation", "DualityData", "QuotientAlgebra",
-    "TensorSquareAlgebra", "convolve", "diagonal_class", "duality_data",
-    "hilbert_series", "quotient", "tensor_square",
-    "ReducedGenerators", "arnold_algebra", "genus2_B_algebra",
-    "punctured_plane_algebra", "reduced_generators", "resolve_model",
-    "so3_mod2_algebra", "sphere_mod2_model", "surface_cohomology",
-    "surface_diagonal", "totaro_algebra",
-    "BoundReport", "E2Report", "ZclCertificate", "bar_product_certificate",
-    "bar_generators", "case_certificate", "certificate_product",
-    "cup_length", "e2_probe", "mod_ideal_quotient",
-    "zcl_exact",
-    "GbReport", "TermOrder", "buchberger_check", "gb_hilbert",
-    "reduce_element", "s_polynomial", "torus_ideal", "torus_ideal_check",
-    "TcFact", "TcReport", "all_tight", "product_space_tc", "sweep",
-    "tc_report", "tc_theorem", "upper_bound",
-]
+# Each exported name, under the module that defines it.  A name is imported
+# from its module on first use (PEP 562), so `import tcsurf` loads no
+# submodule and each command line pays only for the layers it runs.
+_EXPORTS = {
+    "errors": ("AlgebraError", "CertificateError", "HomogeneityError",
+               "MismatchError", "ModelInconsistencyError",
+               "NotPoincareDualityError", "ResourceBudgetError",
+               "TruncationError", "UnsupportedModelError"),
+    "fields": ("GF2", "QQ"),
+    "exterior": ("Element", "FreeAlgebra"),
+    "presentation": ("AlgebraPresentation", "DualityData", "QuotientAlgebra",
+                     "TensorSquareAlgebra", "convolve", "diagonal_class",
+                     "duality_data", "hilbert_series", "quotient",
+                     "tensor_square"),
+    "models": ("ReducedGenerators", "arnold_algebra", "genus2_B_algebra",
+               "punctured_plane_algebra", "reduced_generators",
+               "resolve_model", "so3_mod2_algebra", "sphere_mod2_model",
+               "surface_cohomology", "surface_diagonal", "totaro_algebra"),
+    "zcl": ("BoundReport", "E2Report", "ZclCertificate",
+            "bar_product_certificate", "bar_generators", "case_certificate",
+            "certificate_product", "cup_length", "e2_probe",
+            "mod_ideal_quotient", "zcl_exact"),
+    "groebner": ("GbReport", "TermOrder", "buchberger_check", "gb_hilbert",
+                 "reduce_element", "s_polynomial", "torus_ideal",
+                 "torus_ideal_check"),
+    "tcreport": ("TcFact", "TcReport", "all_tight", "product_space_tc",
+                 "sweep", "tc_report", "tc_theorem", "upper_bound"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,6 +11,10 @@ Exit codes: build/zcl return 0 on success; groebner-check returns 1 when
 the set is not a Groebner basis; tc returns 1 when any computed row is not
 tight (unverified and over-budget rows do not fail a sweep); usage and model
 errors, and presentation files that cannot be read or parsed, return 2.
+
+Each subcommand imports the layers it runs when it runs, and build and zcl
+declare their options, whose model tokens and help come from MODELS, when
+they parse: `tcsurf --help`, tc and groebner-check never load MODELS.
 """
 
 from __future__ import annotations
@@ -18,15 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .errors import AlgebraError, CertificateError
+from .errors import AlgebraError, CertificateError, _require_int
 from .fields import field_from_name
-from .groebner import gb_hilbert, torus_ideal_check
-from .models import MODELS, model_options, resolve_model
-from .presentation import AlgebraPresentation, quotient
-from .tcreport import all_tight, sweep, tc_report
-from .zcl import (ZclCertificate, bar_product_certificate, case_certificate,
-                  zcl_exact)
+
+if TYPE_CHECKING:
+    from .zcl import ZclCertificate
 
 
 _FIELD_ALIASES = {"q": "Q", "qq": "Q", "rational": "Q",
@@ -39,7 +41,23 @@ def _field_arg(tok):
     return field_from_name(_FIELD_ALIASES.get(tok.lower(), tok))
 
 
+class _LazyParser(argparse.ArgumentParser):
+    """A subcommand parser that runs declare(self) before its first parse."""
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _model_args(p: argparse.ArgumentParser, required: bool):
+    from .models import MODELS
+
     def takers(option):
         return ", ".join(t for t, spec in MODELS.items() if option in spec.defaults)
 
@@ -52,6 +70,25 @@ def _model_args(p: argparse.ArgumentParser, required: bool):
                    help=f"q or gf2 ({takers('field')} only)")
 
 
+def _build_args(b):
+    # --model is not required when a file is given
+    _model_args(b, required=False)
+    b.add_argument("--presentation", default=None, metavar="FILE",
+                   help="load a presentation JSON file instead of a builder")
+    b.add_argument("--dump-presentation", default=None, metavar="FILE",
+                   help="write the presentation JSON ('-' for stdout)")
+    b.add_argument("--json", action="store_true")
+
+
+def _zcl_args(z):
+    _model_args(z, required=True)
+    z.add_argument("--method", choices=("exact", "certificate"),
+                   default="exact")
+    z.add_argument("--cap", type=int, default=None,
+                   help="stop the iteration or search at this length")
+    z.add_argument("--json", action="store_true")
+
+
 def _given(args):
     """The model options on the command line, None where absent."""
     return {"g": args.g, "n": args.n, "punctures": args.punctures,
@@ -59,6 +96,9 @@ def _given(args):
 
 
 def _cmd_build(args):
+    from .models import resolve_model
+    from .presentation import AlgebraPresentation, quotient
+
     given = _given(args)
     if args.presentation:
         if args.model or any(v is not None for v in given.values()):
@@ -97,8 +137,10 @@ def _cmd_build(args):
 
 
 def _climb_certificate(A, cap) -> ZclCertificate:
-    if cap is not None and cap < 1:
-        raise AlgebraError(f"--cap must be at least 1, got {cap}")
+    from .zcl import bar_product_certificate
+
+    if cap is not None:
+        _require_int(cap, 1, f"--cap must be at least 1, got {cap}")
     best = bar_product_certificate(A, 0)
     k = 1
     while cap is None or k <= cap:
@@ -111,6 +153,9 @@ def _climb_certificate(A, cap) -> ZclCertificate:
 
 
 def _cmd_zcl(args):
+    from .models import MODELS, model_options
+    from .zcl import case_certificate, zcl_exact
+
     spec = MODELS[args.model]
     options = model_options(args.model, **_given(args))
     case = spec.case(options) if args.method == "certificate" else None
@@ -135,6 +180,8 @@ def _cmd_zcl(args):
 
 
 def _cmd_groebner(args):
+    from .groebner import gb_hilbert, torus_ideal_check
+
     rep = torus_ideal_check(args.n, args.order)
     if args.json:
         out = rep.to_json()
@@ -159,6 +206,8 @@ def _print_tc_rows(rows, as_json):
 
 
 def _cmd_tc(args):
+    from .tcreport import all_tight, sweep, tc_report
+
     if args.sweep:
         if (args.g, args.n, args.m) != (None, None, None):
             raise AlgebraError("--sweep takes no --g, --n or --m")
@@ -177,25 +226,15 @@ def main(argv=None) -> int:
         prog="tcsurf",
         description="Exact cohomology models and topological-complexity "
                     "certificates for surface configuration spaces.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_LazyParser)
 
-    b = sub.add_parser("build", help="construct a model algebra")
-    # --model is not required when a file is given
-    _model_args(b, required=False)
-    b.add_argument("--presentation", default=None, metavar="FILE",
-                   help="load a presentation JSON file instead of a builder")
-    b.add_argument("--dump-presentation", default=None, metavar="FILE",
-                   help="write the presentation JSON ('-' for stdout)")
-    b.add_argument("--json", action="store_true")
+    b = sub.add_parser("build", help="construct a model algebra",
+                       declare=_build_args)
     b.set_defaults(run=_cmd_build)
 
-    z = sub.add_parser("zcl", help="zero-divisor cup length")
-    _model_args(z, required=True)
-    z.add_argument("--method", choices=("exact", "certificate"),
-                   default="exact")
-    z.add_argument("--cap", type=int, default=None,
-                   help="stop the iteration or search at this length")
-    z.add_argument("--json", action="store_true")
+    z = sub.add_parser("zcl", help="zero-divisor cup length",
+                       declare=_zcl_args)
     z.set_defaults(run=_cmd_zcl)
 
     gb = sub.add_parser("groebner-check", help="verify a Groebner basis")

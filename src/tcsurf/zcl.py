@@ -136,10 +136,8 @@ def _power_iterate(space, gens, cap):
     kept elements are products, not echelon rows, so they stay sparse and,
     over Q, integral.
     """
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
-        raise AlgebraError(f"cap must be an integer, got {cap!r}")
-    if cap is not None and cap < 1:
-        raise AlgebraError(f"cap must be at least 1, got {cap}")
+    if cap is not None:
+        _require_int(cap, 1, f"cap must be at least 1, got {cap}")
     lowest = [i + 1 if (g * g).is_zero() else i for i, g in enumerate(gens)]
     level = [(len(gens), space.one())]
     k = 0

@@ -89,7 +89,8 @@ def test_climb_stops_only_at_a_certificate_error(monkeypatch, capsys):
             raise ModelInconsistencyError("model check failed")
         return real(A, length)
 
-    monkeypatch.setattr(cli, "bar_product_certificate", inconsistent_at_two)
+    monkeypatch.setattr("tcsurf.zcl.bar_product_certificate",
+                        inconsistent_at_two)
     assert cli.main(["zcl", "--model", "arnold", "--n", "3",
                      "--method", "certificate"]) == 2
     assert "error: model check failed" in capsys.readouterr().err

@@ -17,10 +17,7 @@ from pathlib import Path
 
 import pytest
 
-import tcsurf
-
 GOLDEN = Path(__file__).resolve().parent / "golden_help.json"
-SRC = Path(tcsurf.__file__).resolve().parents[1]
 
 INVOCATIONS = [
     ["--help"],
@@ -34,7 +31,7 @@ INVOCATIONS = [
 
 def run(argv):
     """Exit code, stdout and stderr of `python -m tcsurf argv` at 80 columns."""
-    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(SRC))
+    env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "tcsurf", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     return {"exit": proc.returncode, "stdout": proc.stdout,

@@ -1,0 +1,47 @@
+"""Which tcsurf modules each entry point loads.
+
+`import tcsurf` loads no submodule, and each subcommand imports only the
+layers it runs.  Each case runs a fresh interpreter under `-X importtime`,
+whose stderr names every module the run imported.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import tcsurf
+from tcsurf import zcl
+
+MODEL_LAYERS = {"tcsurf.models", "tcsurf.presentation", "tcsurf.linalg",
+                "tcsurf.zcl", "tcsurf.tcreport"}
+
+
+def loaded(*args):
+    """The tcsurf modules `python -X importtime args...` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n for n in names if n == "tcsurf" or n.startswith("tcsurf.")}
+
+
+def test_help_loads_only_the_front_end():
+    assert loaded("-m", "tcsurf", "--help") <= {
+        "tcsurf", "tcsurf.__main__", "tcsurf.cli", "tcsurf.errors",
+        "tcsurf.fields"}
+
+
+def test_groebner_check_loads_no_model_layer():
+    mods = loaded("-m", "tcsurf", "groebner-check", "--n", "2", "--json")
+    assert "tcsurf.groebner" in mods
+    assert not mods & MODEL_LAYERS
+
+
+def test_package_import_is_lazy():
+    assert loaded("-c", "import tcsurf") == {"tcsurf"}
+    assert tcsurf.zcl_exact is zcl.zcl_exact
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tcsurf.no_such_name

@@ -55,9 +55,9 @@ def test_cap_below_one_is_refused():
 
 def test_cap_that_is_not_an_int_is_refused():
     for cap in (2.5, True, "2"):
-        with pytest.raises(AlgebraError, match="cap must be an integer"):
+        with pytest.raises(AlgebraError, match="expected an integer"):
             zcl_exact(totaro_algebra(1, 2), cap=cap)
-        with pytest.raises(AlgebraError, match="cap must be an integer"):
+        with pytest.raises(AlgebraError, match="expected an integer"):
             cup_length(torus_ring(), cap=cap)
 
 
