@@ -8,9 +8,11 @@ fed in.
 
 Over the rationals the rows are kept as primitive integer vectors (gcd 1,
 positive pivot); elimination is fraction-free so the hot loops run on plain
-ints.  Over GF(2) a row is a single int bitmask and elimination is xor.
-new_subspace picks the elimination by characteristic; fields.py admits no
-field but Q and GF(2).
+ints.  It works in place, on insert's own copy of the vector and on the
+row finalize is reducing, and scales a row only when the pivot it meets is
+not 1; a row is made primitive when it is stored.  Over GF(2) a row is a
+single int bitmask and elimination is xor.  new_subspace picks the
+elimination by characteristic; fields.py admits no field but Q and GF(2).
 
 Vectors are inserted in echelon form; finalize back-substitutes once, in
 descending pivot order.  When a row is reached every row with a higher pivot
@@ -84,10 +86,10 @@ class RationalSubspace(Subspace):
             p = min(row)
             piv = rows.get(p)
             if piv is None:
-                self._rows[p] = _primitive(row, p)
+                rows[p] = _primitive(row, p)
                 self._final = False
                 return True
-            row = _int_eliminate(row, piv, p)
+            _int_eliminate(row, piv, p)
         return False
 
     def finalize(self):
@@ -101,7 +103,7 @@ class RationalSubspace(Subspace):
             if not hits:
                 continue
             for p in hits:
-                row = _int_eliminate(row, rows[p], p)
+                _int_eliminate(row, rows[p], p)
             rows[q] = _primitive(row, q)
         self._final = True
 
@@ -163,40 +165,57 @@ def _to_int_row(vec):
     return _strip_content(row)
 
 
-def _strip_content(row):
-    if not row:
-        return row
+def _content(row):
+    """The gcd of a row's entries (0 for an empty row)."""
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
-            return row
+            break
+    return g
+
+
+def _strip_content(row):
+    """row divided by its content, in place; returns row."""
+    g = _content(row)
     if g > 1:
-        return {c: v // g for c, v in row.items()}
+        for c in row:
+            row[c] //= g
     return row
 
 
 def _primitive(row, pivot):
-    row = _strip_content(row)
+    """A fresh copy of a nonzero row with content 1 and a positive pivot.
+
+    The copy is built entry by entry: a row eliminated in place keeps the
+    hash table it grew to, and dict(row) would keep it too."""
+    g = _content(row)
     if row[pivot] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
+        g = -g
+    if g == 1:
+        return {c: v for c, v in row.items()}
+    return {c: v // g for c, v in row.items()}
 
 
 def _int_eliminate(row, piv, p):
-    """Return row*piv[p] - piv*row[p], content-stripped (kills column p)."""
+    """row <- row*piv[p] - piv*row[p] in place, which kills column p.
+
+    Only a pivot other than 1 scales the row, and only then is its content
+    stripped; a row scaled by a constant ends at the same primitive row.
+    """
     a = piv[p]
     b = row[p]
-    out = {}
-    for c, v in row.items():
-        out[c] = v * a
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in piv.items():
-        n = out.get(c, 0) - v * b
+        n = row.get(c, 0) - v * b
         if n:
-            out[c] = n
+            row[c] = n
         else:
-            out.pop(c, None)
-    return _strip_content(out)
+            del row[c]
+    if a != 1:
+        _strip_content(row)
 
 
 class Gf2Subspace(Subspace):

@@ -6,7 +6,8 @@ monomial: the killed monomials generate a monomial ideal M, and the other
 relations an ideal N.  The quotient is built degree by degree over the
 surviving monomials, those that no killed monomial divides.  In each degree
 the ideal span is the echelonized set of products (surviving monomial) *
-(relation of N) with their killed terms dropped, the quotient basis is the
+(relation of N) with their killed terms dropped (less those the F5
+criterion proves redundant; see QuotientAlgebra), the quotient basis is the
 set of non-pivot survivors, and elements are kept in normal form with
 respect to that echelon.  This is the echelon of M + N with the unit rows
 of M left out: the pivots of M + N are the killed monomials plus the pivots
@@ -201,6 +202,22 @@ class QuotientAlgebra:
     The rows come relation by relation, each over the survivors in
     ascending order, with the same entries as FreeAlgebra.mul_mon gives.
 
+    Rows that Faugere's F5 criterion proves redundant are never formed.
+    Number the multi-term relations r_1, r_2, ... in their given order.
+    Each degree k keeps a lead table: for each column m of degree k, the
+    lowest i such that some row m' r_i of degree k has m as its smallest
+    column.  The product m r_j of degree d is skipped when that i is below
+    j.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t) modulo
+    the killed monomials, with c nonzero, so
+
+        m r_j = (g r_j - sum over t > m of c_t t r_j) / c.
+
+    g r_j lies in the ideal of r_1 .. r_(j-1), which their degree-d rows
+    span; each t r_j is a row or is spanned in turn, by descending
+    induction on t.  So the span is that of every product, and RREF is
+    unique for a given span: pivots, bases and normal forms are those of
+    the full elimination, whatever rows are inserted.
+
     Before degree d is enumerated, the degrees below it bound its work.
     A survivor is a survivor of lower degree times its last generator g, so
     degree d has at most the sum over g of len(mons[d - |g|]) columns; it
@@ -237,6 +254,7 @@ class QuotientAlgebra:
         self.basis = [[()]]
         self.index = [{(): 0}]
         self.ideal = [echelonize(self.field, 1, [])]
+        leads = [[len(rels)]]  # per degree, see _ideal_vectors
         stopped_clean = False
         for d in range(1, bound + 1):
             cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
@@ -247,8 +265,9 @@ class QuotientAlgebra:
                     f"{rows} relation products, over the budget of {DEFAULT_BUDGET}")
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
-            self.ideal.append(echelonize(
-                self.field, len(mons), self._ideal_vectors(d, rels, mons, killed)))
+            leads.append([len(rels)] * len(mons))
+            self.ideal.append(echelonize(self.field, len(mons),
+                                         self._ideal_vectors(d, rels, mons, killed, leads)))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
             self.mons.append(mons)
@@ -266,29 +285,38 @@ class QuotientAlgebra:
             not capped and natural is not None and bound == natural)
         self._mul_cache = {}  # basis monomial m1 -> _ProductRow of m1
 
-    def _ideal_vectors(self, d, rels, mons, killed):
+    def _ideal_vectors(self, d, rels, mons, killed, leads):
         """Each relation times each surviving monomial of the complementary
         degree, over the degree-d survivors mons, on packed vectors (see the
-        class docstring).  A killed multiplier is left out, since its
-        products are all killed."""
+        class docstring), less the products the F5 criterion proves
+        redundant.  A killed multiplier is left out, since its products are
+        all killed.  leads[k] is the lead table of degree k: column -> the
+        lowest index of a relation with a row of degree k led there
+        (len(rels) when none); leads[d] is filled as the rows are made."""
         free, neg = self.free, self.field.neg
         w = d.bit_length() + 1
         cols = {p: i for i, p in enumerate(free.pack(mons, w))}
+        lead = leads[d]
         lower = {}
-        for e, r in rels:
+        for j, (e, r) in enumerate(rels):
             if e > d:
                 continue
             terms = [(p, c, neg(c), free.odd_bits(t, w)[1])
                      for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
             if d - e not in lower:
                 lower[d - e] = free.pack(free.monomials_of_degree(d - e, killed), w)
-            for pm in lower[d - e]:
+            for pm, first in zip(lower[d - e], leads[d - e]):
+                if first < j:
+                    continue
                 vec = {}
                 for pt, c, nc, above in terms:
                     col = cols.get(pm + pt)
                     if col is not None:
                         vec[col] = nc if (pm & above).bit_count() & 1 else c
                 if vec:
+                    low = min(vec)
+                    if lead[low] > j:
+                        lead[low] = j
                     yield vec
 
     # -- degree bookkeeping --------------------------------------------------

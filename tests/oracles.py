@@ -6,6 +6,7 @@ kernel and power-iteration oracles take their products from the package
 but do their own enumeration and elimination.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
@@ -13,6 +14,7 @@ from math import comb, gcd
 import sympy
 
 from tcsurf.exterior import Element
+from tcsurf.linalg import echelonize
 from tcsurf.presentation import tensor_square
 
 
@@ -378,6 +380,78 @@ def full_elimination_mismatches(A):
             if {k: Fraction(v) for k, v in got.items()} != residue:
                 bad.append(d)
                 break
+    return bad
+
+
+def all_products_echelon(pres, max_degree=None):
+    """(survivors, ideal, basis, exhaustive) of a presentation's quotient,
+    with every relation product echelonized.
+
+    The survivors of degree d are the free monomials (monomials_by_multisets)
+    that no killed monomial, the monomial of a single-term relation, divides
+    as a multiset.  Every other relation of degree e times every survivor of
+    degree d - e (the survivor on the left, signs by koszul_merge, products
+    that are no survivor dropped) goes through the package's echelonize over
+    the degree-d survivors; nothing is skipped.  The degrees run as the
+    quotient's do: through the formal top plus one window of max(generator
+    degree), no further than the free algebra's own top or max_degree, and
+    exhaustive when a whole window of empty degrees ends the run or the
+    free algebra's own top ends it uncapped.
+    """
+    free, field = pres.free, pres.field
+    degrees, char = free.degrees, field.char
+    killed = [Counter(next(iter(r.terms))) for r in pres.relations
+              if len(r.terms) == 1]
+    rest = [r.terms for r in pres.relations if len(r.terms) > 1]
+    window = max(degrees, default=1)
+    natural = sum(degrees) if char != 2 and all(g % 2 for g in degrees) else None
+    top = pres.top_degree if pres.top_degree is not None else natural
+    bound = top + window if natural is None else min(top + window, natural)
+    capped = max_degree is not None and max_degree < bound
+    if capped:
+        bound = max_degree
+    survivors, ideal, basis = [], [], []
+    for d in range(bound + 1):
+        survivors.append([m for m in monomials_by_multisets(degrees, d, char)
+                          if not any(k <= Counter(m) for k in killed)])
+        col = {m: i for i, m in enumerate(survivors[d])}
+        vectors = []
+        for rel in rest:
+            e = sum(degrees[g] for g in next(iter(rel)))
+            for m in survivors[d - e] if e <= d else []:
+                vec = {}
+                for mon, c in rel.items():
+                    hit = koszul_merge(degrees, m, mon, char)
+                    if hit is not None and hit[1] in col:
+                        vec[col[hit[1]]] = hit[0] * c
+                vectors.append(vec)
+        ideal.append(echelonize(field, len(col), vectors))
+        pivots = set(ideal[d].pivots)
+        basis.append([m for i, m in enumerate(survivors[d]) if i not in pivots])
+        if d >= window and not any(basis[d - k] for k in range(window)):
+            return survivors, ideal, basis, True
+    return survivors, ideal, basis, not capped and natural is not None and bound == natural
+
+
+def all_products_mismatches(A, max_degree=None):
+    """What of the quotient A differs from all_products_echelon of its
+    presentation: the survivors, pivots, reduced rows and basis of each
+    degree, the degrees built, and exhaustive."""
+    survivors, ideal, basis, exhaustive = all_products_echelon(
+        A.presentation, max_degree)
+    bad = []
+    if len(basis) != len(A.basis):
+        bad.append(("degrees", len(A.basis), len(basis)))
+    for d in range(min(len(basis), len(A.basis))):
+        for what, got, want in (
+                ("survivors", A.mons[d], survivors[d]),
+                ("pivots", A.ideal[d].pivots, ideal[d].pivots),
+                ("rows_rref", A.ideal[d].rows_rref(), ideal[d].rows_rref()),
+                ("basis", A.basis[d], basis[d])):
+            if got != want:
+                bad.append((what, d))
+    if A.exhaustive != exhaustive:
+        bad.append(("exhaustive", A.exhaustive, exhaustive))
     return bad
 
 

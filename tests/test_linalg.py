@@ -203,3 +203,27 @@ def test_back_substitution_matches_quadratic_reference(field, seed):
             assert sub.rows_rref() == [
                 {c: Fraction(v, row[p]) for c, v in row.items()}
                 for p, row in zip(sorted(ref), want)]
+
+
+@pytest.mark.parametrize("field, values", [
+    (QQ, [-3, -2, -1, 1, 2, 3]),
+    (QQ, [Fraction(-3, 2), Fraction(-1, 3), -1, 1, Fraction(2, 3), 2]),
+    (GF2, [1, 1, 3]),
+], ids=["Q-int", "Q-fraction", "GF2"])
+def test_insert_leaves_its_argument_alone(field, values):
+    # elimination is in place on the subspace's own copy: zcl._GradedSpan
+    # rebuilds the kept element from the vector it passed to insert
+    rng = random.Random(5)
+    sub = new_subspace(field, 12)
+    raised = spent = 0
+    for _ in range(40):
+        vec = {c: rng.choice(values) for c in rng.sample(range(12), rng.randint(1, 6))}
+        before = list(vec.items())
+        if sub.insert(vec):
+            raised += 1
+        else:
+            spent += 1
+        assert list(vec.items()) == before
+        if rng.random() < 0.2:
+            sub.finalize()
+    assert raised and spent

@@ -1,16 +1,20 @@
 """Differential property tests on small random homogeneous presentations.
 
 Quotient dimensions are checked against the rank of the Macaulay matrix
-computed by the independent oracles, and quotient bases and normal forms
-against the oracles' elimination over every free monomial; zcl_exact is checked against the
-oracles' power iteration with a full kernel basis of mu, and zcl_exact and
-cup_length against their unordered power iteration; tensor-square
-dimensions, computed without listing pairs, are checked against the leg
-convolution and the oracles' pair counts; the tensor-square product of pure
-tensors is checked against the Koszul rule on products taken in A.  Examples
-are derandomized so the suite is repeatable.
+computed by the independent oracles, quotient bases and normal forms
+against the oracles' elimination over every free monomial, and the
+quotient's ideal echelons (which skip the relation products the F5
+criterion proves redundant) against the oracles' echelon of every relation
+product; zcl_exact is checked against the oracles' power iteration with a
+full kernel basis of mu, and zcl_exact and cup_length against their
+unordered power iteration; tensor-square dimensions, computed without
+listing pairs, are checked against the leg convolution and the oracles'
+pair counts; the tensor-square product of pure tensors is checked against
+the Koszul rule on products taken in A.  Examples are derandomized so the
+suite is repeatable.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from unittest import mock
 
@@ -22,7 +26,8 @@ from tcsurf.fields import GF2, QQ
 from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.zcl import bar_generators, cup_length, zcl_exact
 
-from .oracles import (full_elimination_mismatches, gf2_rank, kernel_of_mu,
+from .oracles import (all_products_mismatches, full_elimination_mismatches,
+                      gf2_rank, kernel_of_mu,
                       koszul_merge, poly_mul, rational_rank, tensor_pairs,
                       unordered_power_iteration)
 
@@ -65,6 +70,25 @@ def presentations(draw, field, degrees, squares=False):
                     st.sampled_from(mons), coeff, min_size=1, max_size=3))))
     top = sum(d if d % 2 else 2 * d for d in degs) if squares else 3
     return AlgebraPresentation(free, rels, top_degree=top)
+
+
+@st.composite
+def sparse_presentations(draw, field):
+    """Two to five generators of degree 1 or 2 and up to five relations of
+    degree 1 to 4, each one to four monomials of its degree.  A one-term
+    relation kills its monomial; over Q the coefficients include non-units
+    and fractions."""
+    degs = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=2, max_size=5))
+    free = FreeAlgebra(field, [(f"x{i}", d) for i, d in enumerate(degs)])
+    coeff = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+                            if field.char != 2 else [1])
+    rels = []
+    for _ in range(draw(st.integers(0, 5))):
+        mons = free.monomials_of_degree(draw(st.integers(1, 4)))
+        if mons:
+            rels.append(free.element(draw(st.dictionaries(
+                st.sampled_from(mons), coeff, min_size=1, max_size=4))))
+    return AlgebraPresentation(free, rels, top_degree=draw(st.integers(2, 5)))
 
 
 def oracle_mul(degs, char, f1, f2):
@@ -136,6 +160,13 @@ def test_quotient_dims_match_macaulay_rank_over_gf2(pres):
     lambda name: presentations(FIELDS[name], st.sampled_from([1, 1, 2]))))
 def test_bases_and_normal_forms_match_full_elimination(pres):
     assert full_elimination_mismatches(quotient(pres)) == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: sparse_presentations(FIELDS[name])))
+def test_quotient_matches_the_all_products_echelon(pres):
+    assert all_products_mismatches(quotient(pres)) == []
 
 
 @SETTINGS
