@@ -15,17 +15,16 @@ odd-degree generator is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import AlgebraError, MismatchError
 from .fields import Field
 
 
-@dataclass(frozen=True)
 class Generator:
-    gid: int
-    name: str
-    degree: int
+    def __init__(self, gid: int, name: str, degree: int):
+        self.gid = gid
+        self.name = name
+        self.degree = degree
 
 
 class FreeAlgebra:

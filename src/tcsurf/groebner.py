@@ -22,7 +22,6 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 
 from .errors import (AlgebraError, CertificateError, MismatchError,
                      UnsupportedModelError, _require_int)
@@ -153,13 +152,15 @@ def s_polynomial(f: Element, g: Element, order: TermOrder):
     return Element(free, acc)
 
 
-@dataclass
 class GbReport:
-    is_groebner: bool
-    spair_log: list
-    normal_monomial_counts: list
-    order: TermOrder
-    orders_tried: list = dc_field(default_factory=list)
+    def __init__(self, is_groebner: bool, spair_log: list,
+                 normal_monomial_counts: list, order: TermOrder,
+                 orders_tried: list | None = None):
+        self.is_groebner = is_groebner
+        self.spair_log = spair_log
+        self.normal_monomial_counts = normal_monomial_counts
+        self.order = order
+        self.orders_tried = [] if orders_tried is None else orders_tried
 
     def to_json(self):
         return {

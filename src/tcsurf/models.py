@@ -10,7 +10,6 @@ configuration spaces of the sphere.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -251,12 +250,12 @@ def totaro_algebra(g: int, n: int) -> QuotientAlgebra:
     return A
 
 
-@dataclass
 class ReducedGenerators:
     """x_1 = a_1, y_1 = b_1, x_j = a_j - a_1, y_j = b_j - b_1 (j >= 2)."""
 
-    xs: list
-    ys: list
+    def __init__(self, xs: list, ys: list):
+        self.xs = xs
+        self.ys = ys
 
 
 def reduced_generators(A: QuotientAlgebra) -> ReducedGenerators:
@@ -396,7 +395,6 @@ def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
 # the model table: every CLI token and tc row is built through MODELS
 
 
-@dataclass(frozen=True)
 class ModelSpec:
     """One model token: its builder, the options it takes, its certificate.
 
@@ -406,9 +404,11 @@ class ModelSpec:
     family of zcl.case_certificate that runs on that algebra, or None.
     """
 
-    build: Callable
-    defaults: dict
-    case: Callable = lambda options: None
+    def __init__(self, build: Callable, defaults: dict,
+                 case: Callable = lambda options: None):
+        self.build = build
+        self.defaults = defaults
+        self.case = case
 
 
 # Each entry calls its builder through this module's globals, so a builder

@@ -24,7 +24,6 @@ degree, as its first fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
                      UnsupportedModelError, _require_int)
@@ -32,12 +31,13 @@ from .models import MODELS, model_options
 from .zcl import bar_product_certificate, case_certificate, zcl_exact
 
 
-@dataclass(frozen=True)
 class TcFact:
     """One ingredient of a bound: a constant, a rule instance, or a result."""
-    description: str
-    value: int
-    kind: str  # cited | dimension | product | derived
+
+    def __init__(self, description: str, value: int, kind: str):
+        self.description = description
+        self.value = value
+        self.kind = kind  # cited | dimension | product | derived
 
     def to_json(self):
         return {"description": self.description, "value": self.value,
@@ -149,18 +149,18 @@ def _lower(theorem: int, model, method: str):
     return z, [fact, TcFact("tc >= zcl + 1", z + 1, "derived")]
 
 
-@dataclass
 class TcReport:
-    g: int
-    n: int
-    m: int
-    lower: int | None
-    upper: int
-    theorem: int
-    status: str  # tight | gap | unverified | over-budget
-    method: str
-    facts: list
-    product_tc: int
+    def __init__(self, g: int, n: int, m: int, lower: int | None, upper: int,
+                 theorem: int, status: str, method: str, facts: list,
+                 product_tc: int):
+        self.g, self.n, self.m = g, n, m
+        self.lower = lower
+        self.upper = upper
+        self.theorem = theorem
+        self.status = status  # tight | gap | unverified | over-budget
+        self.method = method
+        self.facts = facts
+        self.product_tc = product_tc
 
     def to_json(self):
         return {

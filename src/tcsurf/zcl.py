@@ -18,7 +18,6 @@ cross-check that iterates with a full kernel basis of mu instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
                      TruncationError, _require_int)
@@ -28,16 +27,17 @@ from .models import mod_ideal_quotient, reduced_generators, totaro_algebra
 from .presentation import TensorSquareAlgebra, tensor_square
 
 
-@dataclass
 class BoundReport:
     """A computed cl/zcl value, or a certified lower bound for it."""
 
-    quantity: str      # "cl" | "zcl"
-    value: int
-    exact: bool
-    method: str        # "power-iteration" | "certificate"
-    algebra: str
-    variant: str = ""
+    def __init__(self, quantity: str, value: int, exact: bool, method: str,
+                 algebra: str, variant: str = ""):
+        self.quantity = quantity  # "cl" | "zcl"
+        self.value = value
+        self.exact = exact
+        self.method = method      # "power-iteration" | "certificate"
+        self.algebra = algebra
+        self.variant = variant
 
     def to_json(self):
         out = {
@@ -52,16 +52,18 @@ class BoundReport:
         return out
 
 
-@dataclass
 class ZclCertificate:
     """An explicit nonzero product of zero-divisors, fully expanded."""
 
-    algebra: str
-    factors: list
-    witness: tuple
-    coefficient: object
-    certified_length: int
-    tensor_algebra: TensorSquareAlgebra
+    def __init__(self, algebra: str, factors: list, witness: tuple,
+                 coefficient, certified_length: int,
+                 tensor_algebra: TensorSquareAlgebra):
+        self.algebra = algebra
+        self.factors = factors
+        self.witness = witness
+        self.coefficient = coefficient
+        self.certified_length = certified_length
+        self.tensor_algebra = tensor_algebra
 
     def to_json(self):
         """The report `zcl --method certificate --json` prints: an exact
@@ -361,12 +363,12 @@ def _search_certificate(T: TensorSquareAlgebra, prefix, bars, need: int):
 # the degree-(1,1) differential probe for the torus model
 
 
-@dataclass
 class E2Report:
-    n: int
-    dim_source: int
-    rank: int
-    kernel_dim: int
+    def __init__(self, n: int, dim_source: int, rank: int, kernel_dim: int):
+        self.n = n
+        self.dim_source = dim_source
+        self.rank = rank
+        self.kernel_dim = kernel_dim
 
     def to_json(self):
         return {"n": self.n, "dim_source": self.dim_source,

@@ -17,15 +17,19 @@ MODEL_LAYERS = {"tcsurf.models", "tcsurf.presentation", "tcsurf.linalg",
                 "tcsurf.zcl", "tcsurf.tcreport"}
 
 
-def loaded(*args):
-    """The tcsurf modules `python -X importtime args...` imports."""
+def imported(*args):
+    """Every module `python -X importtime args...` imports."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[1].strip()
-             for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return {n for n in names if n == "tcsurf" or n.startswith("tcsurf.")}
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def loaded(*args):
+    """The tcsurf modules `python -X importtime args...` imports."""
+    return {n for n in imported(*args) if n == "tcsurf" or n.startswith("tcsurf.")}
 
 
 def test_help_loads_only_the_front_end():
@@ -45,3 +49,15 @@ def test_package_import_is_lazy():
     assert tcsurf.zcl_exact is zcl.zcl_exact
     with pytest.raises(AttributeError, match="no_such_name"):
         tcsurf.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--model", "arnold", "--n", "3"],
+    ["zcl", "--model", "totaro", "--g", "1", "--n", "2"],
+    ["tc", "--g", "1", "--n", "2"],
+    ["groebner-check", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_jobs_load_no_introspection(argv):
+    # dataclasses pulls in inspect (and with it ast and dis) and execs
+    # generated code for every decorated class
+    assert not imported("-m", "tcsurf", *argv, "--json") & {"dataclasses", "inspect"}
