@@ -41,6 +41,9 @@ from .linalg import echelonize, new_subspace
 # bound on the columns plus relation products of any one quotient degree
 DEFAULT_BUDGET = 1_000_000
 
+# a lead table entry is one byte: a relation index below this, or this
+_NO_LEAD = 255
+
 
 def _json_int(value):
     """value itself if it is an int; floats, strings and bools are refused."""
@@ -205,9 +208,12 @@ class QuotientAlgebra:
     Rows that Faugere's F5 criterion proves redundant are never formed.
     Number the multi-term relations r_1, r_2, ... in their given order.
     Each degree k keeps a lead table: for each column m of degree k, the
-    lowest i such that some row m' r_i of degree k has m as its smallest
+    lowest i such that a row m' r_i made in degree k has m as its smallest
     column.  The product m r_j of degree d is skipped when that i is below
-    j.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t) modulo
+    j.  The table holds a byte per column, a bytearray: a list of ints
+    would put 8 bytes per column on the build's memory peak.  So it records
+    only i below _NO_LEAD, and a later relation is skipped only against
+    those.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t) modulo
     the killed monomials, with c nonzero, so
 
         m r_j = (g r_j - sum over t > m of c_t t r_j) / c.
@@ -254,7 +260,7 @@ class QuotientAlgebra:
         self.basis = [[()]]
         self.index = [{(): 0}]
         self.ideal = [echelonize(self.field, 1, [])]
-        leads = [[len(rels)]]  # per degree, see _ideal_vectors
+        leads = [bytearray([_NO_LEAD])]  # per degree, see _ideal_vectors
         stopped_clean = False
         for d in range(1, bound + 1):
             cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
@@ -265,7 +271,7 @@ class QuotientAlgebra:
                     f"{rows} relation products, over the budget of {DEFAULT_BUDGET}")
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
-            leads.append([len(rels)] * len(mons))
+            leads.append(bytearray([_NO_LEAD]) * len(mons))
             self.ideal.append(echelonize(self.field, len(mons),
                                          self._ideal_vectors(d, rels, mons, killed, leads)))
             piv = set(self.ideal[d].pivots)
@@ -292,7 +298,8 @@ class QuotientAlgebra:
         redundant.  A killed multiplier is left out, since its products are
         all killed.  leads[k] is the lead table of degree k: column -> the
         lowest index of a relation with a row of degree k led there
-        (len(rels) when none); leads[d] is filled as the rows are made."""
+        (_NO_LEAD when none is below it); leads[d] is filled as the rows
+        are made."""
         free, neg = self.free, self.field.neg
         w = d.bit_length() + 1
         cols = {p: i for i, p in enumerate(free.pack(mons, w))}
@@ -305,8 +312,9 @@ class QuotientAlgebra:
                      for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
             if d - e not in lower:
                 lower[d - e] = free.pack(free.monomials_of_degree(d - e, killed), w)
+            below = min(j, _NO_LEAD)
             for pm, first in zip(lower[d - e], leads[d - e]):
-                if first < j:
+                if first < below:
                     continue
                 vec = {}
                 for pt, c, nc, above in terms:

@@ -9,10 +9,10 @@ from tcsurf.errors import (AlgebraError, HomogeneityError,
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf import linalg, presentation
-from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra, model_options,
-                           punctured_plane_algebra, so3_mod2_algebra,
-                           sphere_mod2_model, surface_cohomology,
-                           totaro_algebra)
+from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
+                           model_options, punctured_plane_algebra,
+                           so3_mod2_algebra, sphere_mod2_model,
+                           surface_cohomology, totaro_algebra)
 from tcsurf.presentation import (AlgebraPresentation, convolve, diagonal_class,
                                  duality_data, hilbert_series, quotient,
                                  tensor_square)
@@ -415,6 +415,19 @@ def test_corpus_models_match_the_all_products_echelon(token, given):
     # the mod-ideal model is built only through degree n
     cap = options["n"] if token == "mod-ideal" else None
     assert all_products_mismatches(A, cap) == []
+
+
+def test_relations_past_the_lead_byte_match_the_all_products_echelon():
+    # a lead table entry is one byte, so relation indices from 255 on are
+    # never recorded; the last two relations come after 300 multiples of
+    # the first
+    free = FreeAlgebra(QQ, [(f"x{i}", 1) for i in range(6)])
+    x = [free.gen(name) for name in free.names]
+    first = x[0] * x[1] + x[2] * x[3]
+    rels = [first.scale(k + 1) for k in range(300)]
+    rels += [x[1] * x[2] - x[4] * x[5], x[0] * x[5] + x[3] * x[4]]
+    A = quotient(AlgebraPresentation(free, rels))
+    assert all_products_mismatches(A) == []
 
 
 @pytest.mark.parametrize("build, cls, most, rank", [

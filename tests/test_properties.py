@@ -27,9 +27,8 @@ from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.zcl import bar_generators, cup_length, zcl_exact
 
 from .oracles import (all_products_mismatches, full_elimination_mismatches,
-                      gf2_rank, kernel_of_mu,
-                      koszul_merge, poly_mul, rational_rank, tensor_pairs,
-                      unordered_power_iteration)
+                      gf2_rank, kernel_of_mu, koszul_merge, poly_mul,
+                      rational_rank, tensor_pairs, unordered_power_iteration)
 
 FIELDS = {"Q": QQ, "GF2": GF2}
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
