@@ -15,7 +15,6 @@ odd-degree generator is zero.
 
 from __future__ import annotations
 
-
 from .errors import AlgebraError, MismatchError
 from .fields import Field
 

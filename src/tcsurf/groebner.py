@@ -22,7 +22,6 @@ algebra.
 
 from __future__ import annotations
 
-
 from .errors import (AlgebraError, CertificateError, MismatchError,
                      UnsupportedModelError, _require_int)
 from .exterior import Element, FreeAlgebra, add_scaled

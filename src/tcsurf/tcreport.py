@@ -24,7 +24,6 @@ degree, as its first fact.
 
 from __future__ import annotations
 
-
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
                      UnsupportedModelError, _require_int)
 from .models import MODELS, model_options

@@ -18,7 +18,6 @@ cross-check that iterates with a full kernel basis of mu instead.
 
 from __future__ import annotations
 
-
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
                      TruncationError, _require_int)
 from .exterior import Element
