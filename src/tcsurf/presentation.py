@@ -213,8 +213,8 @@ class QuotientAlgebra:
     j.  The table holds a byte per column, a bytearray: a list of ints
     would put 8 bytes per column on the build's memory peak.  So it records
     only i below _NO_LEAD, and a later relation is skipped only against
-    those.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t) modulo
-    the killed monomials, with c nonzero, so
+    those.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t)
+    modulo the killed monomials, with c nonzero, so
 
         m r_j = (g r_j - sum over t > m of c_t t r_j) / c.
 
@@ -272,8 +272,8 @@ class QuotientAlgebra:
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             leads.append(bytearray([_NO_LEAD]) * len(mons))
-            self.ideal.append(echelonize(self.field, len(mons),
-                                         self._ideal_vectors(d, rels, mons, killed, leads)))
+            vectors = self._ideal_vectors(d, rels, mons, killed, leads)
+            self.ideal.append(echelonize(self.field, len(mons), vectors))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
             self.mons.append(mons)

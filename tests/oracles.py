@@ -430,7 +430,8 @@ def all_products_echelon(pres, max_degree=None):
         basis.append([m for i, m in enumerate(survivors[d]) if i not in pivots])
         if d >= window and not any(basis[d - k] for k in range(window)):
             return survivors, ideal, basis, True
-    return survivors, ideal, basis, not capped and natural is not None and bound == natural
+    exhaustive = not capped and natural is not None and bound == natural
+    return survivors, ideal, basis, exhaustive
 
 
 def all_products_mismatches(A, max_degree=None):
