@@ -56,6 +56,9 @@ CORPUS = [
     ["tc", "--sweep", "0", "2", "4"],
     ["zcl", "--model", "arnold", "--n", "3", "--field", "gf2", "--method", "certificate"],
     ["build", "--model", "punctured-plane", "--n", "2", "--punctures", "3"],
+    ["zcl", "--model", "so3-mod2", "--method", "certificate", "--cap", "9"],
+    ["zcl", "--model", "punctured-plane", "--n", "3", "--punctures", "3",
+     "--method", "certificate"],
 ]
 
 
