@@ -116,8 +116,10 @@ class AlgebraPresentation:
                 acc = free.zero()
                 for term in terms:
                     coeff = field.parse(term["coeff"])
-                    mon = free.one()
-                    for name in term["monomial"]:
+                    mon, names = free.one(), term["monomial"]
+                    if not isinstance(names, list):
+                        raise TypeError(f"monomial {names!r} is not a list")
+                    for name in names:
                         mon = free.multiply(mon, free.gen(name))
                     acc = acc + mon.scale(coeff)
                 relations.append(acc)
@@ -330,12 +332,7 @@ class QuotientAlgebra:
     # -- degree bookkeeping --------------------------------------------------
 
     def dim(self, d: int) -> int:
-        if 0 <= d <= self.built_top:
-            return self.dims[d]
-        if d < 0 or self.exhaustive:
-            return 0
-        raise TruncationError(
-            f"{self.label}: degree {d} beyond the constructed range {self.built_top}")
+        return len(self.basis_monomials(d))
 
     def basis_monomials(self, d: int):
         if 0 <= d <= self.built_top:
@@ -353,11 +350,15 @@ class QuotientAlgebra:
 
     def hilbert(self):
         """Dimensions per degree; see hilbert_series."""
-        if self.presentation.top_degree is not None:
-            t = self.presentation.top_degree
-            dims = self.dims[:t + 1]
-            return dims + [0] * (t + 1 - len(dims))
-        return self.dims[:self.top_nonzero + 1]
+        t = self.presentation.top_degree
+        if t is None:
+            return self.dims[:self.top_nonzero + 1]
+        if self.top_nonzero > t:
+            first = next(d for d in range(t + 1, len(self.dims)) if self.dims[d])
+            raise ModelInconsistencyError(
+                f"{self.label}: degree {first} is nonzero, above the declared "
+                f"top_degree {t}")
+        return (self.dims + [0] * t)[:t + 1]
 
     # -- elements ------------------------------------------------------------
 
@@ -426,7 +427,8 @@ def hilbert_series(algebra: QuotientAlgebra):
     """Dimensions [dim A^0, dim A^1, ...].
 
     With an explicit top_degree in the presentation the list runs through
-    that degree; otherwise trailing zero degrees are trimmed.
+    that degree, and a nonzero degree above it raises
+    ModelInconsistencyError; otherwise trailing zero degrees are trimmed.
     """
     return algebra.hilbert()
 

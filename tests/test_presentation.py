@@ -4,8 +4,9 @@ from unittest import mock
 import pytest
 
 from tcsurf.errors import (AlgebraError, HomogeneityError,
-                           NotPoincareDualityError, ResourceBudgetError,
-                           TruncationError, UnsupportedModelError)
+                           ModelInconsistencyError, NotPoincareDualityError,
+                           ResourceBudgetError, TruncationError,
+                           UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf import linalg, presentation
@@ -259,6 +260,26 @@ def test_hilbert_series_pads_to_declared_top():
     assert hilbert_series(so3_mod2_algebra()) == [1, 1, 1, 1, 0]
 
 
+@pytest.mark.parametrize("generators,relations,top,first", [
+    ([("x", 1), ("y", 1)], [], 1, 2),     # exterior algebra on x, y
+    ([("w", 2)], [("w", "w", "w")], 2, 4),  # Q[w]/(w^3)
+], ids=["exterior-top-1", "w-cubed-top-2"])
+def test_hilbert_series_refuses_a_nonzero_degree_above_the_top(
+        generators, relations, top, first):
+    F = FreeAlgebra(QQ, generators)
+    rels = []
+    for names in relations:
+        r = F.one()
+        for name in names:
+            r = F.multiply(r, F.gen(name))
+        rels.append(r)
+    A = quotient(AlgebraPresentation(F, rels, top_degree=top))
+    with pytest.raises(ModelInconsistencyError,
+                       match=f"degree {first} is nonzero, above the declared "
+                             f"top_degree {top}"):
+        A.hilbert()
+
+
 def test_zero_relation_dropped():
     F = FreeAlgebra(QQ, [("a", 1), ("b", 1)])
     pres = AlgebraPresentation(F, [F.zero()])
@@ -309,6 +330,10 @@ def test_odd_prime_field_quotient_is_refused():
      "top_degree": True},
     {"field": "Q", "generators": [{"name": "x", "degree": 1}],
      "top_degree": 1.0},
+    # a monomial is a list of generator names, never a string of letters
+    {"field": "Q", "generators": [{"name": "a", "degree": 1},
+                                  {"name": "b", "degree": 1}],
+     "relations": [[{"coeff": "1", "monomial": "ab"}]], "top_degree": 2},
 ])
 def test_malformed_presentation_json(data):
     with pytest.raises(AlgebraError, match="malformed presentation"):
