@@ -22,14 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
-from .errors import AlgebraError, CertificateError, _require_int
+from .errors import AlgebraError, _require_int
 from .fields import field_from_name
-
-if TYPE_CHECKING:
-    from .zcl import ZclCertificate
-
 
 _FIELD_ALIASES = {"q": "Q", "qq": "Q", "rational": "Q",
                   "gf2": "GF2", "f2": "GF2", "mod2": "GF2"}
@@ -136,40 +131,18 @@ def _cmd_build(args):
     return 0
 
 
-def _climb_certificate(A, cap) -> ZclCertificate:
-    from .zcl import bar_product_certificate
-
-    if cap is not None:
-        _require_int(cap, 1, f"--cap must be at least 1, got {cap}")
-    best = bar_product_certificate(A, 0)
-    k = 1
-    while cap is None or k <= cap:
-        try:
-            best = bar_product_certificate(A, k)
-        except CertificateError:
-            break
-        k += 1
-    return best
-
-
 def _cmd_zcl(args):
     from .models import MODELS, model_options
-    from .zcl import case_certificate, zcl_exact
+    from .zcl import zcl_bound
 
-    spec = MODELS[args.model]
     options = model_options(args.model, **_given(args))
-    case = spec.case(options) if args.method == "certificate" else None
-    if case is not None and args.cap is not None:
-        raise AlgebraError(f"--cap does not apply to the {case} "
-                           "certificate, whose length is fixed")
-    A = spec.build(**options)
-    if args.method == "exact":
-        result = zcl_exact(A, cap=args.cap)
-    elif case is None:
-        result = _climb_certificate(A, args.cap)
-    else:
-        result = case_certificate(case, A)
-    report = result.to_json()
+    if args.method == "certificate" and args.cap is not None:
+        case = MODELS[args.model].case(options)
+        if case is not None:
+            raise AlgebraError(f"--cap does not apply to the {case} "
+                               "certificate, whose length is fixed")
+        _require_int(args.cap, 1, f"--cap must be at least 1, got {args.cap}")
+    report = zcl_bound(args.model, options, args.method, args.cap).to_json()
     if args.json:
         print(json.dumps(report, indent=2))
     else:

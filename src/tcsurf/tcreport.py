@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
                      UnsupportedModelError, _require_int)
-from .models import MODELS, model_options
-from .zcl import bar_product_certificate, case_certificate, zcl_exact
+from .models import model_options
+from .zcl import zcl_bound
 
 
 class TcFact:
@@ -122,30 +122,19 @@ def upper_bound(g: int, n: int, m: int = 0):
 
 def _lower(theorem: int, model, method: str):
     """(zcl lower bound, facts) on the family's (token, options) model,
-    built once.
-
-    "exact" runs zcl_exact; otherwise the model's certificate family is
-    used, or else a bar-product search of length tc - 1.
-    """
+    by zcl_bound: uncapped when exact, so the bound order is checked; a
+    search asks for at most tc - 1 bars and may fall short, a gap."""
     token, given = model
-    spec = MODELS[token]
-    options = model_options(token, **given)
-    A = spec.build(**options)
+    cap = None if method == "exact" else theorem - 1
+    result = zcl_bound(token, model_options(token, **given), method, cap)
     if method == "exact":
-        z = zcl_exact(A).value
-        fact = TcFact(f"zcl({A.label}) = {z} by exact power iteration",
-                      z, "derived")
+        z = result.value
+        text = f"zcl({result.algebra}) = {z} by exact power iteration"
     else:
-        case = spec.case(options)
-        if case is not None:
-            cert = case_certificate(case, A)
-        else:
-            cert = bar_product_certificate(A, theorem - 1)
-        z = cert.certified_length
-        fact = TcFact(
-            f"nonzero {z}-fold zero-divisor product on {cert.algebra} "
-            f"(coefficient {cert.coefficient})", z, "derived")
-    return z, [fact, TcFact("tc >= zcl + 1", z + 1, "derived")]
+        z = result.certified_length
+        text = (f"nonzero {z}-fold zero-divisor product on {result.algebra} "
+                f"(coefficient {result.coefficient})")
+    return z, [TcFact(text, z, "derived"), TcFact("tc >= zcl + 1", z + 1, "derived")]
 
 
 class TcReport:

@@ -14,6 +14,8 @@ via (uv)bar = ubar (v (x) 1) + (1 (x) u) vbar), the power Z^q is nonzero
 exactly when some q-fold product of bar generators is nonzero, and the
 iteration multiplies by bar generators only.  tests/oracles.py holds the
 cross-check that iterates with a full kernel basis of mu instead.
+zcl_bound alone picks how a model's zcl is obtained: exactly, by the
+model's certificate family, or by a bar-product search.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (AlgebraError, CertificateError, HomogeneityError,
                      TruncationError, _require_int)
 from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
-from .models import mod_ideal_quotient, reduced_generators, totaro_algebra
+from .models import MODELS, mod_ideal_quotient, reduced_generators, totaro_algebra
 from .presentation import TensorSquareAlgebra, tensor_square
 
 
@@ -292,7 +294,7 @@ def case_certificate(case: str, A) -> ZclCertificate:
         bars = [T.bar(A.gen(name)) for name in A.free.names if name != "a"]
         need = 2 * (n - 3)
         cert = _search_certificate(T, [al, al, al], bars, need)
-        if cert is None:
+        if cert is None or cert.certified_length < 3 + need:
             raise CertificateError(
                 f"{A.label}: no {need}-fold bar product extends abar^3")
         return cert
@@ -312,24 +314,30 @@ def case_certificate(case: str, A) -> ZclCertificate:
     raise AlgebraError(f"unknown certificate case: {case}")
 
 
-def bar_product_certificate(A, length: int) -> ZclCertificate:
-    """Search for a nonzero product of `length` generator bar classes.
+def bar_product_certificate(A, cap=None) -> ZclCertificate:
+    """Certify the longest nonzero product of at most `cap` generator bar
+    classes (None: no limit) that _search_certificate meets, the leading
+    bar repeating at most once: zcl(A) >= its length, which may fall short.
+    Much cheaper than zcl_exact when only a lower bound is needed."""
+    if cap is not None:
+        _require_int(cap, 0, f"cap must be nonnegative, got {cap}")
+    return _search_certificate(tensor_square(A), [], bar_generators(A), cap,
+                               repeat_first=True)
 
-    First-success search over combinations in declaration order (the leading
-    factor may repeat once), so success certifies zcl(A) >= length.  Much
-    cheaper than zcl_exact when only a lower bound is needed.
-    """
-    _require_int(length, 0, "length must be nonnegative")
-    T = tensor_square(A)
-    if length == 0:
-        return ZclCertificate(A.label, [], ((), ()), T.field.one, 0, T)
-    bars = bar_generators(A)
-    for start, seed in enumerate(bars):
-        cert = _search_certificate(T, [seed], bars[start:], length - 1)
-        if cert is not None:
-            return cert
-    raise CertificateError(
-        f"no nonzero {length}-fold bar product found over {len(bars)} generators")
+
+def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
+    """zcl of MODELS[model] built on options: zcl_exact's BoundReport, or
+    the ZclCertificate of the model's certificate family, else of
+    bar_product_certificate.  cap stops the iteration or the search; a
+    family has its fixed length whatever the cap."""
+    spec = MODELS[model]
+    A = spec.build(**options)
+    if method == "exact":
+        return zcl_exact(A, cap)
+    case = spec.case(options)
+    if case is None:
+        return bar_product_certificate(A, cap)
+    return case_certificate(case, A)
 
 
 def _interleaved_bars(T: TensorSquareAlgebra, xs, ys):
@@ -337,25 +345,38 @@ def _interleaved_bars(T: TensorSquareAlgebra, xs, ys):
     return [T.bar(e) for pair in zip(xs, ys) for e in pair]
 
 
-def _search_certificate(T: TensorSquareAlgebra, prefix, bars, need: int):
-    """Certify prefix times the first (lexicographic) `need` of the bars whose
-    product is nonzero, at the least basis tensor of that product; or None.
+def _search_certificate(T: TensorSquareAlgebra, prefix, bars, cap,
+                        repeat_first=False):
+    """Certify prefix times the longest nonzero run of at most `cap` bars
+    (None: no limit) at its least basis tensor; None if the prefix vanishes.
 
-    Each partial product is multiplied out once; certificate_product then
-    certifies the product found.
+    One depth-first pass over the runs, in lexicographic order of strictly
+    increasing bar index (the first may repeat once with repeat_first),
+    keeps for each length the first nonzero run it meets, the one a search
+    for that length alone would find, and stops at the first of cap bars.
     """
-    def rec(acc, start, chosen):
-        if acc.is_zero():
-            return None
-        if len(chosen) == need:
-            return certificate_product(T, prefix + chosen, min(acc.terms))
-        for i in range(start, len(bars)):
-            hit = rec(acc * bars[i], i + 1, chosen + [bars[i]])
-            if hit is not None:
-                return hit
-        return None
+    first = []  # per length: (bars, least basis tensor) of its first product
 
-    return rec(_product(prefix), 0, [])
+    def rec(acc, start, chosen):
+        if len(chosen) == len(first):
+            first.append((chosen, min(acc.terms)))
+            if len(chosen) == cap:
+                return True
+        step = 0 if repeat_first and not chosen else 1
+        for i in range(start, len(bars)):
+            if len(chosen) + 1 + len(bars) - i - step < len(first):
+                break  # no run through bars[i] is longer than one met
+            p = acc * bars[i]
+            if not p.is_zero() and rec(p, i + step, chosen + [bars[i]]):
+                return True
+        return False
+
+    acc = _product(prefix) if prefix else T.one()
+    if acc.is_zero():
+        return None
+    rec(acc, 0, [])
+    chosen, witness = first[-1]
+    return certificate_product(T, prefix + chosen, witness)
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import sympy
 from tcsurf.exterior import Element
 from tcsurf.linalg import echelonize
 from tcsurf.presentation import tensor_square
+from tcsurf.zcl import certificate_product
 
 
 def poly_mul(a, b):
@@ -478,3 +479,42 @@ def normal_counts_by_subsets(ngens, leads):
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def restart_climb_certificate(A, cap=None):
+    """The bar-product search as a climb that restarts for each length.
+
+    For k = 1, 2, ... (at most cap) it runs a fresh first-success search
+    over the index runs i1 <= i2 < i3 < ... of the nonzero generator bars,
+    in lexicographic order, and stops at the first k with no nonzero
+    product.  The last success is certified at its least basis tensor; the
+    empty product when no bar is nonzero.
+    """
+    T = tensor_square(A)
+    bars = [b for b in (T.bar(A.gen(s)) for s in A.free.names)
+            if not b.is_zero()]
+
+    def first_success(k):
+        products = {(): T.one()}
+        for i1 in range(len(bars)):
+            for rest in combinations(range(i1, len(bars)), k - 1):
+                run = (i1,) + rest
+                for j in range(1, k + 1):
+                    if run[:j] not in products:
+                        prev = products[run[:j - 1]]
+                        products[run[:j]] = (prev if prev.is_zero()
+                                             else prev * bars[run[j - 1]])
+                if not products[run].is_zero():
+                    return run, products[run]
+        return None
+
+    best = (), T.one()
+    k = 1
+    while cap is None or k <= cap:
+        hit = first_success(k)
+        if hit is None:
+            break
+        best = hit
+        k += 1
+    run, product = best
+    return certificate_product(T, [bars[i] for i in run], min(product.terms))

@@ -11,7 +11,7 @@ from tcsurf import cli, models, presentation
 from tcsurf.errors import ModelInconsistencyError
 from tcsurf.models import arnold_algebra, totaro_algebra
 from tcsurf.presentation import quotient
-from tcsurf.tcreport import tc_report
+from tcsurf.tcreport import all_tight, sweep, tc_report
 from tcsurf.zcl import bar_product_certificate, case_certificate
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -41,6 +41,22 @@ def test_build_json_and_presentation_round_trip(tmp_path):
     again = run_cli("build", "--presentation", str(path), "--json")
     assert again.returncode == 0
     assert json.loads(again.stdout)["hilbert"] == [1, 4, 1]
+
+
+@pytest.mark.parametrize("relations,top,message", [
+    ([], 1, "degree 2 is nonzero, above the declared top_degree 1"),
+    ([[{"coeff": "1", "monomial": "ab"}]], 2, "malformed presentation"),
+], ids=["nonzero-above-top", "string-monomial"])
+def test_build_refuses_a_presentation_it_would_misread(
+        relations, top, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "field": "Q", "relations": relations, "top_degree": top,
+        "generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1}]}))
+    assert cli.main(["build", "--presentation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_zcl_exact_json():
@@ -81,19 +97,37 @@ def test_zcl_certificate_json_is_the_certificate_to_json(argv, certify, capsys):
     assert json.loads(capsys.readouterr().out) == certify().to_json()
 
 
-def test_climb_stops_only_at_a_certificate_error(monkeypatch, capsys):
-    real = bar_product_certificate
+def test_an_error_inside_the_search_exits_2(monkeypatch, capsys):
+    real = presentation.TensorSquareAlgebra.multiply
+    calls = []
 
-    def inconsistent_at_two(A, length):
-        if length == 2:
+    def inconsistent_at_the_fifth(T, *args):
+        calls.append(args)
+        if len(calls) == 5:
             raise ModelInconsistencyError("model check failed")
-        return real(A, length)
+        return real(T, *args)
 
-    monkeypatch.setattr("tcsurf.zcl.bar_product_certificate",
-                        inconsistent_at_two)
+    monkeypatch.setattr(presentation.TensorSquareAlgebra, "multiply",
+                        inconsistent_at_the_fifth)
     assert cli.main(["zcl", "--model", "arnold", "--n", "3",
                      "--method", "certificate"]) == 2
+    assert len(calls) == 5
     assert "error: model check failed" in capsys.readouterr().err
+
+
+def test_tc_sweep_prints_a_short_search_as_a_gap(monkeypatch, capsys):
+    # arnold(n - 1) has too few bars for the plane row of n points
+    monkeypatch.setitem(models.MODELS, "arnold", models.ModelSpec(
+        lambda n, field: quotient(arnold_algebra(max(n - 1, 1), field)),
+        models.MODELS["arnold"].defaults))
+    assert cli.main(["tc", "--sweep", "0", "3", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[-1] == ("g=0 n=3 m=1  lower=2 upper=4 theorem=4  "
+                         "product=7  gap")
+    assert [l.split()[-1] for l in lines] == [
+        "tight", "tight", "tight", "gap", "tight", "gap"]
+    assert not all_tight(sweep(0, 3, 1))
 
 
 def test_groebner_check_json():

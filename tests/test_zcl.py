@@ -11,7 +11,7 @@ from tcsurf.exterior import Element
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
                            punctured_plane_algebra, reduced_generators,
-                           so3_mod2_algebra, sphere_mod2_model,
+                           resolve_model, so3_mod2_algebra, sphere_mod2_model,
                            surface_cohomology, totaro_algebra)
 from tcsurf.presentation import (AlgebraPresentation, TensorSquareAlgebra,
                                  quotient, tensor_square)
@@ -19,7 +19,8 @@ from tcsurf.zcl import (bar_generators, bar_product_certificate,
                         case_certificate, certificate_product, cup_length,
                         e2_probe, mod_ideal_quotient, zcl_exact)
 
-from .oracles import kernel_of_mu, unordered_power_iteration
+from .oracles import (kernel_of_mu, restart_climb_certificate,
+                      unordered_power_iteration)
 from .test_properties import with_span_dims
 
 
@@ -399,9 +400,37 @@ def test_bar_product_length_that_is_not_an_int_is_refused(length):
         bar_product_certificate(quotient(arnold_algebra(3)), length)
 
 
-def test_bar_product_certificate_fails_past_the_truth():
-    with pytest.raises(CertificateError):
-        bar_product_certificate(torus_ring(), 3)  # zcl of the torus is 2
+def test_bar_product_certificate_stops_at_the_truth():
+    cert = bar_product_certificate(torus_ring(), 3)  # zcl of the torus is 2
+    assert cert.certified_length == 2
+
+
+SEARCH_GRID = (
+    [("arnold", {"n": n, "field": f}) for n in range(1, 6) for f in (QQ, GF2)]
+    + [("punctured-plane", {"n": n, "punctures": k})
+       for n in range(1, 6) for k in range(1, 7 - n)]
+    + [("surface", {"g": g}) for g in range(4)]
+    + [("totaro", {"g": g, "n": n}) for g in (0, 2) for n in range(1, 4)]
+    + [("so3-mod2", {})])
+
+
+@pytest.mark.parametrize("token,given", SEARCH_GRID,
+                         ids=[f"{t}-{sorted(g.items())}" for t, g in SEARCH_GRID])
+def test_search_matches_the_restart_climb(token, given):
+    A = resolve_model(token, **given)
+    for cap in (None, 1, 2, 3, 5, 9):
+        assert bar_product_certificate(A, cap).to_json() == \
+            restart_climb_certificate(A, cap).to_json(), cap
+
+
+def test_sphere_family_with_a_vanished_prefix_is_a_certificate_error():
+    A = sphere_mod2_model(4)
+    pres, a = A.presentation, A.free.gen("a")
+    B = quotient(AlgebraPresentation(pres.free, pres.relations + [a * a],
+                                     top_degree=pres.top_degree))
+    B.points = 4
+    with pytest.raises(CertificateError, match="extends abar"):
+        case_certificate("sphere", B)
 
 
 def test_bar_generators_drop_zero_bars():
