@@ -6,13 +6,17 @@ given span and column order, so every derived quantity (rank, membership,
 residues, kernel bases) is deterministic no matter what order vectors were
 fed in.
 
-Over the rationals the rows are kept as primitive integer vectors (gcd 1,
-positive pivot); elimination is fraction-free so the hot loops run on plain
-ints.  It works in place, on insert's own copy of the vector and on the
-row finalize is reducing, and scales a row only when the pivot it meets is
-not 1; a row is made primitive when it is stored.  Over GF(2) a row is a
-single int bitmask and elimination is xor.  new_subspace picks the
-elimination by characteristic; fields.py admits no field but Q and GF(2).
+Over the rationals a row is stored as a flat int tuple (pivot, lead, c1,
+v1, c2, v2, ...): primitive (gcd 1) with a positive lead, so a one-entry
+row costs a 2-tuple where a dict would cost a hash table.  Elimination is
+fraction-free, so the hot loops run on plain ints.  It works in place on a
+dict, insert's own copy of the vector or the row finalize is reducing,
+against a stored tuple, and scales the dict only when the lead it meets is
+not 1; a row is made primitive and packed when it is stored.  Over GF(2)
+a row is an int bitmask, stored shifted down to its pivot so that it costs
+its span and not its highest column, and elimination is xor.  new_subspace
+picks the elimination by characteristic; fields.py admits no field but Q
+and GF(2).
 
 Vectors are inserted in echelon form; finalize back-substitutes once, in
 descending pivot order.  When a row is reached every row with a higher pivot
@@ -24,9 +28,10 @@ every lower row for every pivot.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
-from .fields import QQ, Field
+from .fields import GF2, QQ, Field
 
 
 def new_subspace(field: Field, ncols: int) -> "Subspace":
@@ -77,7 +82,9 @@ class Subspace:
 
 
 class RationalSubspace(Subspace):
-    """Rows are dicts col -> int, each primitive with a positive pivot."""
+    """Rows are flat int tuples (pivot, lead, c1, v1, c2, v2, ...): the
+    pivot column, its entry, then every other column and its entry.  Each
+    row is primitive (content 1) with a positive lead."""
 
     def insert(self, vec):
         row = _to_int_row(vec)
@@ -86,10 +93,10 @@ class RationalSubspace(Subspace):
             p = min(row)
             piv = rows.get(p)
             if piv is None:
-                rows[p] = _primitive(row, p)
+                rows[p] = _pack(row, p)
                 self._final = False
                 return True
-            _int_eliminate(row, piv, p)
+            _int_eliminate(row, piv)
         return False
 
     def finalize(self):
@@ -98,13 +105,16 @@ class RationalSubspace(Subspace):
             return
         rows = self._rows
         for q in sorted(rows, reverse=True):
-            row = rows[q]
-            hits = [p for p in row if p != q and p in rows]
+            piv = rows[q]
+            if len(piv) == 2:
+                continue
+            hits = [c for c in piv[2::2] if c in rows]
             if not hits:
                 continue
+            row = _unpack(piv)
             for p in hits:
-                _int_eliminate(row, rows[p], p)
-            rows[q] = _primitive(row, q)
+                _int_eliminate(row, rows[p])
+            rows[q] = _pack(row, q)
         self._final = True
 
     def reduce(self, vec):
@@ -121,14 +131,15 @@ class RationalSubspace(Subspace):
         rows = self._rows
         work = {c: v for c, v in vec.items() if v}
         for p in sorted(c for c in work if c in rows):
-            prow = rows[p]
-            factor = QQ.div(work[p], prow[p])
-            for col, val in prow.items():
+            it = iter(rows[p])
+            next(it)
+            factor = QQ.div(work.pop(p), next(it))
+            for col, val in zip(it, it):
                 new = work.get(col, 0) - factor * val
                 if new:
                     work[col] = new
                 else:
-                    work.pop(col, None)
+                    del work[col]
         return work
 
     def rows_rref(self):
@@ -137,15 +148,16 @@ class RationalSubspace(Subspace):
         self.finalize()
         out = []
         for p in sorted(self._rows):
-            row = self._rows[p]
-            lead = row[p]
-            out.append({c: QQ.div(v, lead) for c, v in row.items()})
+            piv = self._rows[p]
+            lead = piv[1]
+            it = iter(piv)
+            out.append({c: QQ.div(v, lead) for c, v in zip(it, it)})
         return out
 
     def rows_primitive(self):
         """The reduced rows as stored: ints, gcd 1, positive pivot."""
         self.finalize()
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
+        return [_unpack(self._rows[p]) for p in sorted(self._rows)]
 
 
 def _to_int_row(vec):
@@ -184,31 +196,47 @@ def _strip_content(row):
     return row
 
 
-def _primitive(row, pivot):
-    """A fresh copy of a nonzero row with content 1 and a positive pivot.
+def _pack(row, pivot):
+    """A nonzero dict row as a stored tuple: primitive, lead positive.
 
-    The copy is built entry by entry: a row eliminated in place keeps the
-    hash table it grew to, and dict(row) would keep it too."""
-    g = _content(row)
-    if row[pivot] < 0:
-        g = -g
-    if g == 1:
-        return {c: v for c, v in row.items()}
-    return {c: v // g for c, v in row.items()}
+    Consumes row: it loses its pivot entry and is divided in place.  A
+    lead of 1 already makes the content 1."""
+    lead = row.pop(pivot)
+    if lead != 1:
+        g = gcd(lead, _content(row))
+        if lead < 0:
+            g = -g
+        if g != 1:
+            lead //= g
+            for c in row:
+                row[c] //= g
+    return (pivot, lead, *chain.from_iterable(row.items()))
 
 
-def _int_eliminate(row, piv, p):
-    """row <- row*piv[p] - piv*row[p] in place, which kills column p.
+def _unpack(piv):
+    """A stored tuple as a fresh dict col -> int, pivot first."""
+    it = iter(piv)
+    return dict(zip(it, it))
 
-    Only a pivot other than 1 scales the row, and only then is its content
+
+def _int_eliminate(row, piv):
+    """row <- row*a - piv*b in place, where piv is a stored tuple with
+    pivot p and lead a, and b is row[p]; this kills column p.
+
+    Only a lead other than 1 scales the row, and only then is its content
     stripped; a row scaled by a constant ends at the same primitive row.
+    A one-entry piv only removes column p.
     """
-    a = piv[p]
-    b = row[p]
+    b = row.pop(piv[0])
+    if len(piv) == 2:
+        return
+    it = iter(piv)
+    next(it)
+    a = next(it)
     if a != 1:
         for c in row:
             row[c] *= a
-    for c, v in piv.items():
+    for c, v in zip(it, it):
         n = row.get(c, 0) - v * b
         if n:
             row[c] = n
@@ -219,7 +247,9 @@ def _int_eliminate(row, piv, p):
 
 
 class Gf2Subspace(Subspace):
-    """Rows are int bitmasks: bit c is set when column c holds a 1."""
+    """Rows are int bitmasks shifted down to their pivot: the row with
+    pivot p stores bit c - p for each column c that holds a 1, so bit 0 is
+    the pivot and a row costs its span, not its highest column."""
 
     def insert(self, vec):
         row = _to_mask(vec)
@@ -228,62 +258,85 @@ class Gf2Subspace(Subspace):
             p = (row & -row).bit_length() - 1
             piv = rows.get(p)
             if piv is None:
-                rows[p] = row
+                rows[p] = row >> p
                 self._final = False
                 return True
-            row ^= piv
+            row ^= piv << p
         return False
 
     def finalize(self):
-        """Back-substitute to reduced echelon form (idempotent)."""
+        """Back-substitute to reduced echelon form (idempotent), and keep
+        the mask of pivot columns for reduce."""
         if self._final:
             return
         rows = self._rows
-        mask = 0
-        for p in rows:
-            mask |= 1 << p
+        mask = _pivot_mask(rows)
         for q in sorted(rows, reverse=True):
             row = rows[q]
-            hits = row & mask & ~(1 << q)
+            if row == 1:
+                continue
+            hits = (row & (mask >> q)) ^ 1
             while hits:
                 low = hits & -hits
-                row ^= rows[low.bit_length() - 1]
+                i = low.bit_length() - 1
+                row ^= rows[q + i] << i
                 hits ^= low
             rows[q] = row
+        self._mask = mask
         self._final = True
 
     def reduce(self, vec):
+        """Residue of a vector modulo the subspace, as dict col -> 1.
+
+        As over Q, only the pivots the vector holds on entry need a row
+        operation, so they are read off once from the pivot mask."""
         self.finalize()
+        rows = self._rows
         work = _to_mask(vec)
-        for p in sorted(self._rows):
-            if (work >> p) & 1:
-                work ^= self._rows[p]
+        hits = work & self._mask
+        while hits:
+            low = hits & -hits
+            p = low.bit_length() - 1
+            work ^= rows[p] << p
+            hits ^= low
         return _from_mask(work)
 
     def rows_rref(self):
         self.finalize()
-        return [_from_mask(self._rows[p]) for p in sorted(self._rows)]
+        return [_from_mask(self._rows[p], p) for p in sorted(self._rows)]
 
     # A reduced GF(2) row is already primitive: its pivot entry is 1.
     rows_primitive = rows_rref
 
 
 def _to_mask(vec):
-    """A sparse vector's odd entries as a bitmask."""
+    """A sparse vector's nonzero GF(2) entries as a bitmask; each entry is
+    read as GF2.coerce reads it."""
     mask = 0
     for c, v in vec.items():
-        if int(v) % 2:
+        if v & 1 if type(v) is int else GF2.coerce(v):
             mask |= 1 << c
     return mask
 
 
-def _from_mask(mask):
-    """A bitmask as a sparse vector of ones."""
+def _pivot_mask(rows):
+    """The bitmask of the pivot columns, set byte by byte: or-ing in one
+    bit per pivot would cost the mask's width each time."""
+    if not rows:
+        return 0
+    bits = bytearray((max(rows) >> 3) + 1)
+    for p in rows:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _from_mask(mask, offset=0):
+    """A bitmask as a sparse vector of ones, bit i at column i + offset."""
     out = {}
     while mask:
-        c = (mask & -mask).bit_length() - 1
-        out[c] = 1
-        mask &= mask - 1
+        low = mask & -mask
+        out[low.bit_length() - 1 + offset] = 1
+        mask ^= low
     return out
 
 

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -227,3 +230,125 @@ def test_insert_leaves_its_argument_alone(field, values):
         if rng.random() < 0.2:
             sub.finalize()
     assert raised and spent
+
+
+def gf2_residue(ref, vec):
+    """vec reduced by rref_gf2's rows, as a set of columns."""
+    work = {c for c, v in vec.items() if GF2.coerce(v)}
+    for p in sorted(ref):
+        if p in work:
+            work ^= ref[p]
+    return work
+
+
+def random_vector(rng, field, offset, ncols):
+    """A sparse vector over columns offset .. ncols - 1: a third of them
+    have one entry, and the entries include leads other than +-1."""
+    width = 1 if rng.random() < 0.35 else rng.randint(2, 6)
+    cols = rng.sample(range(offset, ncols), width)
+    if field.char == 2:
+        values = [1, 3, -1, 2, Fraction(3, 5), Fraction(2, 3)]
+    else:
+        values = [1, -1, 2, -3, 6, Fraction(4, 3), Fraction(-5, 2)]
+    return {c: rng.choice(values) for c in cols}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2], ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", range(6))
+def test_interleaved_operations_match_the_oracles(field, seed):
+    # insert, finalize, reduce and rows_rref in random order, with pivots
+    # far from column 0; every answer is checked against a from-scratch
+    # reduced echelon form of the vectors inserted so far
+    rng = random.Random(seed)
+    offset = [0, 3, 61, 200, 1000, 5000][seed]
+    ncols = offset + rng.randint(8, 24)
+    sub = new_subspace(field, ncols)
+    inserted = []
+    ref = {}
+    checked = {"insert": 0, "reduce": 0, "rows": 0}
+    for _ in range(80):
+        op = rng.random()
+        if op < 0.55:
+            vec = random_vector(rng, field, offset, ncols)
+            before = list(vec.items())
+            rank = sub.rank
+            raised = sub.insert(vec)
+            assert list(vec.items()) == before
+            inserted.append(vec)
+            if field.char == 2:
+                ref = rref_gf2([{c: GF2.coerce(v) for c, v in w.items()}
+                                for w in inserted])
+            else:
+                ref = rref_rational(inserted)
+            assert raised == (sub.rank > rank)
+            assert sub.rank == len(ref)
+            checked["insert"] += 1
+        elif op < 0.65:
+            sub.finalize()
+        elif op < 0.85:
+            vec = random_vector(rng, field, offset, ncols)
+            got = sub.reduce(vec)
+            if field.char == 2:
+                assert got == {c: 1 for c in gf2_residue(ref, vec)}
+            else:
+                assert got == fraction_residue(inserted, vec)
+            checked["reduce"] += 1
+        else:
+            assert sub.pivots == sorted(ref)
+            if field.char == 2:
+                want = [{c: 1 for c in ref[p]} for p in sorted(ref)]
+                assert sub.rows_rref() == want
+                assert sub.rows_primitive() == want
+            else:
+                assert sub.rows_primitive() == [ref[p] for p in sorted(ref)]
+                assert sub.rows_rref() == [
+                    {c: Fraction(v, ref[p][p]) for c, v in ref[p].items()}
+                    for p in sorted(ref)]
+            checked["rows"] += 1
+    assert all(checked.values()), checked
+    assert any(len(row) == 1 for row in ref.values())
+    assert min(ref) >= offset
+
+
+def test_gf2_entries_are_read_as_the_field_reads_them():
+    # 3/5 is 1 in GF(2), 1/3 is 1, -1 is 1 and 2 is 0
+    assert echelonize(GF2, 2, [{0: Fraction(3, 5), 1: 1}]).rows_rref() == [
+        {0: 1, 1: 1}]
+    assert kernel_basis(GF2, [{0: Fraction(1, 3)}], 1) == []
+    sub = echelonize(GF2, 3, [{0: -1, 1: 2, 2: 3}])
+    assert sub.rows_rref() == [{0: 1, 2: 1}]
+    assert sub.reduce({0: Fraction(5, 7), 1: 1}) == {1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("value, error", [
+    (Fraction(1, 2), ZeroDivisionError),
+    (True, TypeError),
+])
+def test_gf2_entries_the_field_refuses_are_refused(value, error):
+    with pytest.raises(error):
+        GF2.coerce(value)
+    with pytest.raises(error):
+        Gf2Subspace(2).insert({0: 1, 1: value})
+    with pytest.raises(error):
+        echelonize(GF2, 2, [{0: 1}]).reduce({1: value})
+
+
+# The memory held after building sphere_mod2_model(7) and
+# mod_ideal_quotient(5), imports included, is about 6.1-7.0 MB on CPython
+# 3.10-3.13; with dict rows over Q and full-width bitmask rows over GF(2)
+# it was 10.3-11.3 MB.
+HELD_MB_BOUND = 8.5
+
+
+def test_built_models_hold_compact_echelon_rows():
+    script = textwrap.dedent("""
+        import tracemalloc
+        tracemalloc.start()
+        from tcsurf.models import mod_ideal_quotient, sphere_mod2_model
+        held = [sphere_mod2_model(7), mod_ideal_quotient(5)]
+        print(tracemalloc.get_traced_memory()[0] / 2**20)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < HELD_MB_BOUND
