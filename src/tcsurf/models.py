@@ -361,9 +361,7 @@ def sphere_mod2_model(n: int) -> QuotientAlgebra:
     gens = [("a", 1)] + [(g.name, g.degree) for g in pp.free.generators]
     free = FreeAlgebra(GF2, gens)
     a = free.gen("a")
-    rels = [a * a * a * a]
-    for r in pp.relations:
-        rels.append(Element(free, {_rename(m, 1): c for m, c in r.terms.items()}))
+    rels = [a * a * a * a] + _lift_relations(pp, free, [1])
     pres = AlgebraPresentation(free, rels, top_degree=n,
                                label=f"sphere-mod2(n={n})")
     A = quotient(pres)

@@ -151,6 +151,12 @@ class AlgebraPresentation:
                 f"{len(self.relations)} relations over {self.field.name})")
 
 
+def _require_own(algebra, *elems):
+    """Refuse an element of another algebra, as Element arithmetic does."""
+    if any(e.algebra is not algebra for e in elems):
+        raise MismatchError("elements from different algebras")
+
+
 def split_relations(relations):
     """The killed monomials, those of the single-term relations of positive
     degree, as a frozenset; and (degree, relation) for every other one."""
@@ -274,7 +280,7 @@ class QuotientAlgebra:
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             leads.append(bytearray([_NO_LEAD]) * len(mons))
-            vectors = self._ideal_vectors(d, rels, mons, killed, leads)
+            vectors = self._ideal_vectors(d, rels, mons, leads)
             self.ideal.append(echelonize(self.field, len(mons), vectors))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
@@ -293,7 +299,7 @@ class QuotientAlgebra:
             not capped and natural is not None and bound == natural)
         self._mul_cache = {}  # basis monomial m1 -> _ProductRow of m1
 
-    def _ideal_vectors(self, d, rels, mons, killed, leads):
+    def _ideal_vectors(self, d, rels, mons, leads):
         """Each relation times each surviving monomial of the complementary
         degree, over the degree-d survivors mons, on packed vectors (see the
         class docstring), less the products the F5 criterion proves
@@ -313,7 +319,7 @@ class QuotientAlgebra:
             terms = [(p, c, neg(c), free.odd_bits(t, w)[1])
                      for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
             if d - e not in lower:
-                lower[d - e] = free.pack(free.monomials_of_degree(d - e, killed), w)
+                lower[d - e] = free.pack(self.mons[d - e], w)
             below = min(j, _NO_LEAD)
             for pm, first in zip(lower[d - e], leads[d - e]):
                 if first < below:
@@ -381,6 +387,7 @@ class QuotientAlgebra:
         """Normal form of a free-algebra element (also accepts own elements).
 
         Killed terms are dropped; the rest is reduced over the survivors."""
+        _require_own(self if e.algebra is self else self.free, e)
         field = self.field
         out = {}
         for part_deg, part in e.homogeneous_parts().items():
@@ -399,6 +406,7 @@ class QuotientAlgebra:
         return Element(self, out)
 
     def multiply(self, e1: Element, e2: Element) -> Element:
+        _require_own(self, e1, e2)
         prod = self.free.multiply(self.element_in_free(e1), self.element_in_free(e2))
         return self.reduce_free(prod)
 
@@ -487,6 +495,7 @@ class TensorSquareAlgebra:
 
     def tensor(self, a: Element, b: Element) -> Element:
         """a (x) b for normal-form elements of A."""
+        _require_own(self.A, a, b)
         field = self.field
         acc = {}
         for m1, c1 in a.terms.items():
@@ -509,6 +518,7 @@ class TensorSquareAlgebra:
         grow under multiplication, so the coefficients at or below the
         bound are those of the full product.
         """
+        _require_own(self, t1, t2)
         A, field = self.A, self.field
         add, mul, neg = field.add, field.mul, field.neg
         deg = A.basis_degree
@@ -540,6 +550,7 @@ class TensorSquareAlgebra:
 
     def mu(self, t: Element) -> Element:
         """Multiplication map A (x) A -> A."""
+        _require_own(self, t)
         acc = {}
         for (m1, m2), c in t.terms.items():
             add_scaled(self.field, acc, self.A.mul_basis(m1, m2), c)

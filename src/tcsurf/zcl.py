@@ -20,8 +20,11 @@ model's certificate family, or by a bar-product search.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     TruncationError, _require_int)
+                     TruncationError, UnsupportedModelError, _require_int)
 from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
 from .models import MODELS, mod_ideal_quotient, reduced_generators, totaro_algebra
@@ -239,13 +242,6 @@ def _single_monomial(e: Element):
     return next(iter(e.terms))
 
 
-def _product(elems):
-    acc = None
-    for e in elems:
-        acc = e if acc is None else acc * e
-    return acc
-
-
 def case_certificate(case: str, A) -> ZclCertificate:
     """The named certificate families, each run on the model it is handed,
     the one MODELS builds for the family's token.
@@ -255,9 +251,13 @@ def case_certificate(case: str, A) -> ZclCertificate:
     genus2: on genus2_B_algebra(n, g), g >= 2, abar1 bbar1 cbar1 dbar1
       prod_{j>=2} xbar_j ybar_j, length 2n+2, witness inside
       (w1 y2..yn) (x) (w1 x2..xn).
-    sphere: on sphere_mod2_model(n), abar^3 times 2(n-3) bar generators of
-      the puncture factor found by first-success lexicographic search,
-      length 2n-3, over GF(2).
+    sphere: on sphere_mod2_model(n), abar^3 prod_{i<=n-3} ebar{i}_0
+      ebar{i}_1, length 2n-3, over GF(2), witness its least basis tensor:
+      F(S^2, n) = SO(3) x F(C minus {0,1}, n-3) (Feichtner-Ziegler, Doc.
+      Math. 5 (2000)), abar^3 is nonzero for SO(3), each point's loops
+      around the two punctures give the plane factor's tori, and nonzero
+      zero-divisor products of factors multiply to a nonzero one (Farber,
+      Discrete Comput. Geom. 29 (2003)).
     punctured-mod-ideal: on mod_ideal_quotient(n, g), all 2n bars, length
       2n, after checking every x1..xk y_{k+1}..y_n is nonzero there.
 
@@ -268,7 +268,7 @@ def case_certificate(case: str, A) -> ZclCertificate:
     T = tensor_square(A)
     if case == "torus":
         red = reduced_generators(A)
-        wit = (_single_monomial(_product(red.ys)), _single_monomial(_product(red.xs)))
+        wit = tuple(_single_monomial(reduce(mul, legs)) for legs in (red.ys, red.xs))
         return certificate_product(T, _interleaved_bars(T, red.xs, red.ys), wit)
 
     if case == "genus2":
@@ -278,8 +278,8 @@ def case_certificate(case: str, A) -> ZclCertificate:
         factors = ([T.bar(A.gen(s)) for s in ("a1", "b1", "c1", "d1")]
                    + _interleaved_bars(T, red.xs[1:], red.ys[1:]))
         w1 = A.gen("a1") * A.gen("b1")
-        L = _product([w1] + red.ys[1:])
-        R = _product([w1] + red.xs[1:])
+        L = reduce(mul, [w1] + red.ys[1:])
+        R = reduce(mul, [w1] + red.xs[1:])
         if L.is_zero() or R.is_zero():
             raise CertificateError(f"{A.label}: witness legs vanish")
         return certificate_product(T, factors, *[
@@ -287,22 +287,22 @@ def case_certificate(case: str, A) -> ZclCertificate:
 
     if case == "sphere":
         n = getattr(A, "points", 0)
-        if n < 3 or "a" not in A.free.by_name:
-            raise AlgebraError(
-                f"{A.label}: the sphere family needs a sphere-mod2 model")
-        al = T.bar(A.gen("a"))
-        bars = [T.bar(A.gen(name)) for name in A.free.names if name != "a"]
-        need = 2 * (n - 3)
-        cert = _search_certificate(T, [al, al, al], bars, need)
-        if cert is None or cert.certified_length < 3 + need:
+        names = ["a"] * 3 + [f"e{i}_{q}" for i in range(1, n - 2) for q in (0, 1)]
+        missing = [s for s in names if s not in A.free.by_name]
+        if n < 3 or missing:
+            raise AlgebraError(f"{A.label}: the sphere family needs a sphere-mod2 "
+                               f"model (n = {n}, missing {missing})")
+        factors = [T.bar(A.gen(s)) for s in names]
+        prod = reduce(mul, factors)
+        if prod.is_zero():
             raise CertificateError(
-                f"{A.label}: no {need}-fold bar product extends abar^3")
-        return cert
+                f"{A.label}: no {len(names) - 3}-fold bar product extends abar^3")
+        return certificate_product(T, factors, min(prod.terms))
 
     if case == "punctured-mod-ideal":
         red = reduced_generators(A)
         xs, ys, n = red.xs, red.ys, A.points
-        prods = [_product(xs[:k] + ys[k:]) for k in range(n + 1)]
+        prods = [reduce(mul, xs[:k] + ys[k:]) for k in range(n + 1)]
         for k, p in enumerate(prods):
             if p.is_zero():
                 raise CertificateError(
@@ -316,13 +316,33 @@ def case_certificate(case: str, A) -> ZclCertificate:
 
 def bar_product_certificate(A, cap=None) -> ZclCertificate:
     """Certify the longest nonzero product of at most `cap` generator bar
-    classes (None: no limit) that _search_certificate meets, the leading
-    bar repeating at most once: zcl(A) >= its length, which may fall short.
-    Much cheaper than zcl_exact when only a lower bound is needed."""
+    classes (None: no limit) at its least basis tensor: zcl(A) >= its
+    length, which may fall short.  One depth-first pass runs over the
+    products in lexicographic order of strictly increasing bar index (the
+    leading bar may repeat once), keeps for each length the first nonzero
+    product it meets, the one a search for that length alone would find,
+    and stops at the first of cap bars."""
     if cap is not None:
         _require_int(cap, 0, f"cap must be nonnegative, got {cap}")
-    return _search_certificate(tensor_square(A), [], bar_generators(A), cap,
-                               repeat_first=True)
+    T, bars = tensor_square(A), bar_generators(A)
+    first = []  # per length: (bars, least basis tensor) of its first product
+
+    def rec(acc, start, chosen):
+        if len(chosen) == len(first):
+            first.append((chosen, min(acc.terms)))
+            if len(chosen) == cap:
+                return True
+        step = 1 if chosen else 0
+        for i in range(start, len(bars)):
+            if len(chosen) + 1 + len(bars) - i - step < len(first):
+                break  # no product through bars[i] is longer than one met
+            p = acc * bars[i]
+            if not p.is_zero() and rec(p, i + step, chosen + [bars[i]]):
+                return True
+        return False
+
+    rec(T.one(), 0, [])
+    return certificate_product(T, *first[-1])
 
 
 def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
@@ -330,6 +350,10 @@ def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
     the ZclCertificate of the model's certificate family, else of
     bar_product_certificate.  cap stops the iteration or the search; a
     family has its fixed length whatever the cap."""
+    if method not in ("exact", "certificate"):
+        raise AlgebraError(f"unknown method: {method}")
+    if model not in MODELS:
+        raise UnsupportedModelError(f"unknown model: {model}")
     spec = MODELS[model]
     A = spec.build(**options)
     if method == "exact":
@@ -343,40 +367,6 @@ def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
 def _interleaved_bars(T: TensorSquareAlgebra, xs, ys):
     """bar(x_1), bar(y_1), bar(x_2), bar(y_2), ..."""
     return [T.bar(e) for pair in zip(xs, ys) for e in pair]
-
-
-def _search_certificate(T: TensorSquareAlgebra, prefix, bars, cap,
-                        repeat_first=False):
-    """Certify prefix times the longest nonzero run of at most `cap` bars
-    (None: no limit) at its least basis tensor; None if the prefix vanishes.
-
-    One depth-first pass over the runs, in lexicographic order of strictly
-    increasing bar index (the first may repeat once with repeat_first),
-    keeps for each length the first nonzero run it meets, the one a search
-    for that length alone would find, and stops at the first of cap bars.
-    """
-    first = []  # per length: (bars, least basis tensor) of its first product
-
-    def rec(acc, start, chosen):
-        if len(chosen) == len(first):
-            first.append((chosen, min(acc.terms)))
-            if len(chosen) == cap:
-                return True
-        step = 0 if repeat_first and not chosen else 1
-        for i in range(start, len(bars)):
-            if len(chosen) + 1 + len(bars) - i - step < len(first):
-                break  # no run through bars[i] is longer than one met
-            p = acc * bars[i]
-            if not p.is_zero() and rec(p, i + step, chosen + [bars[i]]):
-                return True
-        return False
-
-    acc = _product(prefix) if prefix else T.one()
-    if acc.is_zero():
-        return None
-    rec(acc, 0, [])
-    chosen, witness = first[-1]
-    return certificate_product(T, prefix + chosen, witness)
 
 
 # --------------------------------------------------------------------------

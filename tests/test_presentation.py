@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from tcsurf.errors import (AlgebraError, HomogeneityError,
+from tcsurf.errors import (AlgebraError, HomogeneityError, MismatchError,
                            ModelInconsistencyError, NotPoincareDualityError,
                            ResourceBudgetError, TruncationError,
                            UnsupportedModelError)
@@ -210,6 +210,32 @@ def test_bar_classes_are_zero_divisors():
     T = tensor_square(A)
     for name in A.free.names:
         assert T.mu(T.bar(A.gen(name))).is_zero()
+
+
+# Each call hands A = totaro_algebra(1, 2) or its square an element of
+# B = quotient(surface_cohomology(1)) or of B's square.
+FOREIGN_CALLS = {
+    "reduce_free": lambda A, B: A.reduce_free(B.free.gen("b")),
+    "multiply": lambda A, B: A.multiply(B.gen("a"), B.gen("b")),
+    "tensor": lambda A, B: tensor_square(A).tensor(A.gen("a1"), B.gen("a")),
+    "bar": lambda A, B: tensor_square(A).bar(B.gen("a")),
+    "tensor-multiply": lambda A, B: tensor_square(A).multiply(
+        tensor_square(A).bar(A.gen("a1")), tensor_square(B).bar(B.gen("a"))),
+    "mu": lambda A, B: tensor_square(A).mu(tensor_square(B).bar(B.gen("a"))),
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_CALLS.values(), ids=FOREIGN_CALLS.keys())
+def test_an_element_of_another_algebra_is_refused(call):
+    with pytest.raises(MismatchError):
+        call(totaro_algebra(1, 2), quotient(surface_cohomology(1)))
+
+
+def test_reduce_free_takes_free_and_own_elements():
+    A = totaro_algebra(1, 2)
+    x = A.gen("a1") * A.gen("b2")
+    assert A.reduce_free(A.element_in_free(x)) == x
+    assert A.reduce_free(x) == x
 
 
 def test_duality_of_the_torus():

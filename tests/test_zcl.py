@@ -7,7 +7,7 @@ import pytest
 from tcsurf import zcl
 from tcsurf.errors import (AlgebraError, CertificateError, HomogeneityError,
                            TruncationError)
-from tcsurf.exterior import Element
+from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
                            punctured_plane_algebra, reduced_generators,
@@ -431,6 +431,36 @@ def test_sphere_family_with_a_vanished_prefix_is_a_certificate_error():
     B.points = 4
     with pytest.raises(CertificateError, match="extends abar"):
         case_certificate("sphere", B)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sphere_family_multiplies_abar_cubed_by_the_puncture_loops(n):
+    A = sphere_mod2_model(n)
+    T = tensor_square(A)
+    names = ["a"] * 3 + [f"e{i}_{q}" for i in range(1, n - 2) for q in (0, 1)]
+    cert = case_certificate("sphere", A)
+    assert cert.factors == [T.bar(A.gen(s)) for s in names]
+    assert cert.certified_length == 2 * n - 3
+
+
+def test_sphere_family_refuses_a_model_missing_a_loop():
+    free = FreeAlgebra(GF2, [("a", 1), ("e1_0", 1)])
+    a = free.gen("a")
+    B = quotient(AlgebraPresentation(free, [a * a * a * a], top_degree=4,
+                                     label="sphere-without-e1_1"))
+    B.points = 4
+    with pytest.raises(AlgebraError,
+                       match=r"sphere-without-e1_1: .*missing \['e1_1'\]"):
+        case_certificate("sphere", B)
+
+
+@pytest.mark.parametrize("model,method,bad", [
+    ("totaro", "Exact", "Exact"), ("totaro", "bogus", "bogus"),
+    ("no-such-model", "exact", "no-such-model"),
+    ("no-such-model", "certificate", "no-such-model")])
+def test_zcl_bound_refuses_an_unknown_model_or_method(model, method, bad):
+    with pytest.raises(AlgebraError, match=bad):
+        zcl.zcl_bound(model, {"g": 1, "n": 1}, method)
 
 
 def test_bar_generators_drop_zero_bars():
