@@ -130,15 +130,38 @@ def test_diagonal_annihilation_up_to_genus_three():
 
 
 def test_genus2_diagonal_normal_form():
+    """The diagonal of the genus-g surface for g = 0 ... 3, written out in
+    normal form: the degree-2 basis monomial is the last handle's product,
+    to which every other handle's product reduces."""
+    delta, H = surface_diagonal(0)
+    T, one, w = tensor_square(H), H.one(), H.gen("w")
+    assert delta == T.tensor(one, w) + T.tensor(w, one)
+
+    delta, H = surface_diagonal(1)
+    T, one = tensor_square(H), H.one()
+    a, b = (H.gen(s) for s in "ab")
+    w = a * b
+    assert delta == (T.tensor(one, w) + T.tensor(w, one)
+                     - T.tensor(a, b) + T.tensor(b, a))
+
     delta, H = surface_diagonal(2)
-    T = tensor_square(H)
+    T, one = tensor_square(H), H.one()
     a, b, c, d = (H.gen(s) for s in "abcd")
-    w = c * d  # the degree-2 basis monomial: ab reduces to cd
+    w = c * d  # ab reduces to cd
     assert (a * b) == w
-    want = (T.tensor(H.one(), w) + T.tensor(w, H.one())
-            - T.tensor(a, b) + T.tensor(b, a)
-            - T.tensor(c, d) + T.tensor(d, c))
-    assert delta == want
+    assert delta == (T.tensor(one, w) + T.tensor(w, one)
+                     - T.tensor(a, b) + T.tensor(b, a)
+                     - T.tensor(c, d) + T.tensor(d, c))
+
+    delta, H = surface_diagonal(3)
+    T, one = tensor_square(H), H.one()
+    a, b, c, d, e, f = (H.gen(s) for s in "abcdef")
+    w = e * f  # ab and cd reduce to ef
+    assert (a * b) == w and (c * d) == w
+    assert delta == (T.tensor(one, w) + T.tensor(w, one)
+                     - T.tensor(a, b) + T.tensor(b, a)
+                     - T.tensor(c, d) + T.tensor(d, c)
+                     - T.tensor(e, f) + T.tensor(f, e))
 
 
 def test_totaro_torus_relation_span_postcondition():
