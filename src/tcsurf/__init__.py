@@ -19,14 +19,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AlgebraError", "CertificateError", "HomogeneityError",
                "MismatchError", "ModelInconsistencyError",
-               "NotPoincareDualityError", "ResourceBudgetError",
-               "TruncationError", "UnsupportedModelError"),
+               "ResourceBudgetError", "TruncationError",
+               "UnsupportedModelError"),
     "fields": ("GF2", "QQ"),
     "exterior": ("Element", "FreeAlgebra"),
-    "presentation": ("AlgebraPresentation", "DualityData", "QuotientAlgebra",
-                     "TensorSquareAlgebra", "convolve", "diagonal_class",
-                     "duality_data", "hilbert_series", "quotient",
-                     "tensor_square"),
+    "presentation": ("AlgebraPresentation", "QuotientAlgebra",
+                     "TensorSquareAlgebra", "convolve", "hilbert_series",
+                     "quotient", "tensor_square"),
     "models": ("ReducedGenerators", "arnold_algebra", "genus2_B_algebra",
                "punctured_plane_algebra", "reduced_generators",
                "resolve_model", "so3_mod2_algebra", "sphere_mod2_model",

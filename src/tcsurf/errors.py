@@ -13,10 +13,6 @@ class MismatchError(AlgebraError):
     """Operands live over different fields, algebras, or generator sets."""
 
 
-class NotPoincareDualityError(AlgebraError):
-    """The pairing into the requested top class is degenerate."""
-
-
 class ModelInconsistencyError(AlgebraError):
     """A model postcondition failed; the constructed object is wrong."""
 

@@ -25,9 +25,8 @@ from .linalg import echelonize
 from .presentation import (
     AlgebraPresentation,
     QuotientAlgebra,
-    diagonal_class,
-    duality_data,
     quotient,
+    tensor_square,
 )
 
 
@@ -169,11 +168,32 @@ def place_diagonal(delta, free: FreeAlgebra, base_ngens: int, i: int, j: int) ->
     return Element(free, terms)
 
 
-def surface_diagonal(g: int, field: Field = QQ):
-    """Diagonal tensor of the genus-g surface, with its duality data."""
-    H = quotient(surface_cohomology(g, field))
-    D = duality_data(H)
-    return diagonal_class(D), H
+def surface_diagonal(g: int):
+    """The diagonal class of the genus-g surface over Q, and its ring H.
+
+    Delta is the sum over a basis of (-1)^|b| b (x) b*, where b . b* = omega
+    (Milnor-Stasheff, *Characteristic Classes*, Thm 11.11).  With omega the
+    one degree-2 basis monomial, the dual basis 1* = omega, omega* = 1,
+    a_p* = b_p and b_p* = -a_p gives
+
+        Delta = 1 (x) omega + omega (x) 1 + sum_p (b_p (x) a_p - a_p (x) b_p).
+
+    The classes that every bar(x) kills form a line, so the check that they
+    kill Delta fixes it up to scale, and the 1 on omega (x) 1 fixes the scale.
+    """
+    H = quotient(surface_cohomology(g))
+    T, omega, index = tensor_square(H), H.basis_monomials(2)[0], H.free.by_name
+    terms = {((), omega): 1}
+    for a, b in _handle_letters(g):
+        terms[(index[a],), (index[b],)] = -1
+        terms[(index[b],), (index[a],)] = 1
+    terms[omega, ()] = 1
+    delta = Element(T, terms)
+    for name in H.free.names:
+        if not (T.bar(H.gen(name)) * delta).is_zero():
+            raise ModelInconsistencyError(
+                f"{H.label}: diagonal class not annihilated by bar({name})")
+    return delta, H
 
 
 def _reduced_xy(algebra, n: int):
@@ -215,7 +235,7 @@ def _attach_model_info(A, g, n, diagonals):
 def _build_diagonal_model(g: int, n: int, extra_rels=None, label=None,
                           max_degree=None) -> QuotientAlgebra:
     pres0 = surface_cohomology(g, QQ)
-    delta, _H = surface_diagonal(g, QQ)
+    delta, _H = surface_diagonal(g)
     free = _tensor_power_free(pres0, n)
     base = pres0.free.ngens
     offsets = _slot_offsets(base, n)

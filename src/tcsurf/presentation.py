@@ -17,8 +17,8 @@ that vanishing is verified, never assumed: once every degree in a window of
 length max(generator degree) is zero, all higher degrees are provably zero
 (each monomial has a generator factor).
 
-Also here: JSON serialization of presentations, tensor squares with the
-Koszul sign rule, Poincare duality data, and the diagonal class.
+Also here: JSON serialization of presentations, and tensor squares with
+the Koszul sign rule.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from .errors import (
     HomogeneityError,
     MismatchError,
     ModelInconsistencyError,
-    NotPoincareDualityError,
     ResourceBudgetError,
     TruncationError,
 )
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import field_from_name
-from .linalg import echelonize, new_subspace
+from .linalg import echelonize
 
 # bound on the columns plus relation products of any one quotient degree
 DEFAULT_BUDGET = 1_000_000
@@ -564,7 +563,7 @@ def tensor_square(A: QuotientAlgebra) -> TensorSquareAlgebra:
     """The tensor square of A, one per algebra.
 
     The memo is for identity, not speed: elements compare equal only within
-    one algebra object, so a class built here (the diagonal of
+    one algebra object, so a class built on it (the diagonal of
     surface_diagonal) must live in the square every other caller gets.  The
     square holds no products; A's product table caches their legs.
     """
@@ -572,90 +571,3 @@ def tensor_square(A: QuotientAlgebra) -> TensorSquareAlgebra:
     if T is None:
         T = A._tensor_square = TensorSquareAlgebra(A)
     return T
-
-
-# --------------------------------------------------------------------------
-# duality and the diagonal class
-
-
-class DualityData:
-    """Dual bases for a Poincare duality algebra: b_i . b_j* = delta_ij omega."""
-
-    def __init__(self, algebra, top, omega, duals):
-        self.algebra = algebra
-        self.top = top
-        self.omega = omega
-        self.duals = duals  # basis monomial -> Element in complementary degree
-
-    def __repr__(self):
-        return f"DualityData({self.algebra.label}, top={self.top})"
-
-
-def duality_data(A: QuotientAlgebra) -> DualityData:
-    """Solve for the dual basis in every degree.
-
-    omega is the unique basis monomial of the top nonzero degree, with
-    coefficient 1.  In degree k the pairing matrix P has P[i][t] = the omega
-    coefficient of b_i c_t, over the bases b of degree k and c of the
-    complementary degree.  The rows [P_i | e_i] are echelonized together;
-    P is invertible exactly when the pivots are the first len(b) columns,
-    and then the right half of the reduced rows is P^-1, whose column j
-    holds the dual of b_j over c.  Any other pivots mean a degenerate
-    pairing, which raises NotPoincareDualityError.
-    """
-    field = A.field
-    top = A.top_nonzero
-    if A.dim(top) != 1:
-        raise NotPoincareDualityError(
-            f"{A.label}: degree {top} has dimension {A.dim(top)}, expected 1")
-    w0 = A.basis_monomials(top)[0]
-    omega = Element(A, {w0: field.one})
-
-    duals = {}
-    for k in range(top + 1):
-        rows_basis = A.basis_monomials(k)
-        cols_basis = A.basis_monomials(top - k)
-        if len(rows_basis) != len(cols_basis):
-            raise NotPoincareDualityError(
-                f"{A.label}: dim mismatch {len(rows_basis)} vs {len(cols_basis)} "
-                f"in degrees {k}, {top - k}")
-        if not rows_basis:
-            continue
-        size = len(rows_basis)
-        sub = new_subspace(field, 2 * size)
-        for i, bi in enumerate(rows_basis):
-            row = {size + i: field.one}
-            for t, bt in enumerate(cols_basis):
-                c = A.mul_basis(bi, bt).get(w0)
-                if c:
-                    row[t] = c
-            sub.insert(row)
-        if sub.pivots != list(range(size)):
-            raise NotPoincareDualityError(
-                f"{A.label}: pairing degenerate in degree {k}")
-        inverse = sub.rows_rref()
-        for j, bi in enumerate(rows_basis):
-            duals[bi] = Element(A, {bt: field.coerce(inverse[t][size + j])
-                                    for t, bt in enumerate(cols_basis)
-                                    if size + j in inverse[t]})
-    return DualityData(A, top, omega, duals)
-
-
-def diagonal_class(D: DualityData) -> Element:
-    """Sum over the basis of (-1)^|b| b (x) b*, checked to kill every bar(x)."""
-    A = D.algebra
-    T = tensor_square(A)
-    field = A.field
-    acc = {}
-    for k in range(D.top + 1):
-        sign = field.neg(field.one) if k % 2 else field.one
-        for b in A.basis_monomials(k):
-            pairs = {(b, m2): c for m2, c in D.duals[b].terms.items()}
-            add_scaled(field, acc, pairs, sign)
-    delta = Element(T, acc)
-    for name in A.free.names:
-        probe = T.bar(A.gen(name)) * delta
-        if not probe.is_zero():
-            raise ModelInconsistencyError(
-                f"{A.label}: diagonal class not annihilated by bar({name})")
-    return delta

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
                      UnsupportedModelError, _require_int)
-from .models import model_options
 from .zcl import zcl_bound
 
 
@@ -126,7 +125,7 @@ def _lower(theorem: int, model, method: str):
     search asks for at most tc - 1 bars and may fall short, a gap."""
     token, given = model
     cap = None if method == "exact" else theorem - 1
-    result = zcl_bound(token, model_options(token, **given), method, cap)
+    result = zcl_bound(token, given, method, cap)
     if method == "exact":
         z = result.value
         text = f"zcl({result.algebra}) = {z} by exact power iteration"

@@ -24,10 +24,11 @@ from functools import reduce
 from operator import mul
 
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     TruncationError, UnsupportedModelError, _require_int)
+                     TruncationError, _require_int)
 from .exterior import Element
 from .linalg import echelonize, kernel_basis, new_subspace
-from .models import MODELS, mod_ideal_quotient, reduced_generators, totaro_algebra
+from .models import (MODELS, mod_ideal_quotient, model_options,
+                     reduced_generators, totaro_algebra)
 from .presentation import TensorSquareAlgebra, tensor_square
 
 
@@ -196,16 +197,17 @@ def certificate_product(T: TensorSquareAlgebra, factors, *witnesses) -> ZclCerti
     bidegrees only grow.  The certificate carries the first candidate whose
     coefficient is nonzero.  If every candidate is zero, CertificateError
     carries in .support the basis tensors that were nonzero at or below
-    that bidegree.
+    that bidegree.  With no candidate, the product is expanded in full and
+    its least basis tensor is the witness; CertificateError if it vanishes.
     """
     A = T.A
     free = A.free
     bidegrees = {(free.monomial_degree(u), free.monomial_degree(v))
                  for u, v in witnesses}
-    if len(bidegrees) != 1:
+    if len(bidegrees) > 1:
         raise AlgebraError(
             f"candidate witnesses need one shared bidegree, got {sorted(bidegrees)}")
-    bound = bidegrees.pop()
+    bound = bidegrees.pop() if bidegrees else None
     for i, f in enumerate(factors):
         if f.is_zero() or not T.mu(f).is_zero():
             raise CertificateError(f"factor {i} is not a zero-divisor: {f}")
@@ -214,6 +216,10 @@ def certificate_product(T: TensorSquareAlgebra, factors, *witnesses) -> ZclCerti
         acc = T.multiply(acc, f, bound)
         if acc.is_zero():
             break
+    if not witnesses:
+        if acc.is_zero():
+            raise CertificateError(f"{A.label}: the {len(factors)}-fold product vanishes")
+        witnesses = (min(acc.terms),)
     for witness in witnesses:
         coeff = acc.terms.get(witness)
         if coeff:
@@ -292,12 +298,11 @@ def case_certificate(case: str, A) -> ZclCertificate:
         if n < 3 or missing:
             raise AlgebraError(f"{A.label}: the sphere family needs a sphere-mod2 "
                                f"model (n = {n}, missing {missing})")
-        factors = [T.bar(A.gen(s)) for s in names]
-        prod = reduce(mul, factors)
-        if prod.is_zero():
-            raise CertificateError(
-                f"{A.label}: no {len(names) - 3}-fold bar product extends abar^3")
-        return certificate_product(T, factors, min(prod.terms))
+        try:
+            return certificate_product(T, [T.bar(A.gen(s)) for s in names])
+        except CertificateError as err:
+            raise CertificateError(f"{A.label}: no {len(names) - 3}-fold bar "
+                                   "product extends abar^3") from err
 
     if case == "punctured-mod-ideal":
         red = reduced_generators(A)
@@ -348,12 +353,12 @@ def bar_product_certificate(A, cap=None) -> ZclCertificate:
 def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
     """zcl of MODELS[model] built on options: zcl_exact's BoundReport, or
     the ZclCertificate of the model's certificate family, else of
-    bar_product_certificate.  cap stops the iteration or the search; a
-    family has its fixed length whatever the cap."""
+    bar_product_certificate, with options read by model_options.  cap stops
+    the iteration or the search; a family has its fixed length whatever the
+    cap."""
     if method not in ("exact", "certificate"):
         raise AlgebraError(f"unknown method: {method}")
-    if model not in MODELS:
-        raise UnsupportedModelError(f"unknown model: {model}")
+    options = model_options(model, **options)
     spec = MODELS[model]
     A = spec.build(**options)
     if method == "exact":

@@ -18,7 +18,7 @@ from tcsurf.presentation import hilbert_series, quotient, tensor_square
 from tcsurf.tcreport import sweep
 from tcsurf.zcl import case_certificate, e2_probe, zcl_exact
 
-from .oracles import eqA_dimension, poly_mul, punctured_hilbert, rising_product
+from .oracles import eqA_dimension, punctured_hilbert, rising_product
 
 
 def _line(num, ok, detail):

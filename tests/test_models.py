@@ -3,6 +3,7 @@ import pytest
 from tcsurf.errors import (AlgebraError, ModelInconsistencyError,
                            UnsupportedModelError)
 from tcsurf import models
+from tcsurf.exterior import FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            mod_ideal_quotient, model_options,
@@ -10,8 +11,7 @@ from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            reduced_generators, resolve_model, so3_mod2_algebra,
                            sphere_mod2_model, surface_cohomology,
                            surface_diagonal, totaro_algebra, xJyK_pairs)
-from tcsurf.presentation import (convolve, hilbert_series, quotient,
-                                 tensor_square)
+from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.zcl import case_certificate
 
 from .oracles import (eqA_basis_count, eqA_dimension, poly_mul,
@@ -127,6 +127,20 @@ def test_diagonal_annihilation_up_to_genus_three():
         T = tensor_square(H)
         for name in H.free.names:
             assert T.multiply(T.bar(H.gen(name)), delta).is_zero(), (g, name)
+
+
+def test_surface_diagonal_refuses_a_class_some_bar_does_not_kill(monkeypatch):
+    """A degree-1 class c that pairs to zero with everything breaks Poincare
+    duality, so the written-out torus diagonal no longer spans the classes
+    every bar kills: bar(c) Delta = c (x) ab - ab (x) c."""
+    free = FreeAlgebra(QQ, [("a", 1), ("b", 1), ("c", 1)])
+    a, b, c = (free.gen(s) for s in "abc")
+    ring = AlgebraPresentation(free, [a * c, b * c], top_degree=2,
+                               label="torus-with-c")
+    monkeypatch.setattr(models, "surface_cohomology", lambda g: ring)
+    with pytest.raises(ModelInconsistencyError,
+                       match=r"torus-with-c: .* not annihilated by bar\(c\)"):
+        surface_diagonal(1)
 
 
 def test_genus2_diagonal_normal_form():

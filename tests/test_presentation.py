@@ -4,19 +4,18 @@ from unittest import mock
 import pytest
 
 from tcsurf.errors import (AlgebraError, HomogeneityError, MismatchError,
-                           ModelInconsistencyError, NotPoincareDualityError,
-                           ResourceBudgetError, TruncationError,
-                           UnsupportedModelError)
+                           ModelInconsistencyError, ResourceBudgetError,
+                           TruncationError, UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf import linalg, presentation
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            model_options, punctured_plane_algebra,
                            so3_mod2_algebra, sphere_mod2_model,
-                           surface_cohomology, totaro_algebra)
-from tcsurf.presentation import (AlgebraPresentation, convolve, diagonal_class,
-                                 duality_data, hilbert_series, quotient,
-                                 tensor_square)
+                           surface_cohomology, surface_diagonal,
+                           totaro_algebra)
+from tcsurf.presentation import (AlgebraPresentation, convolve, hilbert_series,
+                                 quotient, tensor_square)
 from tcsurf.zcl import mod_ideal_quotient, zcl_exact
 
 from .oracles import (all_products_mismatches, full_elimination_mismatches,
@@ -238,39 +237,9 @@ def test_reduce_free_takes_free_and_own_elements():
     assert A.reduce_free(x) == x
 
 
-def test_duality_of_the_torus():
-    A = quotient(surface_cohomology(1))
-    D = duality_data(A)
-    a, b = A.gen("a"), A.gen("b")
-    ab = a * b
-    mon = {d: A.basis_monomials(d) for d in range(3)}
-    assert D.duals[mon[0][0]] == ab
-    assert D.duals[mon[1][0]] == b      # dual of a
-    assert D.duals[mon[1][1]] == -a     # dual of b
-    assert D.duals[mon[2][0]] == A.one()
-
-
-def test_duality_rejects_non_pd_algebra():
-    with pytest.raises(NotPoincareDualityError):
-        duality_data(quotient(arnold_algebra(3)))
-
-
-def test_duality_rejects_degenerate_pairing():
-    F = FreeAlgebra(QQ, [("x", 1), ("y", 1), ("z", 1)])
-    x, y, z = (F.gen(s) for s in "xyz")
-    A = quotient(AlgebraPresentation(F, [x * y, x * z]))
-    assert A.hilbert() == [1, 3, 1]
-    # x pairs to zero with all of degree 1
-    with pytest.raises(NotPoincareDualityError,
-                       match="pairing degenerate in degree 1"):
-        duality_data(A)
-
-
 def test_torus_diagonal_class():
-    A = quotient(surface_cohomology(1))
+    delta, A = surface_diagonal(1)
     T = tensor_square(A)
-    D = duality_data(A)
-    delta = diagonal_class(D)
     a, b = A.gen("a"), A.gen("b")
     ab = a * b
     want = (T.tensor(A.one(), ab) - T.tensor(a, b) + T.tensor(b, a)

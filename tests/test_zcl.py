@@ -6,12 +6,12 @@ import pytest
 
 from tcsurf import zcl
 from tcsurf.errors import (AlgebraError, CertificateError, HomogeneityError,
-                           TruncationError)
+                           TruncationError, UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
-                           punctured_plane_algebra, reduced_generators,
-                           resolve_model, so3_mod2_algebra, sphere_mod2_model,
+                           punctured_plane_algebra, resolve_model,
+                           so3_mod2_algebra, sphere_mod2_model,
                            surface_cohomology, totaro_algebra)
 from tcsurf.presentation import (AlgebraPresentation, TensorSquareAlgebra,
                                  quotient, tensor_square)
@@ -338,6 +338,18 @@ def test_certificate_with_every_candidate_zero_reports_support():
     assert err.value.support == [("a", "b"), ("b", "a")]
 
 
+def test_certificate_with_no_candidate_takes_the_least_basis_tensor():
+    A = torus_ring()
+    T = tensor_square(A)
+    ab = torus_monomial(A, "a", "b")
+    bar_a, bar_b = T.bar(A.gen("a")), T.bar(A.gen("b"))
+    # abar*bbar = ab(x)1 - a(x)b + b(x)a + 1(x)ab, whose least term is 1(x)ab
+    cert = certificate_product(T, [bar_a, bar_b])
+    assert (cert.witness, cert.coefficient) == (((), ab), 1)
+    with pytest.raises(CertificateError, match="2-fold product vanishes"):
+        certificate_product(T, [bar_a, bar_a])
+
+
 def test_certificate_refuses_candidates_of_mixed_bidegree():
     A = torus_ring()
     T = tensor_square(A)
@@ -434,11 +446,23 @@ def test_sphere_family_with_a_vanished_prefix_is_a_certificate_error():
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_sphere_family_multiplies_abar_cubed_by_the_puncture_loops(n):
+def test_sphere_family_multiplies_abar_cubed_by_the_puncture_loops(
+        n, monkeypatch):
+    """The product is formed once, one tensor product per factor, and the
+    witness is read off that expansion."""
     A = sphere_mod2_model(n)
     T = tensor_square(A)
     names = ["a"] * 3 + [f"e{i}_{q}" for i in range(1, n - 2) for q in (0, 1)]
+    formed = []
+    multiply = TensorSquareAlgebra.multiply
+
+    def counted_multiply(self, *args, **kwargs):
+        formed.append(1)
+        return multiply(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorSquareAlgebra, "multiply", counted_multiply)
     cert = case_certificate("sphere", A)
+    assert len(formed) == 2 * n - 3
     assert cert.factors == [T.bar(A.gen(s)) for s in names]
     assert cert.certified_length == 2 * n - 3
 
@@ -461,6 +485,16 @@ def test_sphere_family_refuses_a_model_missing_a_loop():
 def test_zcl_bound_refuses_an_unknown_model_or_method(model, method, bad):
     with pytest.raises(AlgebraError, match=bad):
         zcl.zcl_bound(model, {"g": 1, "n": 1}, method)
+
+
+def test_zcl_bound_reads_its_options_as_model_options_does():
+    with pytest.raises(UnsupportedModelError,
+                       match="so3-mod2 does not take a genus"):
+        zcl.zcl_bound("so3-mod2", {"g": 1})
+    # n is not given and takes the totaro default, 1
+    report = zcl.zcl_bound("totaro", {"g": 1})
+    assert report.to_json() == zcl_exact(totaro_algebra(1, 1)).to_json()
+    assert (report.value, report.exact) == (2, True)
 
 
 def test_bar_generators_drop_zero_bars():
