@@ -30,8 +30,7 @@ def unused_imports(path):
                 name = alias.asname or alias.name.split(".")[0]
                 bound.setdefault(name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in used and name != "*")
+    return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
 def stale_imports():
