@@ -24,12 +24,15 @@ _EXPORTS = {
     "fields": ("GF2", "QQ"),
     "exterior": ("Element", "FreeAlgebra"),
     "presentation": ("AlgebraPresentation", "QuotientAlgebra",
-                     "TensorSquareAlgebra", "convolve", "hilbert_series",
-                     "quotient", "tensor_square"),
+                     "TensorSquareAlgebra", "WeightBlock", "block_reduce",
+                     "convolve", "hilbert_series", "quotient",
+                     "tensor_square", "weight_block", "weight_blocks"),
     "models": ("ReducedGenerators", "arnold_algebra", "genus2_B_algebra",
+               "genus2_B_presentation", "mod_ideal_presentation",
                "punctured_plane_algebra", "reduced_generators",
                "resolve_model", "so3_mod2_algebra", "sphere_mod2_model",
-               "surface_cohomology", "surface_diagonal", "totaro_algebra"),
+               "surface_cohomology", "surface_diagonal", "totaro_algebra",
+               "totaro_presentation"),
     "zcl": ("BoundReport", "E2Report", "ZclCertificate",
             "bar_product_certificate", "bar_generators", "case_certificate",
             "certificate_product", "cup_length", "e2_probe",

@@ -87,7 +87,15 @@ class RationalSubspace(Subspace):
     row is primitive (content 1) with a positive lead."""
 
     def insert(self, vec):
-        row = _to_int_row(vec)
+        # an int vector, as every quotient row of a shipped Q model is, is
+        # only copied: _pack makes the stored row primitive
+        row = {}
+        for c, v in vec.items():
+            if type(v) is not int:
+                row = _to_int_row(vec)
+                break
+            if v:
+                row[c] = v
         rows = self._rows
         while row:
             p = min(row)
@@ -252,16 +260,24 @@ class Gf2Subspace(Subspace):
     the pivot and a row costs its span, not its highest column."""
 
     def insert(self, vec):
-        row = _to_mask(vec)
+        """Eliminate on a working row kept shifted down to its lowest
+        column p, as the stored rows are, so that each xor costs the
+        rows' span and not the highest column."""
+        if not vec:
+            return False
+        p = min(vec)
+        row = _to_mask(vec, p)
         rows = self._rows
         while row:
-            p = (row & -row).bit_length() - 1
+            low = (row & -row).bit_length() - 1
+            row >>= low
+            p += low
             piv = rows.get(p)
             if piv is None:
-                rows[p] = row >> p
+                rows[p] = row
                 self._final = False
                 return True
-            row ^= piv << p
+            row ^= piv
         return False
 
     def finalize(self):
@@ -309,13 +325,13 @@ class Gf2Subspace(Subspace):
     rows_primitive = rows_rref
 
 
-def _to_mask(vec):
-    """A sparse vector's nonzero GF(2) entries as a bitmask; each entry is
-    read as GF2.coerce reads it."""
+def _to_mask(vec, offset=0):
+    """A sparse vector's nonzero GF(2) entries as a bitmask, column c at
+    bit c - offset; each entry is read as GF2.coerce reads it."""
     mask = 0
     for c, v in vec.items():
         if v & 1 if type(v) is int else GF2.coerce(v):
-            mask |= 1 << c
+            mask |= 1 << (c - offset)
     return mask
 
 

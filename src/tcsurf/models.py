@@ -25,17 +25,27 @@ from .linalg import echelonize
 from .presentation import (
     AlgebraPresentation,
     QuotientAlgebra,
+    block_reduce,
     quotient,
     tensor_square,
+    weight_block,
+    weight_blocks,
 )
 
 
 def _handle_letters(g: int):
-    # letter pairs (a,b), (c,d), (e,f), ... one pair per handle
+    """Letter pairs (a,b), (c,d), (e,f), ... one pair per handle, and the
+    weight in Z^g of each letter in order: letter 2h gets +e_h and letter
+    2h+1 gets -e_h.  This is a maximal torus of Sp(2g) acting on H^1 of the
+    surface; it preserves the intersection form, so it fixes the diagonal
+    class, and every relation of the surface models is weight-homogeneous."""
     if 2 * g > len(string.ascii_lowercase) - 3:
         raise UnsupportedModelError(f"genus {g} exceeds the letter-pair naming scheme")
-    return [(string.ascii_lowercase[2 * p], string.ascii_lowercase[2 * p + 1])
-            for p in range(g)]
+    pairs = [(string.ascii_lowercase[2 * p], string.ascii_lowercase[2 * p + 1])
+             for p in range(g)]
+    unit = [tuple(int(h == p) for h in range(g)) for p in range(g)]
+    weights = [w for e in unit for w in (e, tuple(-x for x in e))]
+    return pairs, weights
 
 
 def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
@@ -43,14 +53,16 @@ def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
 
     g=0: one generator w of degree 2 with w^2 = 0.  g >= 1: odd generators
     a,b (one pair per handle), all degree-2 products zero except the handle
-    products, which are all identified.
+    products, which are all identified.  The generators carry the weights
+    of _handle_letters (w has the weight of Z^0).
     """
     _require_int(g, 0, "genus must be nonnegative")
     if g == 0:
         free = FreeAlgebra(field, [("w", 2)])
         w = free.gen("w")
-        return AlgebraPresentation(free, [w * w], top_degree=2, label="surface(g=0)")
-    pairs = _handle_letters(g)
+        return AlgebraPresentation(free, [w * w], top_degree=2, label="surface(g=0)",
+                                   weights=[()])
+    pairs, weights = _handle_letters(g)
     gens = []
     for a, b in pairs:
         gens.append((a, 1))
@@ -69,7 +81,8 @@ def surface_cohomology(g: int, field: Field = QQ) -> AlgebraPresentation:
         for name in free.names:
             x = free.gen(name)
             rels.append(x * x)
-    return AlgebraPresentation(free, rels, top_degree=2, label=f"surface(g={g})")
+    return AlgebraPresentation(free, rels, top_degree=2, label=f"surface(g={g})",
+                               weights=weights)
 
 
 def arnold_algebra(n: int, field: Field = QQ) -> AlgebraPresentation:
@@ -184,7 +197,7 @@ def surface_diagonal(g: int):
     H = quotient(surface_cohomology(g))
     T, omega, index = tensor_square(H), H.basis_monomials(2)[0], H.free.by_name
     terms = {((), omega): 1}
-    for a, b in _handle_letters(g):
+    for a, b in _handle_letters(g)[0]:
         terms[(index[a],), (index[b],)] = -1
         terms[(index[b],), (index[a],)] = 1
     terms[omega, ()] = 1
@@ -196,44 +209,47 @@ def surface_diagonal(g: int):
     return delta, H
 
 
-def _reduced_xy(algebra, n: int):
-    """x_1 = a_1, x_j = a_j - a_1 and y_1 = b_1, y_j = b_j - b_1 (j >= 2).
-
-    algebra is the free algebra of a diagonal model or its quotient.
-    """
+def _reduced_xy(gen, n: int):
+    """x_1 = a_1, x_j = a_j - a_1 and y_1 = b_1, y_j = b_j - b_1 (j >= 2),
+    each made from gen(name) of its generators."""
     def reduce(letter):
-        a = [algebra.gen(f"{letter}{i}") for i in range(1, n + 1)]
+        a = [gen(f"{letter}{i}") for i in range(1, n + 1)]
         return [a[0]] + [a[j] - a[0] for j in range(1, n)]
 
     return reduce("a"), reduce("b")
 
 
-def _xy_span_matches(A: QuotientAlgebra, n: int) -> bool:
+def _e1(genus: int, k: int):
+    """k e_1 in Z^genus: the weight of a product of reduced generators with
+    k more x's than y's."""
+    return (k,) + (0,) * (genus - 1)
+
+
+def _xy_span_matches(pres: AlgebraPresentation, n: int) -> bool:
     """Degree-2 ideal of the torus model == span of the reduced-pair relations.
 
-    The columns of A.ideal[2] are the surviving degree-2 monomials; at g=1
-    over Q no relation is a single monomial, so they are all of them."""
-    x, y = _reduced_xy(A.free, n)
+    The relations have weight 0, so the degree-2 blocks of weight +-2e_1
+    must hold no ideal, and the weight-0 block's ideal must be their span.
+    At g=1 over Q no relation is a single monomial, so the block columns
+    are all the degree-2 monomials of their weight."""
+    x, y = _reduced_xy(pres.free.gen, n)
     rels = []
     for j in range(1, n):
         rels.append(x[j] * y[j])
         for i in range(1, j):
             rels.append(x[j] * y[i] + x[i] * y[j])
-    idx = A.index[2]
+    zero, plus, minus = weight_blocks(pres, [(2, (0,)), (2, (2,)), (2, (-2,))])
+    idx = zero.index
     vecs = [{idx[m]: c for m, c in r.terms.items()} for r in rels]
-    span = echelonize(A.field, len(idx), vecs)
-    return span == A.ideal[2]
+    span = echelonize(pres.field, len(idx), vecs)
+    return plus.ideal.is_zero() and minus.ideal.is_zero() and span == zero.ideal
 
 
-def _attach_model_info(A, g, n, diagonals):
-    A.genus = g
-    A.points = n
-    A.diagonals = diagonals
-    return A
-
-
-def _build_diagonal_model(g: int, n: int, extra_rels=None, label=None,
-                          max_degree=None) -> QuotientAlgebra:
+def _diagonal_presentation(g: int, n: int, extra_rels=None,
+                           label=None) -> AlgebraPresentation:
+    """[H*(surface)]^(x n) / (diagonal classes), plus extra_rels(free), as a
+    presentation whose generators carry the surface's weights in every slot.
+    It also carries genus, points and diagonals, the (i, j) -> Delta_ij."""
     pres0 = surface_cohomology(g, QQ)
     delta, _H = surface_diagonal(g)
     free = _tensor_power_free(pres0, n)
@@ -249,25 +265,45 @@ def _build_diagonal_model(g: int, n: int, extra_rels=None, label=None,
     if extra_rels:
         rels.extend(extra_rels(free))
     top = 2 * n if g == 0 else None
-    pres = AlgebraPresentation(free, rels, top_degree=top, label=label)
+    pres = AlgebraPresentation(free, rels, top_degree=top, label=label,
+                               weights=pres0.weights * n)
+    pres.genus, pres.points, pres.diagonals = g, n, diagonals
+    return pres
+
+
+def _diagonal_quotient(pres: AlgebraPresentation, max_degree=None) -> QuotientAlgebra:
+    """The quotient of a _diagonal_presentation, with its genus, points and
+    diagonals."""
     A = quotient(pres, max_degree=max_degree)
-    return _attach_model_info(A, g, n, diagonals)
+    A.genus, A.points, A.diagonals = pres.genus, pres.points, pres.diagonals
+    return A
+
+
+def model_presentation(model) -> AlgebraPresentation:
+    """The presentation of a model handed as a presentation or a quotient."""
+    return model if isinstance(model, AlgebraPresentation) else model.presentation
+
+
+def totaro_presentation(g: int, n: int) -> AlgebraPresentation:
+    """The presentation of totaro_algebra(g, n); for g=1 the degree-2 ideal
+    is checked, on its weight blocks, against the reduced-pair relation
+    span."""
+    _require_int(n, 1, "need at least one point")
+    _require_int(g, 0, "genus must be nonnegative")
+    pres = _diagonal_presentation(g, n, label=f"totaro(g={g},n={n})")
+    if g == 1 and not _xy_span_matches(pres, n):
+        raise ModelInconsistencyError(
+            "torus model: degree-2 ideal differs from the reduced-pair span")
+    return pres
 
 
 def totaro_algebra(g: int, n: int) -> QuotientAlgebra:
     """The diagonal-ideal model: [H*(surface)]^(x n) / (diagonal classes).
 
     A subalgebra of the configuration-space cohomology; over the rationals.
-    For g=1 the degree-2 ideal is checked against the reduced-generator
-    relation span.
+    Built from totaro_presentation, with its check.
     """
-    _require_int(n, 1, "need at least one point")
-    _require_int(g, 0, "genus must be nonnegative")
-    A = _build_diagonal_model(g, n, label=f"totaro(g={g},n={n})")
-    if g == 1 and not _xy_span_matches(A, n):
-        raise ModelInconsistencyError(
-            "torus model: degree-2 ideal differs from the reduced-pair span")
-    return A
+    return _diagonal_quotient(totaro_presentation(g, n))
 
 
 class ReducedGenerators:
@@ -278,22 +314,32 @@ class ReducedGenerators:
         self.ys = ys
 
 
-def reduced_generators(A: QuotientAlgebra) -> ReducedGenerators:
-    """Reduced generators of a diagonal-ideal model; torus identities checked."""
-    if getattr(A, "genus", 0) < 1:
-        raise AlgebraError(f"{A.label}: reduced generators need a "
+def reduced_generators(model) -> ReducedGenerators:
+    """Reduced generators of a diagonal-ideal model; torus identities checked.
+
+    model is the model's presentation, whose generators come back in
+    normal form as elements of its free algebra, or its quotient, whose
+    own elements come back.  At genus 1 the identities x_j y_j = 0 and
+    x_j y_i + x_i y_j = 0 are checked in the degree-2 weight-0 block."""
+    pres = model_presentation(model)
+    if getattr(pres, "genus", 0) < 1:
+        raise AlgebraError(f"{pres.label}: reduced generators need a "
                            "diagonal-ideal model of genus >= 1")
-    n = A.points
-    xs, ys = _reduced_xy(A, n)
-    if A.genus == 1:
+    n = pres.points
+    if pres.genus == 1:
+        xs, ys = _reduced_xy(pres.free.gen, n)
         for j in range(1, n):
-            if not (xs[j] * ys[j]).is_zero():
-                raise ModelInconsistencyError(f"x_{j+1} y_{j+1} nonzero in {A.label}")
+            if block_reduce(pres, xs[j] * ys[j]).terms:
+                raise ModelInconsistencyError(
+                    f"x_{j+1} y_{j+1} nonzero in {pres.label}")
             for i in range(1, j):
-                if not (xs[j] * ys[i] + xs[i] * ys[j]).is_zero():
+                if block_reduce(pres, xs[j] * ys[i] + xs[i] * ys[j]).terms:
                     raise ModelInconsistencyError(
-                        f"x_{j+1} y_{i+1} + x_{i+1} y_{j+1} nonzero in {A.label}")
-    return ReducedGenerators(xs, ys)
+                        f"x_{j+1} y_{i+1} + x_{i+1} y_{j+1} nonzero in {pres.label}")
+    if model is pres:
+        return ReducedGenerators(*_reduced_xy(
+            lambda name: block_reduce(pres, pres.free.gen(name)), n))
+    return ReducedGenerators(*_reduced_xy(model.gen, n))
 
 
 def _pair_ideal_relations(free: FreeAlgebra, n: int):
@@ -311,19 +357,26 @@ def _pair_ideal_relations(free: FreeAlgebra, n: int):
     return rels
 
 
+def genus2_B_presentation(n: int, genus: int = 2) -> AlgebraPresentation:
+    """The presentation of genus2_B_algebra(n, genus), whose x_J y_K
+    monomials with max J < min K are checked independent on its blocks."""
+    _require_int(n, 1, "need at least one point")
+    _require_int(genus, 2, "the pair ideal needs genus >= 2")
+    pres = _diagonal_presentation(
+        genus, n, extra_rels=lambda free: _pair_ideal_relations(free, n),
+        label=f"b-sigma(g={genus},n={n})")
+    _check_xJyK_independent(pres)
+    return pres
+
+
 def genus2_B_algebra(n: int, genus: int = 2) -> QuotientAlgebra:
     """Quotient of the genus-2 diagonal model by the second-handle pair ideal.
 
-    Kills c_i c_j, c_i d_j, d_i d_j across distinct slots.  Postcondition:
-    the reduced monomials x_J y_K with max J < min K stay independent.
+    Kills c_i c_j, c_i d_j, d_i d_j across distinct slots.  Built from
+    genus2_B_presentation: the reduced monomials x_J y_K with max J < min K
+    stay independent.
     """
-    _require_int(n, 1, "need at least one point")
-    _require_int(genus, 2, "the pair ideal needs genus >= 2")
-    B = _build_diagonal_model(
-        genus, n, extra_rels=lambda free: _pair_ideal_relations(free, n),
-        label=f"b-sigma(g={genus},n={n})")
-    _check_xJyK_independent(B)
-    return B
+    return _diagonal_quotient(genus2_B_presentation(n, genus))
 
 
 def xJyK_pairs(n: int):
@@ -340,24 +393,35 @@ def xJyK_pairs(n: int):
     return out
 
 
-def _check_xJyK_independent(B: QuotientAlgebra):
-    red = reduced_generators(B)
+def _check_xJyK_independent(pres: AlgebraPresentation):
+    """x_J y_K lies in the block (|J| + |K|, (|J| - |K|) e_1).  Every such
+    block is checked against the budget before any is built or any pair
+    listed; a degree's rank is the sum of its blocks' ranks."""
+    red = reduced_generators(pres)
+    n, g = pres.points, pres.genus
+    weight_blocks(pres, [(d, _e1(g, 2 * j - d))
+                         for d in range(n) for j in range(d + 1)])
+    one = pres.free.one()
     by_degree = {}
-    for J, K in xJyK_pairs(B.points):
-        m = B.one()
+    for J, K in xJyK_pairs(n):
+        m = one
         for j in J:
             m = m * red.xs[j - 1]
         for k in K:
             m = m * red.ys[k - 1]
-        by_degree.setdefault(len(J) + len(K), []).append(m)
-    for d, elems in by_degree.items():
-        idx = B.index[d]
-        vecs = [{idx[m]: c for m, c in e.terms.items()} for e in elems]
-        span = echelonize(B.field, len(idx), vecs)
-        if span.rank != len(elems):
+        d = len(J) + len(K)
+        blk = weight_block(pres, d, _e1(g, len(J) - len(K)))
+        vec = {blk.index[t]: c for t, c in blk.reduce(m.terms).items()}
+        by_degree.setdefault(d, {}).setdefault(blk.weight, (blk, []))[1].append(vec)
+    for d in sorted(by_degree):
+        blocks = by_degree[d].values()
+        rank = sum(echelonize(pres.field, len(blk.mons), vecs).rank
+                   for blk, vecs in blocks)
+        count = sum(len(vecs) for _, vecs in blocks)
+        if rank != count:
             raise ModelInconsistencyError(
-                f"{B.label}: x_J y_K monomials dependent in degree {d} "
-                f"(rank {span.rank} of {len(elems)})")
+                f"{pres.label}: x_J y_K monomials dependent in degree {d} "
+                f"(rank {rank} of {count})")
 
 
 def so3_mod2_algebra() -> QuotientAlgebra:
@@ -389,24 +453,28 @@ def sphere_mod2_model(n: int) -> QuotientAlgebra:
     return A
 
 
-def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
-    """Genus-g diagonal model modulo <x1 y1, x_i y1 + x1 y_i>, built through degree n.
-
-    Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
-    lives in degree n, and certificate expansion is pruned leg-wise to n.
-    """
+def mod_ideal_presentation(n: int, genus: int = 2) -> AlgebraPresentation:
+    """Genus-g diagonal model modulo <x1 y1, x_i y1 + x1 y_i>, as a presentation."""
     _require_int(n, 1, "n must be positive")
     _require_int(genus, 1, "the mod-ideal model needs genus >= 1")
     def extra(free):
-        x, y = _reduced_xy(free, n)
+        x, y = _reduced_xy(free.gen, n)
         rels = [x[0] * y[0]]
         for i in range(1, n):
             rels.append(x[i] * y[0] + x[0] * y[i])
         return rels
 
-    return _build_diagonal_model(
-        genus, n, extra_rels=extra, max_degree=n,
-        label=f"mod-ideal(g={genus},n={n})")
+    return _diagonal_presentation(genus, n, extra_rels=extra,
+                                  label=f"mod-ideal(g={genus},n={n})")
+
+
+def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
+    """Quotient of mod_ideal_presentation(n, genus), built through degree n.
+
+    Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
+    lives in degree n, and certificate expansion is pruned leg-wise to n.
+    """
+    return _diagonal_quotient(mod_ideal_presentation(n, genus), max_degree=n)
 
 
 # --------------------------------------------------------------------------
@@ -419,14 +487,19 @@ class ModelSpec:
     defaults names every option the model takes (g, n, punctures, field)
     with the value used when it is not given; build(**options) returns the
     quotient algebra; case(options) names the fixed-length certificate
-    family of zcl.case_certificate that runs on that algebra, or None.
+    family of zcl.case_certificate that runs on the model, or None.  A
+    family that runs on weight blocks is handed present(**options), the
+    weighted presentation; present is None where the family runs on the
+    quotient.
     """
 
     def __init__(self, build: Callable, defaults: dict,
-                 case: Callable = lambda options: None):
+                 case: Callable = lambda options: None,
+                 present: Callable | None = None):
         self.build = build
         self.defaults = defaults
         self.case = case
+        self.present = present
 
 
 # Each entry calls its builder through this module's globals, so a builder
@@ -444,17 +517,20 @@ MODELS = {
         {"n": 1, "punctures": 2, "field": GF2}),
     "totaro": ModelSpec(
         lambda g, n: totaro_algebra(g, n), {"g": 1, "n": 1},
-        lambda options: "torus" if options["g"] == 1 else None),
+        lambda options: "torus" if options["g"] == 1 else None,
+        lambda g, n: totaro_presentation(g, n)),
     "b-sigma": ModelSpec(
         lambda g, n: genus2_B_algebra(n, g), {"g": 2, "n": 1},
-        lambda options: "genus2"),
+        lambda options: "genus2",
+        lambda g, n: genus2_B_presentation(n, g)),
     "sphere-mod2": ModelSpec(
         lambda n: sphere_mod2_model(n), {"n": 3},
         lambda options: "sphere"),
     "so3-mod2": ModelSpec(lambda: so3_mod2_algebra(), {}),
     "mod-ideal": ModelSpec(
         lambda g, n: mod_ideal_quotient(n, g), {"g": 2, "n": 1},
-        lambda options: "punctured-mod-ideal"),
+        lambda options: "punctured-mod-ideal",
+        lambda g, n: mod_ideal_presentation(n, g)),
 }
 
 _OPTION_NOUNS = {"g": "a genus", "n": "a number of points",

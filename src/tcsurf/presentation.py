@@ -17,6 +17,12 @@ that vanishing is verified, never assumed: once every degree in a window of
 length max(generator degree) is zero, all higher degrees are provably zero
 (each monomial has a generator factor).
 
+A presentation whose generators carry weights, with every relation
+weight-homogeneous, also has a quotient by blocks: weight_block builds the
+(degree, weight) part of one degree alone, over the survivors of that
+weight, with the same row kernel, and its pivots and normal forms are
+those of the whole degree (see weight_block).
+
 Also here: JSON serialization of presentations, and tensor squares with
 the Koszul sign rule.
 """
@@ -24,6 +30,8 @@ the Koszul sign rule.
 from __future__ import annotations
 
 import json
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import (
     AlgebraError,
@@ -52,9 +60,18 @@ def _json_int(value):
 
 
 class AlgebraPresentation:
-    """A free algebra together with homogeneous relations."""
+    """A free algebra together with homogeneous relations.
 
-    def __init__(self, free: FreeAlgebra, relations, top_degree=None, label=None):
+    weights, when given, holds one weight per generator, each a tuple of
+    ints of one common length; a monomial's weight is the sum of its
+    generators'.  Every relation must then be weight-homogeneous too
+    (HomogeneityError otherwise), so that the quotient splits into the
+    (degree, weight) blocks of weight_block.  Weights are not written to
+    JSON.
+    """
+
+    def __init__(self, free: FreeAlgebra, relations, top_degree=None, label=None,
+                 weights=None):
         self.free = free
         self.field = free.field
         self.relations = []
@@ -74,6 +91,32 @@ class AlgebraPresentation:
             raise AlgebraError("top_degree must be a nonnegative integer")
         self.top_degree = top_degree
         self.label = label or "presentation"
+        self.weights = None
+        if weights is not None:
+            self.weights = tuple(tuple(w) for w in weights)
+            self._check_weights()
+        self._blocks = None  # the _WeightBlocks of weight_block, made on first use
+
+    def _check_weights(self):
+        weights = self.weights
+        if (len(weights) != self.free.ngens
+                or len({len(w) for w in weights}) > 1
+                or any(type(x) is not int for w in weights for x in w)):
+            raise AlgebraError(f"{self.label}: weights need one tuple of ints "
+                               "of one length per generator")
+        for r in self.relations:
+            if len({self.weight(m) for m in r.terms}) > 1:
+                raise HomogeneityError(
+                    f"{self.label}: relation is not weight-homogeneous: {r}")
+
+    def weight(self, mon):
+        """The weight of a monomial: the sum of its generators' weights."""
+        weights = self.weights
+        acc = [0] * len(weights[0]) if weights else []
+        for g in mon:
+            for h, x in enumerate(weights[g]):
+                acc[h] += x
+        return tuple(acc)
 
     def natural_bound(self):
         """Degree above which the free algebra itself vanishes, if any."""
@@ -202,8 +245,9 @@ class QuotientAlgebra:
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
 
-    The rows of ideal[d] are formed on packed exponent vectors
-    (FreeAlgebra.pack), local to degree d and of width d.bit_length() + 1,
+    The rows of ideal[d] are formed by _relation_products on packed
+    exponent vectors (FreeAlgebra.pack), local to degree d and of width
+    d.bit_length() + 1,
     wide enough for any exponent of degree <= d.  A survivor of degree
     d - e times a term of a relation of degree e is one integer add, looked
     up among the packed survivors of degree d; a product that is killed,
@@ -307,7 +351,7 @@ class QuotientAlgebra:
         lowest index of a relation with a row of degree k led there
         (_NO_LEAD when none is below it); leads[d] is filled as the rows
         are made."""
-        free, neg = self.free, self.field.neg
+        free = self.free
         w = d.bit_length() + 1
         cols = {p: i for i, p in enumerate(free.pack(mons, w))}
         lead = leads[d]
@@ -315,19 +359,12 @@ class QuotientAlgebra:
         for j, (e, r) in enumerate(rels):
             if e > d:
                 continue
-            terms = [(p, c, neg(c), free.odd_bits(t, w)[1])
-                     for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
             if d - e not in lower:
                 lower[d - e] = free.pack(self.mons[d - e], w)
             below = min(j, _NO_LEAD)
-            for pm, first in zip(lower[d - e], leads[d - e]):
-                if first < below:
-                    continue
-                vec = {}
-                for pt, c, nc, above in terms:
-                    col = cols.get(pm + pt)
-                    if col is not None:
-                        vec[col] = nc if (pm & above).bit_count() & 1 else c
+            kept = [pm for pm, first in zip(lower[d - e], leads[d - e])
+                    if first >= below]
+            for vec in _relation_products(_packed_relation(free, r, w), kept, cols):
                 if vec:
                     low = min(vec)
                     if lead[low] > j:
@@ -428,6 +465,313 @@ class QuotientAlgebra:
 
 def quotient(presentation: AlgebraPresentation, max_degree=None) -> QuotientAlgebra:
     return QuotientAlgebra(presentation, max_degree=max_degree)
+
+
+def _packed_relation(free: FreeAlgebra, r: Element, w: int):
+    """A relation's terms packed at width w: (packed term, coefficient,
+    negated coefficient, the above bits of FreeAlgebra.odd_bits)."""
+    neg = free.field.neg
+    return [(p, c, neg(c), free.odd_bits(t, w)[1])
+            for p, (t, c) in zip(free.pack(r.terms, w), r.terms.items())]
+
+
+def _relation_products(terms, multipliers, cols):
+    """For each packed multiplier m, the row m * r over the packed columns
+    cols, with r's terms as _packed_relation gives them: one integer add
+    per term, looked up among the columns, and the Koszul sign as the
+    parity of one popcount.  A product that is no column (killed, or
+    repeating an odd generator over Q) is dropped, so a row can be empty.
+    The one row kernel of QuotientAlgebra and of weight blocks."""
+    for pm in multipliers:
+        vec = {}
+        for pt, c, nc, above in terms:
+            col = cols.get(pm + pt)
+            if col is not None:
+                vec[col] = nc if (pm & above).bit_count() & 1 else c
+        yield vec
+
+
+# --------------------------------------------------------------------------
+# weight blocks
+
+
+class WeightBlock:
+    """One (degree, weight) block of the quotient of a weighted presentation.
+
+    mons lists the block's survivors (monomials of that degree and weight
+    that no killed monomial divides) in ascending order, index maps each to
+    its column, ideal is the echelonized span of the relation products m*r
+    of that degree and weight over them, and basis is the survivors that
+    are not pivots: the weight part of the quotient's basis in that degree.
+    """
+
+    def __init__(self, field, degree, weight, mons, ideal):
+        self.field = field
+        self.degree = degree
+        self.weight = weight
+        self.mons = mons
+        self.index = {m: i for i, m in enumerate(mons)}
+        self.ideal = ideal
+        piv = set(ideal.pivots)
+        self.basis = [m for i, m in enumerate(mons) if i not in piv]
+
+    def reduce(self, terms) -> dict:
+        """Normal form of a term dict of this block's degree and weight, as
+        a term dict: killed monomials are dropped, the rest reduced."""
+        idx, coerce = self.index, self.field.coerce
+        vec = {idx[m]: c for m, c in terms.items() if m in idx}
+        mons = self.mons
+        return {mons[col]: coerce(v) for col, v in self.ideal.reduce(vec).items()}
+
+
+class _WeightBlocks:
+    """The blocks of one weighted presentation, each built on first use.
+
+    Survivors are listed by letter counts.  The generators fall into
+    letters, the classes of equal degree and weight; a count vector gives
+    each letter how many of its generators a monomial takes, and those of
+    degree d and weight w are found by a search that prunes on the degree
+    and weight the letters still to come can reach.  Each count vector is
+    then filled in letter by letter, every pair of generators that a
+    killed monomial of two distinct generators forbids ruled out as it
+    is met (a packed conflict mask), any other killed monomial tested on
+    the finished monomial.  So no whole degree is ever enumerated.
+    """
+
+    def __init__(self, pres: AlgebraPresentation):
+        if pres.weights is None:
+            raise AlgebraError(f"{pres.label}: weight blocks need generator weights")
+        free = pres.free
+        self.pres, self.free, self.field = pres, free, pres.field
+        self.rank = len(pres.weights[0]) if pres.weights else 0
+        killed, rest = split_relations(pres.relations)
+        self.rest = [(e, pres.weight(next(iter(r.terms))), r) for e, r in rest]
+        letters = {}
+        for g, key in enumerate(zip(free.degrees, pres.weights)):
+            letters.setdefault(key, []).append(g)
+        squarefree = free.field.char != 2
+        self.letters = [(deg, wt, gens, squarefree and free.odd[gens[0]])
+                        for (deg, wt), gens in letters.items()]
+        self.pairs = [k for k in killed if len(k) == 2 and k[0] != k[1]]
+        self.others = [k for k in killed if not (len(k) == 2 and k[0] != k[1])]
+        self.shapes = {}  # (degree, weight) of the multi-term relations -> count
+        for e, u, _ in self.rest:
+            self.shapes[e, u] = self.shapes.get((e, u), 0) + 1
+        self.packed = {}  # width -> the multi-term relations packed at it
+        self.tables = {}  # degree -> the letters' caps and suffix reach
+        self.counts_of = {}
+        self.survivors_of = {}
+        self.bounds = {}
+        self.blocks = {}
+
+    def counts(self, d, w):
+        """Every count vector, one count per letter, of degree d and weight w."""
+        key = (d, w)
+        out = self.counts_of.get(key)
+        if out is None:
+            out = self.counts_of[key] = self._search(d, w) if d >= 0 else []
+        return out
+
+    def _table(self, d):
+        """Per letter, the most of it a monomial of degree d can take; per
+        suffix of the letters, the degree and the weight bounds it reaches."""
+        table = self.tables.get(d)
+        if table is None:
+            letters, n = self.letters, len(self.letters)
+            caps = [min(len(gens), d // deg) if single else d // deg
+                    for deg, _, gens, single in letters]
+            top = [0] * (n + 1)
+            lo = [[0] * self.rank for _ in range(n + 1)]
+            hi = [[0] * self.rank for _ in range(n + 1)]
+            for i in reversed(range(n)):
+                deg, wt, _, _ = letters[i]
+                top[i] = top[i + 1] + caps[i] * deg
+                lo[i] = [a + min(0, caps[i] * x) for a, x in zip(lo[i + 1], wt)]
+                hi[i] = [a + max(0, caps[i] * x) for a, x in zip(hi[i + 1], wt)]
+            table = self.tables[d] = caps, top, lo, hi
+        return table
+
+    def _search(self, d, w):
+        letters, n = self.letters, len(self.letters)
+        caps, top, lo, hi = self._table(d)
+        out = []
+
+        def search(i, dleft, wleft, ks):
+            if dleft > top[i] or not all(
+                    a <= x <= b for a, x, b in zip(lo[i], wleft, hi[i])):
+                return
+            if i == n:
+                out.append(ks)
+                return
+            deg, wt, _, _ = letters[i]
+            for k in range(min(caps[i], dleft // deg) + 1):
+                search(i + 1, dleft - k * deg,
+                       [x - k * y for x, y in zip(wleft, wt)], ks + (k,))
+
+        search(0, d, list(w), ())
+        return out
+
+    def bound(self, d, w):
+        """The monomials of degree d and weight w before any is killed: a
+        bound on the block's survivors that enumerates nothing."""
+        key = (d, w)
+        if key not in self.bounds:
+            total = 0
+            for ks in self.counts(d, w):
+                prod = 1
+                for (_, _, gens, single), k in zip(self.letters, ks):
+                    prod *= comb(len(gens), k) if single else comb(len(gens) + k - 1, k)
+                total += prod
+            self.bounds[key] = total
+        return self.bounds[key]
+
+    def survivors(self, d, w):
+        key = (d, w)
+        out = self.survivors_of.get(key)
+        if out is None:
+            out = self.survivors_of[key] = self._enumerate(d, w)
+        return out
+
+    def _enumerate(self, d, w):
+        free = self.free
+        wb = max([d, *map(len, self.others)]).bit_length() + 1
+        value = (1 << (wb - 1)) - 1
+        conflict = [0] * free.ngens
+        for g, h in self.pairs:
+            conflict[g] |= value << (wb * h)
+            conflict[h] |= value << (wb * g)
+        guard = sum(1 << (wb * g + wb - 1) for g in range(free.ngens))
+        others = free.pack(self.others, wb)
+        out = []
+        for ks in self.counts(d, w):
+            parts = [((), 0, 0)]
+            for (_, _, gens, single), k in zip(self.letters, ks):
+                if not k:
+                    continue
+                choose = combinations if single else combinations_with_replacement
+                combos = []
+                for c in choose(gens, k):
+                    pc = cc = 0
+                    for g in c:
+                        pc += 1 << (wb * g)
+                        cc |= conflict[g]
+                    if not pc & cc:
+                        combos.append((c, pc, cc))
+                parts = [(m + c, pm + pc, cm | cc) for m, pm, cm in parts
+                         for c, pc, cc in combos if not pm & cc]
+            for m, pm, _ in parts:
+                if not any(((pm | guard) - k) & guard == guard for k in others):
+                    out.append(tuple(sorted(m)))
+        out.sort()
+        return out
+
+    def check_budget(self, d, w):
+        """ResourceBudgetError when the block's bound on columns plus
+        relation products exceeds DEFAULT_BUDGET; nothing is enumerated."""
+        if (d, w) in self.blocks:
+            return
+        cols = self.bound(d, w)
+        rows = sum(k * self.bound(d - e, weight_add(w, u, -1))
+                   for (e, u), k in self.shapes.items())
+        if cols + rows > DEFAULT_BUDGET:
+            raise ResourceBudgetError(
+                f"{self.pres.label}: degree {d} weight {list(w)} needs up to "
+                f"{cols} columns and {rows} relation products, over the budget "
+                f"of {DEFAULT_BUDGET}")
+
+    def block(self, d, w) -> WeightBlock:
+        blk = self.blocks.get((d, w))
+        if blk is not None:
+            return blk
+        self.check_budget(d, w)
+        free = self.free
+        mons = self.survivors(d, w)
+        width = max(d, 1).bit_length() + 1
+        cols = {p: i for i, p in enumerate(free.pack(mons, width))}
+
+        if width not in self.packed:
+            self.packed[width] = [_packed_relation(free, r, width)
+                                  for _, _, r in self.rest]
+
+        def vectors():
+            lower = {}  # the multipliers of each complementary block, packed
+            for (e, u, _), terms in zip(self.rest, self.packed[width]):
+                key = (d - e, weight_add(w, u, -1))
+                if key not in lower:
+                    lower[key] = free.pack(self.survivors(*key), width)
+                if lower[key] and cols:
+                    yield from filter(None, _relation_products(terms, lower[key], cols))
+
+        blk = self.blocks[(d, w)] = WeightBlock(
+            self.field, d, w, mons, echelonize(self.field, len(mons), vectors()))
+        return blk
+
+
+def weight_add(a, b, k=1):
+    """The weight a + k b."""
+    return tuple(x + k * y for x, y in zip(a, b))
+
+
+def _weight_blocks(presentation: AlgebraPresentation) -> _WeightBlocks:
+    if presentation._blocks is None:
+        presentation._blocks = _WeightBlocks(presentation)
+    return presentation._blocks
+
+
+def weight_block(presentation: AlgebraPresentation, degree: int, weight) -> WeightBlock:
+    """The (degree, weight) block of a weighted presentation's quotient,
+    built once per presentation.
+
+    Every relation is weight-homogeneous, so the product m*r of a survivor
+    of degree d - e and weight w - u with a relation of degree e and weight
+    u lies in the block (d, w): the ideal's degree-d part is the direct sum
+    of its blocks, each spanned by the products of its own degree and
+    weight, formed by the quotient's row kernel (_relation_products).  A
+    homogeneous span has homogeneous RREF rows: the union of the blocks'
+    reduced rows is a basis of the degree-d ideal whose every row has a
+    pivot entry 1 and no entry in any other pivot column, and that is the
+    one reduced echelon form of the degree-d span.  A block's columns are
+    the quotient's survivors of that weight, in the quotient's order, so
+    its pivots, basis and normal forms are exactly those of QuotientAlgebra
+    in that degree and weight.
+
+    The block is checked against DEFAULT_BUDGET before it is enumerated:
+    its monomials before killing plus, for each multi-term relation, those
+    of the complementary degree and weight (ResourceBudgetError).  The F5
+    skip of QuotientAlgebra is not made inside blocks.
+    """
+    blocks = _weight_blocks(presentation)
+    weight = tuple(weight)
+    if len(weight) != blocks.rank:
+        raise AlgebraError(f"{presentation.label}: a weight has {blocks.rank} "
+                           f"coordinates, got {weight}")
+    return blocks.block(degree, weight)
+
+
+def weight_blocks(presentation: AlgebraPresentation, keys):
+    """The blocks of keys, (degree, weight) pairs, as weight_block builds
+    them, each checked against the budget before any is built."""
+    blocks = _weight_blocks(presentation)
+    keys = [(d, tuple(w)) for d, w in keys]
+    for d, w in keys:
+        blocks.check_budget(d, w)
+    return [weight_block(presentation, d, w) for d, w in keys]
+
+
+def block_reduce(presentation: AlgebraPresentation, e: Element) -> Element:
+    """Normal form of a free-algebra element of a weighted presentation, as
+    an element of the free algebra: each (degree, weight) part is reduced
+    in its block, so it is the normal form QuotientAlgebra.reduce_free
+    gives."""
+    _require_own(presentation.free, e)
+    parts = {}
+    free, weight = presentation.free, presentation.weight
+    for m, c in e.terms.items():
+        parts.setdefault((free.monomial_degree(m), weight(m)), {})[m] = c
+    out = {}
+    for (d, w), terms in parts.items():
+        out.update(weight_block(presentation, d, w).reduce(terms))
+    return Element(free, out)
 
 
 def hilbert_series(algebra: QuotientAlgebra):

@@ -14,6 +14,13 @@ via (uv)bar = ubar (v (x) 1) + (1 (x) u) vbar), the power Z^q is nonzero
 exactly when some q-fold product of bar generators is nonzero, and the
 iteration multiplies by bar generators only.  tests/oracles.py holds the
 cross-check that iterates with a full kernel basis of mu instead.
+
+The torus, genus2 and punctured-mod-ideal certificates never build their
+model's quotient: each factor, leg and witness is reduced in the weight
+block it lies in, and the bar product is summed over only the splits
+that reach the witness blocks (_split_product).  tests/oracles.py holds
+their run on the whole quotient as the cross-check.
+
 zcl_bound alone picks how a model's zcl is obtained: exactly, by the
 model's certificate family, or by a bar-product search.
 """
@@ -24,12 +31,14 @@ from functools import reduce
 from operator import mul
 
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     TruncationError, _require_int)
-from .exterior import Element
+                     ResourceBudgetError, TruncationError, _require_int)
+from .exterior import Element, FreeAlgebra
 from .linalg import echelonize, kernel_basis, new_subspace
 from .models import (MODELS, mod_ideal_quotient, model_options,
-                     reduced_generators, totaro_algebra)
-from .presentation import TensorSquareAlgebra, tensor_square
+                     model_presentation, reduced_generators, totaro_algebra)
+from . import presentation
+from .presentation import (TensorSquareAlgebra, block_reduce, tensor_square,
+                           weight_add, weight_block)
 
 
 class BoundReport:
@@ -58,26 +67,25 @@ class BoundReport:
 
 
 class ZclCertificate:
-    """An explicit nonzero product of zero-divisors, fully expanded."""
+    """An explicit nonzero product of zero-divisors, expanded at its
+    witness: a pair of monomials of the free algebra free."""
 
     def __init__(self, algebra: str, factors: list, witness: tuple,
-                 coefficient, certified_length: int,
-                 tensor_algebra: TensorSquareAlgebra):
+                 coefficient, certified_length: int, free: FreeAlgebra):
         self.algebra = algebra
         self.factors = factors
         self.witness = witness
         self.coefficient = coefficient
         self.certified_length = certified_length
-        self.tensor_algebra = tensor_algebra
+        self.free = free
 
     def to_json(self):
         """The report `zcl --method certificate --json` prints: an exact
         report's shape plus the witness, its coefficient and the factors."""
-        T = self.tensor_algebra
         out = BoundReport("zcl", self.certified_length, False, "certificate",
                           self.algebra).to_json()
-        out["witness"] = [T.A.free.mon_str(m) for m in self.witness]
-        out["coefficient"] = T.field.fmt(self.coefficient)
+        out["witness"] = [self.free.mon_str(m) for m in self.witness]
+        out["coefficient"] = self.free.field.fmt(self.coefficient)
         out["factors"] = [repr(f) for f in self.factors]
         return out
 
@@ -220,23 +228,26 @@ def certificate_product(T: TensorSquareAlgebra, factors, *witnesses) -> ZclCerti
         if acc.is_zero():
             raise CertificateError(f"{A.label}: the {len(factors)}-fold product vanishes")
         witnesses = (min(acc.terms),)
+    return _first_nonzero(A.label, free, list(factors), witnesses,
+                          lambda witness: acc.terms.get(witness),
+                          acc.terms, "at or below that bidegree")
+
+
+def _first_nonzero(label, free, factors, witnesses, coefficient, support, where):
+    """The certificate of the first witness whose coefficient is nonzero;
+    else CertificateError, whose .support names the nonzero basis tensors
+    of support, described by where."""
     for witness in witnesses:
-        coeff = acc.terms.get(witness)
+        coeff = coefficient(witness)
         if coeff:
-            return ZclCertificate(
-                algebra=A.label,
-                factors=list(factors),
-                witness=witness,
-                coefficient=coeff,
-                certified_length=len(factors),
-                tensor_algebra=T,
-            )
-    support = sorted(acc.terms)
+            return ZclCertificate(label, factors, witness, coeff,
+                                  len(factors), free)
+    support = sorted(support)
     first = witnesses[0]
     others = f" and {len(witnesses) - 1} other candidates" if len(witnesses) > 1 else ""
     msg = (f"zero witness coefficient on {free.mon_str(first[0])} (x) "
            f"{free.mon_str(first[1])}{others}; "
-           f"{len(support)} nonzero basis tensors at or below that bidegree")
+           f"{len(support)} nonzero basis tensors {where}")
     err = CertificateError(msg)
     err.support = [(free.mon_str(m1), free.mon_str(m2)) for m1, m2 in support]
     raise err
@@ -248,13 +259,14 @@ def _single_monomial(e: Element):
     return next(iter(e.terms))
 
 
-def case_certificate(case: str, A) -> ZclCertificate:
+def case_certificate(case: str, model) -> ZclCertificate:
     """The named certificate families, each run on the model it is handed,
-    the one MODELS builds for the family's token.
+    the one MODELS gives for the family's token (ModelSpec.present, else
+    build).
 
-    torus: on totaro_algebra(1, n), prod of xbar_j ybar_j, length 2n,
+    torus: on totaro_presentation(1, n), prod of xbar_j ybar_j, length 2n,
       witness y1..yn (x) x1..xn.
-    genus2: on genus2_B_algebra(n, g), g >= 2, abar1 bbar1 cbar1 dbar1
+    genus2: on genus2_B_presentation(n, g), g >= 2, abar1 bbar1 cbar1 dbar1
       prod_{j>=2} xbar_j ybar_j, length 2n+2, witness inside
       (w1 y2..yn) (x) (w1 x2..xn).
     sphere: on sphere_mod2_model(n), abar^3 prod_{i<=n-3} ebar{i}_0
@@ -264,59 +276,192 @@ def case_certificate(case: str, A) -> ZclCertificate:
       around the two punctures give the plane factor's tori, and nonzero
       zero-divisor products of factors multiply to a nonzero one (Farber,
       Discrete Comput. Geom. 29 (2003)).
-    punctured-mod-ideal: on mod_ideal_quotient(n, g), all 2n bars, length
-      2n, after checking every x1..xk y_{k+1}..y_n is nonzero there.
+    punctured-mod-ideal: on mod_ideal_presentation(n, g), all 2n bars,
+      length 2n, after checking every x1..xk y_{k+1}..y_n is nonzero there.
 
-    n is A.points; the genus is the one reduced_generators(A) reads.  A
-    model the family cannot run on raises AlgebraError, and
-    certificate_product verifies every factor and witness.
+    The torus, genus2 and punctured-mod-ideal families run on the weight
+    blocks of the model's presentation (a quotient handed to them stands
+    for its presentation): their checks, legs and witnesses are reduced
+    in the blocks they lie in, and the product is expanded by
+    _split_product over the splits that reach the witness blocks.  The
+    sphere family runs on the quotient, through certificate_product.
+
+    n is the model's points; the genus is the one reduced_generators reads.
+    A model the family cannot run on raises AlgebraError, and each factor
+    and witness is verified.
     """
-    T = tensor_square(A)
-    if case == "torus":
-        red = reduced_generators(A)
-        wit = tuple(_single_monomial(reduce(mul, legs)) for legs in (red.ys, red.xs))
-        return certificate_product(T, _interleaved_bars(T, red.xs, red.ys), wit)
-
-    if case == "genus2":
-        red = reduced_generators(A)
-        if A.genus < 2:
-            raise AlgebraError(f"{A.label}: the genus2 family needs genus >= 2")
-        factors = ([T.bar(A.gen(s)) for s in ("a1", "b1", "c1", "d1")]
-                   + _interleaved_bars(T, red.xs[1:], red.ys[1:]))
-        w1 = A.gen("a1") * A.gen("b1")
-        L = reduce(mul, [w1] + red.ys[1:])
-        R = reduce(mul, [w1] + red.xs[1:])
-        if L.is_zero() or R.is_zero():
-            raise CertificateError(f"{A.label}: witness legs vanish")
-        return certificate_product(T, factors, *[
-            (m1, m2) for m1 in sorted(L.terms) for m2 in sorted(R.terms)])
-
     if case == "sphere":
+        A = model
         n = getattr(A, "points", 0)
         names = ["a"] * 3 + [f"e{i}_{q}" for i in range(1, n - 2) for q in (0, 1)]
         missing = [s for s in names if s not in A.free.by_name]
         if n < 3 or missing:
             raise AlgebraError(f"{A.label}: the sphere family needs a sphere-mod2 "
                                f"model (n = {n}, missing {missing})")
+        T = tensor_square(A)
         try:
             return certificate_product(T, [T.bar(A.gen(s)) for s in names])
         except CertificateError as err:
             raise CertificateError(f"{A.label}: no {len(names) - 3}-fold bar "
                                    "product extends abar^3") from err
+    if case not in ("torus", "genus2", "punctured-mod-ideal"):
+        raise AlgebraError(f"unknown certificate case: {case}")
 
-    if case == "punctured-mod-ideal":
-        red = reduced_generators(A)
-        xs, ys, n = red.xs, red.ys, A.points
-        prods = [reduce(mul, xs[:k] + ys[k:]) for k in range(n + 1)]
-        for k, p in enumerate(prods):
-            if p.is_zero():
-                raise CertificateError(
-                    f"{A.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
-        xmon, ymon = _single_monomial(prods[n]), _single_monomial(prods[0])
-        return certificate_product(T, _interleaved_bars(T, xs, ys),
-                                   (ymon, xmon), (xmon, ymon))
+    pres = model_presentation(model)
+    red = reduced_generators(pres)
 
-    raise AlgebraError(f"unknown certificate case: {case}")
+    def product(elems):
+        return block_reduce(pres, reduce(mul, elems))
+
+    if case == "torus":
+        wit = tuple(_single_monomial(product(legs)) for legs in (red.ys, red.xs))
+        return _block_certificate(pres, _interleaved(red.xs, red.ys), [wit])
+
+    if case == "genus2":
+        if pres.genus < 2:
+            raise AlgebraError(f"{pres.label}: the genus2 family needs genus >= 2")
+        gens = [block_reduce(pres, pres.free.gen(s)) for s in ("a1", "b1", "c1", "d1")]
+        w1 = product(gens[:2])
+        L = product([w1] + red.ys[1:])
+        R = product([w1] + red.xs[1:])
+        if L.is_zero() or R.is_zero():
+            raise CertificateError(f"{pres.label}: witness legs vanish")
+        return _block_certificate(
+            pres, gens + _interleaved(red.xs[1:], red.ys[1:]),
+            [(m1, m2) for m1 in sorted(L.terms) for m2 in sorted(R.terms)])
+
+    xs, ys, n = red.xs, red.ys, pres.points
+    prods = [product(xs[:k] + ys[k:]) for k in range(n + 1)]
+    for k, p in enumerate(prods):
+        if p.is_zero():
+            raise CertificateError(
+                f"{pres.label}: x1..x{k} y{k+1}..y{n} reduced to zero")
+    xmon, ymon = _single_monomial(prods[n]), _single_monomial(prods[0])
+    return _block_certificate(pres, _interleaved(xs, ys),
+                              [(ymon, xmon), (xmon, ymon)])
+
+
+class _Pairs:
+    """Pairs (u, v) of monomials of a free algebra, as the terms of its
+    tensor square: what an Element needs to print, the way
+    TensorSquareAlgebra prints its own."""
+
+    def __init__(self, free: FreeAlgebra):
+        self.free = free
+        self.field = free.field
+
+    def term_degree(self, pair):
+        return self.free.monomial_degree(pair[0]) + self.free.monomial_degree(pair[1])
+
+    def term_str(self, pair) -> str:
+        return f"{self.free.mon_str(pair[0])}(x){self.free.mon_str(pair[1])}"
+
+
+def _block_certificate(pres, zs, witnesses) -> ZclCertificate:
+    """Certify prod bar(z) for normal-form elements zs of the presentation
+    at the first of the candidate witnesses whose coefficient is nonzero.
+
+    A bar z (x) 1 - 1 (x) z lies in ker(mu) and is zero exactly when z is.
+    Each coefficient is read from _split_product, run once toward every
+    candidate's left block."""
+    free, neg = pres.free, pres.field.neg
+    pairs = _Pairs(free)
+    factors = []
+    for i, z in enumerate(zs):
+        terms = {}
+        for m, c in z.terms.items():
+            terms[(m, ())] = c
+            terms[((), m)] = neg(c)
+        factors.append(Element(pairs, terms))
+        if z.is_zero():
+            raise CertificateError(f"factor {i} is not a zero-divisor: {factors[i]}")
+
+    def key(mon):
+        return free.monomial_degree(mon), pres.weight(mon)
+
+    states = _split_product(pres, zs, {key(m1) for m1, _ in witnesses})
+    return _first_nonzero(
+        pres.label, free, factors, witnesses,
+        lambda witness: states.get(key(witness[0]), {}).get(witness),
+        [t for tensor in states.values() for t in tensor],
+        "in the witness blocks")
+
+
+def _split_product(pres, zs, targets):
+    """prod_k bar(z_k), expanded only over the splits that can reach a
+    target: {(left degree, left weight): {(u, v): coefficient}} for each
+    target (left degree, left weight) the product reaches.
+
+    bar(z) = z (x) 1 - 1 (x) z, so the product is the sum over the splits
+    of the factors between the legs, each term (z_S) (x) (z_not S) with its
+    Koszul sign: (x (x) y)(z (x) 1) = (-1)^{|y||z|} xz (x) y.  Every z_k is
+    homogeneous in degree and weight, so a partial product's left leg lies
+    in one block for each (left degree, left weight), and the right leg in
+    the block the totals fix.  The DP keeps one tensor per such state and
+    drops a state from which no target is reachable: the left degree and
+    weight the factors still to come can add form a set computed backward.
+    Each leg's product is reduced in its block.  The terms the states hold
+    count against DEFAULT_BUDGET after each factor (ResourceBudgetError).
+    """
+    free, field = pres.free, pres.field
+    add, fmul, neg = field.add, field.mul, field.neg
+    zero = (0,) * len(pres.weights[0])
+    shape = []
+    for z in zs:
+        m = next(iter(z.terms))
+        shape.append((free.monomial_degree(m), pres.weight(m)))
+    # need[k]: the left (degree, weight) after k factors that can still
+    # reach a target
+    need = [set(targets)]
+    for dz, uz in reversed(shape):
+        after = need[0]
+        need.insert(0, after | {(d - dz, weight_add(w, uz, -1))
+                                for d, w in after if d >= dz})
+    states = {(0, zero): {((), ()): field.one}}
+    total_deg, total_wt = 0, zero
+    for k, (z, (dz, uz)) in enumerate(zip(zs, shape)):
+        nxt = {}
+        left_cache, right_cache = {}, {}
+        for (dl, wl), tensor in states.items():
+            right_deg = total_deg - dl
+            wr = weight_add(total_wt, wl, -1)
+            left_key = (dl + dz, weight_add(wl, uz))
+            if left_key in need[k + 1]:
+                block = weight_block(pres, *left_key)
+                acc = nxt.setdefault(left_key, {})
+                flip = right_deg * dz % 2
+                for (x, y), t in tensor.items():
+                    prod = left_cache.get(x)
+                    if prod is None:
+                        prod = left_cache[x] = block.reduce(free.mon_times(x, z.terms))
+                    for m, c in prod.items():
+                        c = fmul(t, c)
+                        _accumulate(acc, (m, y), neg(c) if flip else c, add)
+            if (dl, wl) in need[k + 1]:
+                block = weight_block(pres, right_deg + dz, weight_add(wr, uz))
+                acc = nxt.setdefault((dl, wl), {})
+                for (x, y), t in tensor.items():
+                    prod = right_cache.get(y)
+                    if prod is None:
+                        prod = right_cache[y] = block.reduce(free.mon_times(y, z.terms))
+                    nt = neg(t)
+                    for m, c in prod.items():
+                        _accumulate(acc, (x, m), fmul(nt, c), add)
+        states = {s: {p: c for p, c in tensor.items() if c}
+                  for s, tensor in nxt.items()}
+        held = sum(map(len, states.values()))
+        if held > presentation.DEFAULT_BUDGET:
+            raise ResourceBudgetError(
+                f"{pres.label}: the bar product holds {held} basis tensors "
+                f"after {k + 1} factors, over the budget of "
+                f"{presentation.DEFAULT_BUDGET}")
+        total_deg, total_wt = total_deg + dz, weight_add(total_wt, uz)
+    return {s: tensor for s, tensor in states.items() if s in targets}
+
+
+def _accumulate(acc, key, c, add):
+    prev = acc.get(key)
+    acc[key] = c if prev is None else add(prev, c)
 
 
 def bar_product_certificate(A, cap=None) -> ZclCertificate:
@@ -360,18 +505,17 @@ def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
         raise AlgebraError(f"unknown method: {method}")
     options = model_options(model, **options)
     spec = MODELS[model]
-    A = spec.build(**options)
     if method == "exact":
-        return zcl_exact(A, cap)
+        return zcl_exact(spec.build(**options), cap)
     case = spec.case(options)
     if case is None:
-        return bar_product_certificate(A, cap)
-    return case_certificate(case, A)
+        return bar_product_certificate(spec.build(**options), cap)
+    return case_certificate(case, (spec.present or spec.build)(**options))
 
 
-def _interleaved_bars(T: TensorSquareAlgebra, xs, ys):
-    """bar(x_1), bar(y_1), bar(x_2), bar(y_2), ..."""
-    return [T.bar(e) for pair in zip(xs, ys) for e in pair]
+def _interleaved(xs, ys):
+    """x_1, y_1, x_2, y_2, ..."""
+    return [e for pair in zip(xs, ys) for e in pair]
 
 
 # --------------------------------------------------------------------------

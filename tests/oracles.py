@@ -8,8 +8,10 @@ but do their own enumeration and elimination.
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
+from operator import mul
 
 import sympy
 
@@ -518,3 +520,46 @@ def restart_climb_certificate(A, cap=None):
         k += 1
     run, product = best
     return certificate_product(T, [bars[i] for i in run], min(product.terms))
+
+
+def full_quotient_certificate(case, A):
+    """The torus, genus2 and punctured-mod-ideal families on the whole
+    quotient A of a diagonal-ideal model, the way the package ran them
+    before they moved to weight blocks.
+
+    The reduced generators x_1 = a_1, x_j = a_j - a_1 (and y from b) are
+    formed in A, every leg and witness is a product in A, and the bar
+    product is expanded in A's tensor square by the package's
+    certificate_product, pruned to the witness bidegree: the same factors,
+    candidate witnesses and candidate order as the families.
+    """
+    T, n = tensor_square(A), A.points
+    a = [A.gen(f"a{i}") for i in range(1, n + 1)]
+    b = [A.gen(f"b{i}") for i in range(1, n + 1)]
+    xs = [a[0]] + [g - a[0] for g in a[1:]]
+    ys = [b[0]] + [g - b[0] for g in b[1:]]
+
+    def bars(us, vs):
+        return [T.bar(e) for pair in zip(us, vs) for e in pair]
+
+    def single(e):
+        assert len(e.terms) == 1, e
+        return next(iter(e.terms))
+
+    if case == "torus":
+        wit = (single(reduce(mul, ys)), single(reduce(mul, xs)))
+        return certificate_product(T, bars(xs, ys), wit)
+    if case == "genus2":
+        gens = [A.gen(s) for s in ("a1", "b1", "c1", "d1")]
+        w1 = gens[0] * gens[1]
+        L = reduce(mul, [w1] + ys[1:])
+        R = reduce(mul, [w1] + xs[1:])
+        assert not L.is_zero() and not R.is_zero()
+        return certificate_product(
+            T, [T.bar(g) for g in gens] + bars(xs[1:], ys[1:]),
+            *[(m1, m2) for m1 in sorted(L.terms) for m2 in sorted(R.terms)])
+    assert case == "punctured-mod-ideal", case
+    prods = [reduce(mul, xs[:k] + ys[k:]) for k in range(n + 1)]
+    assert not any(p.is_zero() for p in prods)
+    xmon, ymon = single(prods[n]), single(prods[0])
+    return certificate_product(T, bars(xs, ys), (ymon, xmon), (xmon, ymon))

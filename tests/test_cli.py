@@ -169,14 +169,14 @@ def test_tc_sweep_exit_code_and_table():
 
 
 def test_tc_sweep_prints_over_budget_rows_and_exits_zero(monkeypatch, capsys):
-    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 200)
-    assert cli.main(["tc", "--sweep", "2", "3", "0"]) == 0
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 100)
+    assert cli.main(["tc", "--sweep", "0", "5", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
-    assert lines[-1].startswith("g=2 n=3 m=0  lower=? upper=9 theorem=9")
+    assert len(lines) == 5
+    assert lines[-1].startswith("g=0 n=5 m=0  lower=? upper=8 theorem=8")
     assert lines[-1].endswith("over-budget")
-    assert cli.main(["tc", "--g", "2", "--n", "3"]) == 2
-    assert "error: b-sigma(g=2,n=3): degree 3" in capsys.readouterr().err
+    assert cli.main(["tc", "--g", "0", "--n", "5"]) == 2
+    assert "error: sphere-mod2(n=5): degree 4" in capsys.readouterr().err
 
 
 def test_tc_sweep_prints_a_refused_model_as_unverified(capsys):
@@ -311,13 +311,14 @@ def test_groebner_check_refuses_an_unknown_ideal_family():
 
 
 def test_tc_and_zcl_build_the_model_once_through_the_table(monkeypatch):
-    real, built = models.totaro_algebra, []
+    # the torus family runs on the weight blocks of the model's presentation
+    real, built = models.totaro_presentation, []
 
     def counted(g, n):
         built.append((g, n))
         return real(g, n)
 
-    monkeypatch.setattr(models, "totaro_algebra", counted)
+    monkeypatch.setattr(models, "totaro_presentation", counted)
     assert tc_report(1, 3).status == "tight"
     assert built == [(1, 3)]
     built.clear()

@@ -208,6 +208,18 @@ def test_back_substitution_matches_quadratic_reference(field, seed):
                 for p, row in zip(sorted(ref), want)]
 
 
+def test_an_int_vector_is_stored_primitive():
+    # an int vector skips the denominator clearing; its zero entries are
+    # dropped and its content divided out when it is stored
+    sub = new_subspace(QQ, 3)
+    assert sub.insert({0: 4, 1: 0, 2: -6})
+    assert sub.rows_primitive() == [{0: 2, 2: -3}]
+    assert not sub.insert({0: -2, 2: 3})
+    assert not sub.insert({0: Fraction(2, 3), 2: -1})
+    assert sub.insert({1: 3, 2: Fraction(3, 2)})
+    assert sub.rows_primitive() == [{0: 2, 2: -3}, {1: 2, 2: 1}]
+
+
 @pytest.mark.parametrize("field, values", [
     (QQ, [-3, -2, -1, 1, 2, 3]),
     (QQ, [Fraction(-3, 2), Fraction(-1, 3), -1, 1, Fraction(2, 3), 2]),

@@ -14,8 +14,9 @@ from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
                            so3_mod2_algebra, sphere_mod2_model,
                            surface_cohomology, surface_diagonal,
                            totaro_algebra)
-from tcsurf.presentation import (AlgebraPresentation, convolve, hilbert_series,
-                                 quotient, tensor_square)
+from tcsurf.presentation import (AlgebraPresentation, block_reduce, convolve,
+                                 hilbert_series, quotient, tensor_square,
+                                 weight_block, weight_blocks)
 from tcsurf.zcl import mod_ideal_quotient, zcl_exact
 
 from .oracles import (all_products_mismatches, full_elimination_mismatches,
@@ -471,3 +472,98 @@ def test_f5_criterion_skips_relation_products(build, cls, most, rank):
         A = build()
     assert calls <= most
     assert sum(sub.rank for sub in A.ideal) == rank
+
+
+# ------------------------------------------------------------ weight blocks
+
+WEIGHTED = {
+    "totaro-g0-n3": lambda: totaro_algebra(0, 3),
+    "totaro-g1-n4": lambda: totaro_algebra(1, 4),
+    "totaro-g2-n2": lambda: totaro_algebra(2, 2),
+    "totaro-g3-n2": lambda: totaro_algebra(3, 2),
+    "b-sigma-g2-n3": lambda: genus2_B_algebra(3),
+    "b-sigma-g3-n2": lambda: genus2_B_algebra(2, genus=3),
+    "mod-ideal-g2-n3": lambda: mod_ideal_quotient(3),
+    "mod-ideal-g3-n2": lambda: mod_ideal_quotient(2, genus=3),
+    "surface-g2-gf2": lambda: quotient(surface_cohomology(2, GF2)),
+}
+
+
+@pytest.mark.parametrize("build", WEIGHTED.values(), ids=WEIGHTED.keys())
+def test_weight_blocks_split_the_quotient(build):
+    """In every built degree, the blocks over the weights of that degree's
+    free monomials hold the quotient's survivors, basis monomials and
+    ideal rank of each weight, so their dimensions sum to the Hilbert
+    series."""
+    A = build()
+    pres, free = A.presentation, A.free
+    for d in range(A.built_top + 1):
+        weights = {pres.weight(m) for m in free.monomials_of_degree(d)}
+        blocks = weight_blocks(pres, [(d, w) for w in sorted(weights)])
+        assert sum(len(b.basis) for b in blocks) == A.dims[d], (A.label, d)
+        assert sum(b.ideal.rank for b in blocks) == A.ideal[d].rank
+        for b in blocks:
+            assert b.mons == [m for m in A.mons[d] if pres.weight(m) == b.weight]
+            assert b.basis == [m for m in A.basis[d] if pres.weight(m) == b.weight]
+
+
+@pytest.mark.parametrize("build", WEIGHTED.values(), ids=WEIGHTED.keys())
+def test_block_normal_forms_are_the_quotients(build):
+    rng = random.Random(29)
+    A = build()
+    pres, free = A.presentation, A.free
+    for d in range(1, A.built_top + 1):
+        by_weight = {}
+        for m in free.monomials_of_degree(d):
+            by_weight.setdefault(pres.weight(m), []).append(m)
+        for mons in by_weight.values():
+            for _ in range(3):
+                picked = rng.sample(mons, min(len(mons), rng.randint(1, 6)))
+                e = free.element({m: rng.choice([-3, -1, 1, 2]) for m in picked})
+                assert block_reduce(pres, e).terms == A.reduce_free(e).terms
+
+
+def test_a_relation_that_is_not_weight_homogeneous_is_refused():
+    pres = totaro_algebra(1, 2).presentation
+    weights = list(pres.weights)
+    assert AlgebraPresentation(pres.free, pres.relations, weights=weights).weights
+    weights[pres.free.by_name["b2"]] = (1,)  # b2 should weigh -e_1
+    with pytest.raises(HomogeneityError, match="not weight-homogeneous"):
+        AlgebraPresentation(pres.free, pres.relations, weights=weights)
+
+
+@pytest.mark.parametrize("weights", [[(1,)] * 3, [(1,), (1, 0), (0,), (0,)],
+                                     [(1.0,), (0,), (0,), (0,)]])
+def test_malformed_weights_are_refused(weights):
+    F = FreeAlgebra(QQ, [(name, 1) for name in "abcd"])
+    with pytest.raises(AlgebraError, match="one tuple of ints"):
+        AlgebraPresentation(F, [], weights=weights)
+
+
+def test_weight_blocks_need_weights():
+    with pytest.raises(AlgebraError, match="need generator weights"):
+        weight_block(quotient(arnold_algebra(3)).presentation, 1, ())
+    with pytest.raises(AlgebraError, match="a weight has 1 coordinates"):
+        weight_block(totaro_algebra(1, 2).presentation, 1, (1, 0))
+
+
+def test_block_budget_refuses_before_enumerating(monkeypatch):
+    pres = totaro_algebra(1, 3).presentation
+    # (3, e_1): 9 monomials a_i a_j b_k of weight e_1; each of the 3
+    # diagonals times the 3 monomials a_k of (1, e_1)
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 17)
+    with pytest.raises(ResourceBudgetError,
+                       match=r"degree 3 weight \[1\] needs up to 9 columns "
+                             "and 9 relation products"):
+        weight_block(pres, 3, (1,))
+    assert (3, (1,)) not in pres._blocks.survivors_of
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 18)
+    assert len(weight_block(pres, 3, (1,)).basis) == 4
+
+
+def test_dropping_a_diagonal_changes_a_block():
+    pres = totaro_algebra(1, 2).presentation
+    kept = [r for r in pres.relations if r != pres.diagonals[(1, 2)]]
+    dropped = AlgebraPresentation(pres.free, kept, weights=pres.weights)
+    assert len(weight_block(pres, 2, (0,)).basis) == 3
+    assert len(weight_block(dropped, 2, (0,)).basis) == 4

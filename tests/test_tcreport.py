@@ -127,21 +127,21 @@ def test_sweep_rectangle_and_tightness():
 
 
 def test_sweep_marks_a_row_over_the_budget(monkeypatch):
-    # b-sigma(g=2,n=3) is the one model of this rectangle whose quotient
-    # needs more than 200 columns plus relation products in a degree
-    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 200)
-    rows = sweep(2, 3, 0)
+    # sphere-mod2(n=5) is the one model of this rectangle whose quotient
+    # needs more than 100 columns plus relation products in a degree
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 100)
+    rows = sweep(0, 5, 0)
     over = [r for r in rows if r.status == "over-budget"]
-    assert [(r.g, r.n, r.m) for r in over] == [(2, 3, 0)]
+    assert [(r.g, r.n, r.m) for r in over] == [(0, 5, 0)]
     row = over[0]
-    assert row.lower is None and row.upper == row.theorem == 9
+    assert row.lower is None and row.upper == row.theorem == 8
     assert row.facts[0].description.startswith(
-        "b-sigma(g=2,n=3): degree 3 needs up to 504 columns")
+        "sphere-mod2(n=5): degree 4 needs up to 108 columns")
     assert row.to_json()["status"] == "over-budget"
     assert all(r.status == "tight" for r in rows if r is not row)
     assert all_tight(rows)
-    with pytest.raises(ResourceBudgetError, match="degree 3"):
-        tc_report(2, 3, 0)
+    with pytest.raises(ResourceBudgetError, match="degree 4"):
+        tc_report(0, 5, 0)
 
 
 def test_sweep_marks_a_refused_model_unverified():

@@ -9,18 +9,23 @@ from tcsurf.errors import (AlgebraError, CertificateError, HomogeneityError,
                            TruncationError, UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
+from tcsurf import presentation
+from tcsurf.errors import ResourceBudgetError
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
+                           genus2_B_presentation, mod_ideal_presentation,
                            punctured_plane_algebra, resolve_model,
                            so3_mod2_algebra, sphere_mod2_model,
-                           surface_cohomology, totaro_algebra)
-from tcsurf.presentation import (AlgebraPresentation, TensorSquareAlgebra,
-                                 quotient, tensor_square)
+                           surface_cohomology, totaro_algebra,
+                           totaro_presentation)
+from tcsurf.presentation import (AlgebraPresentation, QuotientAlgebra,
+                                 TensorSquareAlgebra, quotient, tensor_square)
+from tcsurf.tcreport import tc_report
 from tcsurf.zcl import (bar_generators, bar_product_certificate,
                         case_certificate, certificate_product, cup_length,
                         e2_probe, mod_ideal_quotient, zcl_exact)
 
-from .oracles import (kernel_of_mu, restart_climb_certificate,
-                      unordered_power_iteration)
+from .oracles import (full_quotient_certificate, kernel_of_mu,
+                      restart_climb_certificate, unordered_power_iteration)
 from .test_properties import with_span_dims
 
 
@@ -381,15 +386,98 @@ def test_bar_product_certificate_lengths():
 
 
 @pytest.mark.parametrize("certify", [
-    lambda: case_certificate("torus", totaro_algebra(1, 2)),
-    lambda: case_certificate("genus2", genus2_B_algebra(2)),
+    lambda: case_certificate("torus", totaro_presentation(1, 2)),
+    lambda: case_certificate("genus2", genus2_B_presentation(2)),
     lambda: case_certificate("sphere", sphere_mod2_model(4)),
-    lambda: case_certificate("punctured-mod-ideal", mod_ideal_quotient(3)),
+    lambda: case_certificate("punctured-mod-ideal", mod_ideal_presentation(3)),
     lambda: bar_product_certificate(quotient(arnold_algebra(4)), 5),
 ], ids=["torus", "genus2", "sphere", "punctured-mod-ideal", "bar-product"])
-def test_certificates_never_build_the_pair_basis(certify):
-    T = certify().tensor_algebra
-    assert "basis" not in vars(T) and "index" not in vars(T)
+def test_certificates_never_build_the_pair_basis(certify, monkeypatch):
+    # the block families square only the surface ring, for its diagonal
+    made = []
+    init = TensorSquareAlgebra.__init__
+
+    def recording(self, A):
+        made.append(self)
+        init(self, A)
+
+    monkeypatch.setattr(TensorSquareAlgebra, "__init__", recording)
+    cert = certify()
+    assert made
+    for T in made:
+        assert "basis" not in vars(T) and "index" not in vars(T)
+    if cert.algebra.startswith(("totaro", "b-sigma", "mod-ideal")):
+        assert all(T.A.label.startswith("surface(") for T in made)
+
+
+BLOCK_GRID = (
+    [("torus", 1, n) for n in range(1, 6)]
+    + [("genus2", 2, n) for n in range(1, 6)]
+    + [("genus2", 3, n) for n in range(1, 5)]
+    + [("punctured-mod-ideal", 2, n) for n in range(1, 6)]
+    + [("punctured-mod-ideal", 3, n) for n in range(1, 4)])
+BLOCK_BUILDERS = {
+    "torus": (lambda g, n: totaro_presentation(g, n),
+              lambda g, n: totaro_algebra(g, n)),
+    "genus2": (lambda g, n: genus2_B_presentation(n, g),
+               lambda g, n: genus2_B_algebra(n, g)),
+    "punctured-mod-ideal": (lambda g, n: mod_ideal_presentation(n, g),
+                            lambda g, n: mod_ideal_quotient(n, g)),
+}
+
+
+@pytest.mark.parametrize("case,g,n", BLOCK_GRID,
+                         ids=[f"{c}-g{g}-n{n}" for c, g, n in BLOCK_GRID])
+def test_block_families_match_the_full_quotient_oracle(case, g, n):
+    present, build = BLOCK_BUILDERS[case]
+    cert = case_certificate(case, present(g, n))
+    want = full_quotient_certificate(case, build(g, n))
+    assert (cert.witness, cert.coefficient) == (want.witness, want.coefficient)
+    assert cert.to_json() == want.to_json()
+    assert cert.certified_length == want.certified_length
+
+
+def test_block_families_build_no_quotient_but_the_surface_ring(monkeypatch):
+    """The g >= 1 rows of `tc --sweep 2 4 0` and the mod-ideal n=5
+    certificate run on weight blocks: the one quotient they build is the
+    surface ring, for its diagonal class."""
+    built = []
+    init = QuotientAlgebra.__init__
+
+    def recording(self, pres, max_degree=None):
+        built.append(pres.label)
+        init(self, pres, max_degree)
+
+    monkeypatch.setattr(QuotientAlgebra, "__init__", recording)
+    for g in (1, 2):
+        for n in range(1, 5):
+            assert tc_report(g, n).status == "tight"
+    cert = zcl.zcl_bound("mod-ideal", {"n": 5}, "certificate")
+    assert cert.certified_length == 10
+    assert built and all(label.startswith("surface(g=") for label in built)
+
+
+@pytest.mark.parametrize("g,n", [(2, 7), (3, 6)])
+def test_closed_surface_rows_past_the_full_quotient_are_tight(g, n):
+    # the full quotient of b-sigma exceeds the budget at both
+    report = tc_report(g, n)
+    assert report.status == "tight"
+    assert report.lower == 2 * n + 3
+
+
+def test_a_closed_surface_row_far_past_the_frontier_is_refused_by_budget():
+    with pytest.raises(ResourceBudgetError, match=r"b-sigma\(g=2,n=40\): degree"):
+        tc_report(2, 40)
+
+
+def test_the_split_product_counts_its_tensors_against_the_budget(monkeypatch):
+    pres = totaro_presentation(1, 3)
+    assert case_certificate("torus", pres).coefficient == -1
+    # every block is built now, so only the product can exceed the budget
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 0)
+    with pytest.raises(ResourceBudgetError, match="the bar product holds 1 "
+                       "basis tensors after 1 factors"):
+        case_certificate("torus", pres)
 
 
 @pytest.mark.parametrize("case,build", [
