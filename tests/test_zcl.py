@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from tcsurf import zcl
+from tcsurf import presentation, zcl
 from tcsurf.errors import (AlgebraError, CertificateError, HomogeneityError,
-                           TruncationError, UnsupportedModelError)
+                           ResourceBudgetError, TruncationError,
+                           UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
-from tcsurf import presentation
-from tcsurf.errors import ResourceBudgetError
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
                            genus2_B_presentation, mod_ideal_presentation,
                            punctured_plane_algebra, resolve_model,
