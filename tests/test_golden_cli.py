@@ -59,6 +59,8 @@ CORPUS = [
     ["zcl", "--model", "so3-mod2", "--method", "certificate", "--cap", "9"],
     ["zcl", "--model", "punctured-plane", "--n", "3", "--punctures", "3",
      "--method", "certificate"],
+    ["tc", "--sweep", "2", "4", "4"],
+    ["tc", "--g", "2", "--n", "7"],
 ]
 
 
