@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .errors import AlgebraError, _require_int
+from .errors import AlgebraError
 from .fields import field_from_name
 
 _FIELD_ALIASES = {"q": "Q", "qq": "Q", "rational": "Q",
@@ -132,17 +132,9 @@ def _cmd_build(args):
 
 
 def _cmd_zcl(args):
-    from .models import MODELS, model_options
     from .zcl import zcl_bound
 
-    options = model_options(args.model, **_given(args))
-    if args.method == "certificate" and args.cap is not None:
-        case = MODELS[args.model].case(options)
-        if case is not None:
-            raise AlgebraError(f"--cap does not apply to the {case} "
-                               "certificate, whose length is fixed")
-        _require_int(args.cap, 1, f"--cap must be at least 1, got {args.cap}")
-    report = zcl_bound(args.model, options, args.method, args.cap).to_json()
+    report = zcl_bound(args.model, _given(args), args.method, args.cap).to_json()
     if args.json:
         print(json.dumps(report, indent=2))
     else:

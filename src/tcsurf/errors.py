@@ -26,8 +26,9 @@ class TruncationError(AlgebraError):
 
 
 class ResourceBudgetError(AlgebraError):
-    """A quotient degree would need more columns plus relation products
-    than the budget allows."""
+    """A computation would exceed its budget: a quotient degree or weight
+    block its columns plus relation products, a split bar product its
+    basis tensors, or a bar-product search its tensor products."""
 
 
 class UnsupportedModelError(AlgebraError):

@@ -10,6 +10,7 @@ configuration spaces of the sphere.
 from __future__ import annotations
 
 import string
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -181,8 +182,10 @@ def place_diagonal(delta, free: FreeAlgebra, base_ngens: int, i: int, j: int) ->
     return Element(free, terms)
 
 
+@lru_cache(maxsize=None, typed=True)
 def surface_diagonal(g: int):
-    """The diagonal class of the genus-g surface over Q, and its ring H.
+    """The diagonal class of the genus-g surface over Q, and its ring H,
+    built and checked once per genus: every diagonal model shares them.
 
     Delta is the sum over a basis of (-1)^|b| b (x) b*, where b . b* = omega
     (Milnor-Stasheff, *Characteristic Classes*, Thm 11.11).  With omega the

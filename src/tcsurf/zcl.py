@@ -464,6 +464,11 @@ def _accumulate(acc, key, c, add):
     acc[key] = c if prev is None else add(prev, c)
 
 
+# Tensor products one bar-product search may form.  The largest search the
+# tests run, punctured-plane n=5 k=1 uncapped, forms 6,719.
+SEARCH_BUDGET = 10_000
+
+
 def bar_product_certificate(A, cap=None) -> ZclCertificate:
     """Certify the longest nonzero product of at most `cap` generator bar
     classes (None: no limit) at its least basis tensor: zcl(A) >= its
@@ -471,11 +476,13 @@ def bar_product_certificate(A, cap=None) -> ZclCertificate:
     products in lexicographic order of strictly increasing bar index (the
     leading bar may repeat once), keeps for each length the first nonzero
     product it meets, the one a search for that length alone would find,
-    and stops at the first of cap bars."""
+    and stops at the first of cap bars.  A search that would form more
+    than SEARCH_BUDGET tensor products raises ResourceBudgetError."""
     if cap is not None:
         _require_int(cap, 0, f"cap must be nonnegative, got {cap}")
     T, bars = tensor_square(A), bar_generators(A)
     first = []  # per length: (bars, least basis tensor) of its first product
+    formed = [0]
 
     def rec(acc, start, chosen):
         if len(chosen) == len(first):
@@ -486,6 +493,12 @@ def bar_product_certificate(A, cap=None) -> ZclCertificate:
         for i in range(start, len(bars)):
             if len(chosen) + 1 + len(bars) - i - step < len(first):
                 break  # no product through bars[i] is longer than one met
+            formed[0] += 1
+            if formed[0] > SEARCH_BUDGET:
+                raise ResourceBudgetError(
+                    f"{A.label}: the bar-product search reached length "
+                    f"{len(first) - 1} and needs more than {SEARCH_BUDGET} "
+                    "tensor products, over the budget")
             p = acc * bars[i]
             if not p.is_zero() and rec(p, i + step, chosen + [bars[i]]):
                 return True
@@ -499,8 +512,8 @@ def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
     """zcl of MODELS[model] built on options: zcl_exact's BoundReport, or
     the ZclCertificate of the model's certificate family, else of
     bar_product_certificate, with options read by model_options.  cap stops
-    the iteration or the search; a family has its fixed length whatever the
-    cap."""
+    the iteration or the search, and is refused for a family, whose length
+    is fixed."""
     if method not in ("exact", "certificate"):
         raise AlgebraError(f"unknown method: {method}")
     options = model_options(model, **options)
@@ -508,6 +521,11 @@ def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
     if method == "exact":
         return zcl_exact(spec.build(**options), cap)
     case = spec.case(options)
+    if cap is not None:
+        if case is not None:
+            raise AlgebraError(f"--cap does not apply to the {case} "
+                               "certificate, whose length is fixed")
+        _require_int(cap, 1, f"--cap must be at least 1, got {cap}")
     if case is None:
         return bar_product_certificate(spec.build(**options), cap)
     return case_certificate(case, (spec.present or spec.build)(**options))

@@ -17,8 +17,10 @@ import sympy
 
 from tcsurf.exterior import Element
 from tcsurf.linalg import echelonize
+from tcsurf.models import MODELS, model_options
 from tcsurf.presentation import tensor_square
-from tcsurf.zcl import certificate_product
+from tcsurf.tcreport import _family
+from tcsurf.zcl import certificate_product, zcl_bound
 
 
 def poly_mul(a, b):
@@ -563,3 +565,15 @@ def full_quotient_certificate(case, A):
     assert not any(p.is_zero() for p in prods)
     xmon, ymon = single(prods[n]), single(prods[0])
     return certificate_product(T, bars(xs, ys), (ymon, xmon), (xmon, ymon))
+
+
+def quotient_route_lower_bound(g, n, m):
+    """The certified zcl of a tc row read the way the table read it before
+    its toric and product certificates: on the quotient of the row's model,
+    by the model's certificate family where it has one, else by a search
+    for at most tc - 1 bars (1 on the plane with one point, which has no
+    bar)."""
+    theorem, _, (token, given), _ = _family(g, n, m)
+    fixed = MODELS[token].case(model_options(token, **given)) is not None
+    cap = None if fixed else max(theorem - 1, 1)
+    return zcl_bound(token, given, "certificate", cap).certified_length

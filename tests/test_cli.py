@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tcsurf import cli, models, presentation
+from tcsurf import cli, models, presentation, zcl
 from tcsurf.errors import ModelInconsistencyError
 from tcsurf.models import arnold_algebra, totaro_algebra
 from tcsurf.presentation import quotient
@@ -115,19 +115,37 @@ def test_an_error_inside_the_search_exits_2(monkeypatch, capsys):
     assert "error: model check failed" in capsys.readouterr().err
 
 
-def test_tc_sweep_prints_a_short_search_as_a_gap(monkeypatch, capsys):
-    # arnold(n - 1) has too few bars for the plane row of n points
+def test_tc_sweep_prints_a_short_lower_bound_as_a_gap(monkeypatch, capsys):
+    # arnold(n - 1) has too few bars for the plane row of n points; the
+    # plane rows read their model under --method exact
     monkeypatch.setitem(models.MODELS, "arnold", models.ModelSpec(
         lambda n, field: quotient(arnold_algebra(max(n - 1, 1), field)),
         models.MODELS["arnold"].defaults))
-    assert cli.main(["tc", "--sweep", "0", "3", "1"]) == 1
+    assert cli.main(["tc", "--sweep", "0", "3", "1", "--method", "exact"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
     assert lines[-1] == ("g=0 n=3 m=1  lower=2 upper=4 theorem=4  "
                          "product=7  gap")
     assert [l.split()[-1] for l in lines] == [
         "tight", "tight", "tight", "gap", "tight", "gap"]
-    assert not all_tight(sweep(0, 3, 1))
+    assert not all_tight(sweep(0, 3, 1, method="exact"))
+    assert all_tight(sweep(0, 3, 1))  # the certificates read no model
+
+
+def test_tc_sweep_prints_a_search_over_its_budget(monkeypatch, capsys):
+    # the sphere rows with n <= 2 search their model for a bar product
+    monkeypatch.setattr(zcl, "SEARCH_BUDGET", 0)
+    assert cli.main(["tc", "--sweep", "0", "3", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[-1] for l in lines] == [
+        "over-budget", "over-budget", "tight"]
+    assert cli.main(["tc", "--g", "0", "--n", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: totaro(g=0,n=2): the bar-product search reached length 0 "
+        "and needs more than 0 tensor products, over the budget\n")
+    assert cli.main(["zcl", "--model", "arnold", "--n", "3",
+                     "--method", "certificate"]) == 2
+    assert "arnold(n=3): the bar-product search" in capsys.readouterr().err
 
 
 def test_groebner_check_json():
@@ -170,13 +188,13 @@ def test_tc_sweep_exit_code_and_table():
 
 def test_tc_sweep_prints_over_budget_rows_and_exits_zero(monkeypatch, capsys):
     monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 100)
-    assert cli.main(["tc", "--sweep", "0", "5", "0"]) == 0
+    assert cli.main(["tc", "--sweep", "2", "4", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
-    assert lines[-1].startswith("g=0 n=5 m=0  lower=? upper=8 theorem=8")
+    assert len(lines) == 12
+    assert lines[-1].startswith("g=2 n=4 m=0  lower=? upper=11 theorem=11")
     assert lines[-1].endswith("over-budget")
-    assert cli.main(["tc", "--g", "0", "--n", "5"]) == 2
-    assert "error: sphere-mod2(n=5): degree 4" in capsys.readouterr().err
+    assert cli.main(["tc", "--g", "2", "--n", "4"]) == 2
+    assert "error: b-sigma(g=2,n=4): degree 3" in capsys.readouterr().err
 
 
 def test_tc_sweep_prints_a_refused_model_as_unverified(capsys):
@@ -192,7 +210,8 @@ def test_tc_sweep_prints_a_refused_model_as_unverified(capsys):
 
 
 def test_tc_sweep_with_unverified_rows_still_exits_zero():
-    proc = run_cli("tc", "--sweep", "1", "1", "1")
+    # no model of a punctured surface of positive genus is wired for exact
+    proc = run_cli("tc", "--sweep", "1", "1", "1", "--method", "exact")
     assert proc.returncode == 0
     assert "unverified" in proc.stdout
 
@@ -311,7 +330,9 @@ def test_groebner_check_refuses_an_unknown_ideal_family():
 
 
 def test_tc_and_zcl_build_the_model_once_through_the_table(monkeypatch):
-    # the torus family runs on the weight blocks of the model's presentation
+    # the torus family runs on the weight blocks of the model's presentation;
+    # the tc row reads the model under --method exact, and its certificate
+    # builds none
     real, built = models.totaro_presentation, []
 
     def counted(g, n):
@@ -320,6 +341,8 @@ def test_tc_and_zcl_build_the_model_once_through_the_table(monkeypatch):
 
     monkeypatch.setattr(models, "totaro_presentation", counted)
     assert tc_report(1, 3).status == "tight"
+    assert built == []
+    assert tc_report(1, 3, method="exact").status == "tight"
     assert built == [(1, 3)]
     built.clear()
     assert cli.main(["zcl", "--model", "totaro", "--g", "1", "--n", "3",

@@ -44,6 +44,28 @@ def test_groebner_check_loads_no_model_layer():
     assert not mods & MODEL_LAYERS
 
 
+def test_a_toric_row_loads_no_model_layer():
+    mods = loaded("-m", "tcsurf", "tc", "--g", "1", "--n", "3", "--m", "1",
+                  "--json")
+    assert {"tcsurf.tcreport", "tcsurf.toric"} <= mods
+    assert not mods & {"tcsurf.models", "tcsurf.presentation",
+                       "tcsurf.linalg", "tcsurf.zcl", "tcsurf.exterior"}
+
+
+def test_toric_imports_only_errors_and_fields():
+    assert loaded("-c", "import tcsurf.toric") == {
+        "tcsurf", "tcsurf.toric", "tcsurf.errors", "tcsurf.fields"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--model", "arnold", "--n", "3"],
+    ["zcl", "--model", "totaro", "--g", "1", "--n", "2"],
+    ["groebner-check", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_only_tc_loads_the_toric_module(argv):
+    assert "tcsurf.toric" not in loaded("-m", "tcsurf", *argv, "--json")
+
+
 def test_package_import_is_lazy():
     assert loaded("-c", "import tcsurf") == {"tcsurf"}
     assert tcsurf.zcl_exact is zcl.zcl_exact

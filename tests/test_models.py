@@ -129,6 +129,24 @@ def test_diagonal_annihilation_up_to_genus_three():
             assert T.multiply(T.bar(H.gen(name)), delta).is_zero(), (g, name)
 
 
+def test_surface_diagonal_is_built_once_per_genus(monkeypatch):
+    built, real = [], models.quotient
+
+    def counted(pres, *args):
+        built.append(pres.label)
+        return real(pres, *args)
+
+    monkeypatch.setattr(models, "quotient", counted)
+    first = surface_diagonal(2)
+    assert built == ["surface(g=2)"]
+    assert surface_diagonal(2) is first
+    models.genus2_B_presentation(2, 2)
+    models.totaro_presentation(2, 3)
+    assert built == ["surface(g=2)"]
+    surface_diagonal(1)
+    assert built == ["surface(g=2)", "surface(g=1)"]
+
+
 def test_surface_diagonal_refuses_a_class_some_bar_does_not_kill(monkeypatch):
     """A degree-1 class c that pairs to zero with everything breaks Poincare
     duality, so the written-out torus diagonal no longer spans the classes

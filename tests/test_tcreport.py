@@ -97,11 +97,28 @@ def test_report_with_exact_method():
 
 
 def test_report_unverified_inputs():
-    r = tc_report(1, 1, 1)
+    # no model of a punctured surface of positive genus is wired for exact
+    r = tc_report(1, 1, 1, method="exact")
     assert r.status == "unverified"
     assert r.lower is None and r.theorem == 3
-    r = tc_report(0, 1, 5)
+    r = tc_report(2, 3, 5, method="exact")
     assert r.status == "unverified"
+
+
+def test_toric_and_product_rows_name_their_certificates():
+    r = tc_report(1, 3, 2)
+    assert (r.lower, r.status) == (7, "tight")
+    assert r.facts[0].description == (
+        "nonzero 6-fold zero-divisor product restricted to the tori "
+        "T_beta x T_alpha of the first handle: -1 t1*t2*t3 (x) t1*t2*t3")
+    r = tc_report(0, 5, 0)
+    assert (r.lower, r.status) == (8, "tight")
+    assert [(f.kind, f.value) for f in r.facts[:4]] == [
+        ("derived", 3), ("derived", 4), ("product", 7), ("derived", 8)]
+    assert r.facts[0].description.startswith("SO(3): nonzero 3-fold")
+    assert r.facts[2].description == (
+        "product inequality over F(S^2, 5) = PGL(2,C) x F(C minus {0,1}, 2), "
+        "PGL(2,C) ~ SO(3): zcl >= 3 + 4")
 
 
 def test_report_fact_kinds_are_wellformed():
@@ -121,27 +138,27 @@ def test_report_json_row_shape():
 def test_sweep_rectangle_and_tightness():
     rows = sweep(1, 2, 1)
     assert len(rows) == 2 * 2 * 2
-    assert all_tight(rows)  # unverified torus m=1 rows do not count as gaps
+    assert all_tight(rows)  # the torus m=1 rows read the handle tori
     computed = [r for r in rows if r.status != "unverified"]
     assert computed and all(r.status == "tight" for r in computed)
 
 
 def test_sweep_marks_a_row_over_the_budget(monkeypatch):
-    # sphere-mod2(n=5) is the one model of this rectangle whose quotient
-    # needs more than 100 columns plus relation products in a degree
+    # b-sigma(g=2,n=4) is the one model of this rectangle with a weight
+    # block of more than 100 columns plus relation products
     monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 100)
-    rows = sweep(0, 5, 0)
+    rows = sweep(2, 4, 0)
     over = [r for r in rows if r.status == "over-budget"]
-    assert [(r.g, r.n, r.m) for r in over] == [(0, 5, 0)]
+    assert [(r.g, r.n, r.m) for r in over] == [(2, 4, 0)]
     row = over[0]
-    assert row.lower is None and row.upper == row.theorem == 8
+    assert row.lower is None and row.upper == row.theorem == 11
     assert row.facts[0].description.startswith(
-        "sphere-mod2(n=5): degree 4 needs up to 108 columns")
+        "b-sigma(g=2,n=4): degree 3 weight [-1, 0] needs up to 88 columns")
     assert row.to_json()["status"] == "over-budget"
     assert all(r.status == "tight" for r in rows if r is not row)
     assert all_tight(rows)
-    with pytest.raises(ResourceBudgetError, match="degree 4"):
-        tc_report(0, 5, 0)
+    with pytest.raises(ResourceBudgetError, match="degree 3"):
+        tc_report(2, 4, 0)
 
 
 def test_sweep_marks_a_refused_model_unverified():

@@ -522,6 +522,37 @@ def test_search_matches_the_restart_climb(token, given):
             restart_climb_certificate(A, cap).to_json(), cap
 
 
+def test_the_search_counts_its_products_against_the_budget(monkeypatch):
+    A = quotient(punctured_plane_algebra(2, 2))
+    assert bar_product_certificate(A).certified_length == 4
+    monkeypatch.setattr(zcl, "SEARCH_BUDGET", 0)
+    with pytest.raises(ResourceBudgetError, match=re.escape(
+            "punctured-plane(n=2,k=2): the bar-product search reached length "
+            "0 and needs more than 0 tensor products, over the budget")):
+        bar_product_certificate(A)
+    # the search forms 8 products: 4 to reach length 4, 4 to find none longer
+    monkeypatch.setattr(zcl, "SEARCH_BUDGET", 3)
+    with pytest.raises(ResourceBudgetError, match="reached length 2 and "
+                       "needs more than 3 tensor products"):
+        bar_product_certificate(A)
+    monkeypatch.setattr(zcl, "SEARCH_BUDGET", 7)
+    with pytest.raises(ResourceBudgetError, match="reached length 4"):
+        bar_product_certificate(A)
+    monkeypatch.setattr(zcl, "SEARCH_BUDGET", 8)
+    assert bar_product_certificate(A).certified_length == 4
+
+
+@pytest.mark.parametrize("model,given,case", [
+    ("totaro", {"g": 1, "n": 2}, "torus"), ("b-sigma", {"n": 2}, "genus2"),
+    ("sphere-mod2", {"n": 3}, "sphere"), ("mod-ideal", {"n": 2},
+                                          "punctured-mod-ideal")])
+def test_zcl_bound_refuses_a_cap_on_a_fixed_length_family(model, given, case):
+    with pytest.raises(AlgebraError, match=re.escape(
+            f"--cap does not apply to the {case} certificate, whose length "
+            "is fixed")):
+        zcl.zcl_bound(model, given, "certificate", 3)
+
+
 def test_sphere_family_with_a_vanished_prefix_is_a_certificate_error():
     A = sphere_mod2_model(4)
     pres, a = A.presentation, A.free.gen("a")
