@@ -61,6 +61,7 @@ CORPUS = [
      "--method", "certificate"],
     ["tc", "--sweep", "2", "4", "4"],
     ["tc", "--g", "2", "--n", "7"],
+    ["tc", "--sweep", "0", "4", "3"],
 ]
 
 
