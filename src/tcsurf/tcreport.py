@@ -5,11 +5,12 @@ A report combines three independent numbers for F(Sigma_g minus m points, n):
   lower    1 + zcl, certified by an explicit nonzero product of
            zero-divisors.  Under --method certificate the product is
            restricted to embedded tori and evaluated in Lambda (x) Lambda
-           (toric certificates, from the toric module), summed over the
-           factors of a classical splitting (product certificates), or,
-           on the closed surfaces of genus >= 2 and the sphere with
-           n <= 2, expanded on a cohomology model.  Under --method exact it
-           is the model's zcl by exact power iteration.
+           (toric certificates, from the toric module), read off a power
+           of one bar in a truncated polynomial ring (the sphere with
+           n <= 2 and the SO(3) factor), summed over the factors of a
+           classical splitting (product certificates), or, on the closed
+           surfaces of genus >= 2, expanded on a cohomology model.  Under
+           --method exact it is the model's zcl by exact power iteration.
   upper    the minimum over encoded fact chains: homotopy-dimension bounds
            tc <= 2 dim + 1 and fibration splittings tc <= tc(base) +
            tc(fiber) - 1 seeded with known constants,
@@ -30,8 +31,7 @@ lower bound, and the refusal as its first fact.
 
 Only this module imports toric.  The model layers (models, presentation,
 linalg, zcl) are imported when a row reads a model: a closed surface of
-genus >= 2, the sphere with n <= 2, the SO(3) factor of the sphere, and
-every row under --method exact.
+genus >= 2, and every row under --method exact.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from __future__ import annotations
 from .errors import (AlgebraError, ModelInconsistencyError, ResourceBudgetError,
                      UnsupportedModelError, _require_int)
 from .fields import GF2, QQ
-from .toric import ToricCertificate, circle, handle_tori, puncture_loops
+from .toric import (ToricCertificate, TruncatedPowerCertificate, circle,
+                    handle_tori, puncture_loops)
 
 
 class TcFact:
@@ -93,6 +94,10 @@ def _family(g: int, n: int, m: int):
     The chain's last fact is the bound.  The model is the (token, options)
     whose exact zcl bounds tc from below, or None when none is wired.
     certify() builds the certificate of the certified lower bound:
+    - the sphere with n <= 2: ubar^2 = -2 u (x) u on H*(S^2; Q) =
+      Q[u]/(u^2), |u| = 2, pulled back along the projection to point 1,
+      a homotopy equivalence since its fiber, S^2 minus a point, is
+      contractible;
     - the closed torus and every punctured surface of genus >= 1: the
       handle tori, 2n factors (toric.handle_tori);
     - the sphere minus m >= 3 points, which is the plane minus k = m - 1 >= 2
@@ -108,10 +113,10 @@ def _family(g: int, n: int, m: int):
       n - 3), by the Moebius map sending points 1, 2, 3 to 0, 1, infinity
       (Feichtner-Ziegler, Doc. Math. 5 (2000)), and PGL(2, C) ~ SO(3);
       over GF(2), zcl >= 3 + 2(n - 3), the SO(3) factor by abar^3 on
-      so3_mod2_algebra();
-    - the closed surfaces of genus >= 2 and the sphere with n <= 2: the
-      model's certificate, by zcl_bound (the genus2 family, or a search of
-      at most tc - 1 bars, which may fall short: a gap).
+      H*(SO(3); GF(2)) = GF(2)[a]/(a^4) (Farber-Tabachnikov-Yuzvinsky,
+      IMRN 2003);
+    - the closed surfaces of genus >= 2: the genus2 family on the model,
+      by zcl_bound.
     The splittings are Fadell-Neuwirth's.  A product certificate's length
     is the sum of its factors': nonzero zero-divisor products of the
     factors multiply to a nonzero one in the Kunneth tensor product over a
@@ -123,8 +128,10 @@ def _family(g: int, n: int, m: int):
         if n <= 2:
             chain = [TcFact("n <= 2 sphere configurations have the homotopy "
                             "type of the sphere; tc(S^2) = 3", 3, "cited")]
-            model = ("totaro", {"g": 0, "n": n})
-            return 3, chain, model, _by_model(model, 2)
+            label = (f"H*(S^2) = Q[u]/(u^2), pulled back to F(S^2, {n}) "
+                     "along the projection to point 1")
+            return (3, chain, ("totaro", {"g": 0, "n": n}),
+                    lambda: TruncatedPowerCertificate(label, 2, 1, 2))
         chain = [
             TcFact("tc(SO(3)) = cat(SO(3)) = 4", 4, "cited"),
             TcFact(f"tc of {n - 3} points in the twice-punctured plane "
@@ -190,25 +197,18 @@ def _planar_product(n: int, punctures: int):
                               [("C*", circle())] + _loop_factor(rest))
 
 
-def _by_model(model, cap=None):
-    """certify() by zcl_bound on the (token, options) model: its family, or
-    a search for at most cap bars."""
+def _by_model(model):
+    """certify() by zcl_bound on the (token, options) model: its family."""
     def certify():
         from .zcl import zcl_bound
-        return zcl_bound(*model, "certificate", cap)
+        return zcl_bound(*model, "certificate")
     return certify
 
 
 def _sphere_product(n: int):
     """SO(3) x F(C minus {0,1}, n - 3) over GF(2); the SO(3) factor is
-    abar^3 on so3_mod2_algebra(), as H*(SO(3); GF(2)) = GF(2)[a]/(a^4)."""
-    from .models import so3_mod2_algebra
-    from .presentation import tensor_square
-    from .zcl import certificate_product
-
-    A = so3_mod2_algebra()
-    T = tensor_square(A)
-    so3 = certificate_product(T, [T.bar(A.gen("a"))] * 3)
+    abar^3 on H*(SO(3); GF(2)) = GF(2)[a]/(a^4), |a| = 1."""
+    so3 = TruncatedPowerCertificate("Z2[a]/(a^4)", 1, 3, 3, GF2)
     split = (f"F(S^2, {n}) = PGL(2,C) x F(C minus {{0,1}}, {n - 3}), "
              "PGL(2,C) ~ SO(3)")
     return ProductCertificate(split, [("SO(3)", so3)] + _loop_factor(n - 3, GF2))

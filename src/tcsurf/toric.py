@@ -38,6 +38,10 @@ puncture loops (a plane with k >= 2 punctures, n points): in T_q point i
   point, T_0 is the circle C minus 0 itself, and bar(e1_0) restricts to
   t_1 (x) 1 - 1 (x) t_1 on T_0 x T_0.
 
+One certificate here needs no torus: a power of one bar in a truncated
+polynomial ring F[x]/(x^(h+1)), which is all of H*(S^2; Q) = Q[u]/(u^2)
+and of H*(SO(3); GF(2)) = GF(2)[a]/(a^4) (TruncatedPowerCertificate).
+
 The generator names are the models' own (a{j}, b{j}, ... of the diagonal
 models, e{i}_q and e{i}{j} of the punctured-plane algebras), so the tests
 check that each ring map kills every relation of those models: each
@@ -51,7 +55,9 @@ Lambda is {mask: coefficient} and one of Lambda (x) Lambda is
 
 from __future__ import annotations
 
-from .errors import CertificateError, _require_int
+from math import comb
+
+from .errors import AlgebraError, CertificateError, _require_int
 from .fields import QQ, Field
 
 
@@ -183,3 +189,38 @@ def circle(field: Field = QQ) -> ToricCertificate:
     loop = _puncture_loop(1, 0)
     return ToricCertificate("T_0 x T_0 of the circle", loop, loop,
                             ["e1_0"], field)
+
+
+class TruncatedPowerCertificate:
+    """xbar^s in the tensor square of F[x]/(x^(h+1)), for xbar =
+    x (x) 1 - 1 (x) x, with x of the given degree, h = height and s =
+    power.
+
+    When x has even degree, or F is GF(2), x (x) 1 and 1 (x) x commute, so
+    xbar^s = sum_k (-1)^(s-k) C(s, k) x^k (x) x^(s-k).  The terms with
+    k <= h and s - k <= h are distinct basis tensors and the others vanish.
+    value is {k: coefficient} of the nonzero ones, which must not be empty
+    (CertificateError otherwise); then zcl >= certified_length = s.  An odd
+    x over Q is refused (AlgebraError): there xbar^2 = 0.  coefficient is
+    that of the witness x^k (x) x^(s-k) with the least k.  algebra labels
+    the ring.
+    """
+
+    def __init__(self, algebra: str, degree: int, height: int, power: int,
+                 field: Field = QQ):
+        for value in (degree, height, power):
+            _require_int(value, 1, "need degree, height and power >= 1")
+        if degree % 2 and field.char != 2:
+            raise AlgebraError(f"{algebra}: a bar of odd degree squares to "
+                               f"zero over {field}")
+        self.algebra, self.field = algebra, field
+        self.value = {}
+        for k in range(max(power - height, 0), min(power, height) + 1):
+            c = field.coerce((-1) ** (power - k) * comb(power, k))
+            if c:
+                self.value[k] = c
+        if not self.value:
+            raise CertificateError(
+                f"{algebra}: the {power}-fold bar power vanishes")
+        self.certified_length = power
+        self.coefficient = self.value[min(self.value)]

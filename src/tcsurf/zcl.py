@@ -511,23 +511,23 @@ def bar_product_certificate(A, cap=None) -> ZclCertificate:
 def zcl_bound(model: str, options: dict, method: str = "exact", cap=None):
     """zcl of MODELS[model] built on options: zcl_exact's BoundReport, or
     the ZclCertificate of the model's certificate family, else of
-    bar_product_certificate, with options read by model_options.  cap stops
-    the iteration or the search, and is refused for a family, whose length
-    is fixed."""
+    bar_product_certificate, with options read by model_options.  cap, checked
+    before any build, stops the iteration or the search, and is refused for
+    a family, whose length is fixed."""
     if method not in ("exact", "certificate"):
         raise AlgebraError(f"unknown method: {method}")
     options = model_options(model, **options)
     spec = MODELS[model]
+    if cap is not None:
+        _require_int(cap, 1, f"cap must be at least 1, got {cap}")
     if method == "exact":
         return zcl_exact(spec.build(**options), cap)
     case = spec.case(options)
-    if cap is not None:
-        if case is not None:
-            raise AlgebraError(f"--cap does not apply to the {case} "
-                               "certificate, whose length is fixed")
-        _require_int(cap, 1, f"--cap must be at least 1, got {cap}")
     if case is None:
         return bar_product_certificate(spec.build(**options), cap)
+    if cap is not None:
+        raise AlgebraError(f"--cap does not apply to the {case} "
+                           "certificate, whose length is fixed")
     return case_certificate(case, (spec.present or spec.build)(**options))
 
 

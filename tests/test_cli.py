@@ -132,14 +132,15 @@ def test_tc_sweep_prints_a_short_lower_bound_as_a_gap(monkeypatch, capsys):
     assert all_tight(sweep(0, 3, 1))  # the certificates read no model
 
 
-def test_tc_sweep_prints_a_search_over_its_budget(monkeypatch, capsys):
-    # the sphere rows with n <= 2 search their model for a bar product
+def test_the_sphere_rows_run_no_search(monkeypatch, capsys):
+    # the sphere rows with n <= 2 read ubar^2 on Q[u]/(u^2); their model's
+    # search is left to zcl
     monkeypatch.setattr(zcl, "SEARCH_BUDGET", 0)
     assert cli.main(["tc", "--sweep", "0", "3", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [l.split()[-1] for l in lines] == [
-        "over-budget", "over-budget", "tight"]
-    assert cli.main(["tc", "--g", "0", "--n", "2"]) == 2
+    assert [l.split()[-1] for l in lines] == ["tight", "tight", "tight"]
+    assert cli.main(["zcl", "--model", "totaro", "--g", "0", "--n", "2",
+                     "--method", "certificate"]) == 2
     assert capsys.readouterr().err == (
         "error: totaro(g=0,n=2): the bar-product search reached length 0 "
         "and needs more than 0 tensor products, over the budget\n")

@@ -52,6 +52,17 @@ def test_a_toric_row_loads_no_model_layer():
                        "tcsurf.linalg", "tcsurf.zcl", "tcsurf.exterior"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["tc", "--sweep", "0", "4", "3"],
+    ["tc", "--g", "0", "--n", "2"],
+], ids=" ".join)
+def test_a_sphere_row_loads_no_model_layer(argv):
+    mods = loaded("-m", "tcsurf", *argv, "--json")
+    assert {"tcsurf.tcreport", "tcsurf.toric"} <= mods
+    assert not mods & {"tcsurf.models", "tcsurf.presentation",
+                       "tcsurf.linalg", "tcsurf.zcl", "tcsurf.exterior"}
+
+
 def test_toric_imports_only_errors_and_fields():
     assert loaded("-c", "import tcsurf.toric") == {
         "tcsurf", "tcsurf.toric", "tcsurf.errors", "tcsurf.fields"}

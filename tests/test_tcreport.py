@@ -111,6 +111,12 @@ def test_toric_and_product_rows_name_their_certificates():
     assert r.facts[0].description == (
         "nonzero 6-fold zero-divisor product restricted to the tori "
         "T_beta x T_alpha of the first handle: -1 t1*t2*t3 (x) t1*t2*t3")
+    r = tc_report(0, 2, 0)
+    assert (r.lower, r.status) == (3, "tight")
+    assert r.facts[0].description == (
+        "nonzero 2-fold zero-divisor product on H*(S^2) = Q[u]/(u^2), "
+        "pulled back to F(S^2, 2) along the projection to point 1 "
+        "(coefficient -2)")
     r = tc_report(0, 5, 0)
     assert (r.lower, r.status) == (8, "tight")
     assert [(f.kind, f.value) for f in r.facts[:4]] == [

@@ -5,13 +5,17 @@ families and the quotient route they replace."""
 import pytest
 
 from tcsurf import zcl
-from tcsurf.errors import CertificateError
+from tcsurf.errors import AlgebraError, CertificateError
 from tcsurf.fields import GF2, QQ
+from tcsurf.exterior import FreeAlgebra
 from tcsurf.models import (genus2_B_presentation, punctured_plane_algebra,
-                           sphere_mod2_model, totaro_presentation)
+                           so3_mod2_algebra, sphere_mod2_model,
+                           totaro_presentation)
+from tcsurf.presentation import AlgebraPresentation, quotient, tensor_square
 from tcsurf.tcreport import ProductCertificate, _family, sweep, tc_theorem
-from tcsurf.toric import (ToricCertificate, bar_value, circle, handle_tori,
-                          puncture_loops, restrict)
+from tcsurf.toric import (ToricCertificate, TruncatedPowerCertificate,
+                          bar_value, circle, handle_tori, puncture_loops,
+                          restrict)
 
 from .oracles import quotient_route_lower_bound
 
@@ -123,7 +127,7 @@ def test_the_sphere_product_has_the_sphere_familys_length(n):
     assert cert.certified_length == family.certified_length == 2 * n - 3
     (so3_space, so3), *loops = cert.factors
     assert so3_space == "SO(3)" and so3.certified_length == 3
-    assert so3.algebra == "Z2[a]/(a^4)" and so3.free.field is GF2
+    assert so3.algebra == "Z2[a]/(a^4)" and so3.field is GF2
     assert all(c.field is GF2 for _, c in loops)
 
 
@@ -144,8 +148,7 @@ def test_the_planar_products_sum_their_factors(n, m, factors):
     assert cert.certified_length == sum(factors) == tc_theorem(0, n, m) - 1
 
 
-QUOTIENT_GRID = ([(0, n, m) for n in range(1, 5) for m in range(5)
-                  if (n, m) not in ((1, 0), (2, 0))]
+QUOTIENT_GRID = ([(0, n, m) for n in range(1, 5) for m in range(5)]
                  + [(1, n, 0) for n in range(1, 5)])
 
 
@@ -153,3 +156,65 @@ QUOTIENT_GRID = ([(0, n, m) for n in range(1, 5) for m in range(5)
 def test_certificates_match_the_quotient_route(g, n, m):
     assert lower_certificate(g, n, m).certified_length == \
         quotient_route_lower_bound(g, n, m)
+
+
+def truncated_ring(degree, height, field):
+    """F[x]/(x^(height+1)) with |x| = degree, as a quotient."""
+    free = FreeAlgebra(field, [("x", degree)])
+    x = top = free.gen("x")
+    for _ in range(height):
+        top = top * x
+    return quotient(AlgebraPresentation(free, [top],
+                                        top_degree=degree * (height + 1)))
+
+
+TRUNCATED_GRID = [(d, h, s, field) for field in (QQ, GF2) for d in (1, 2)
+                  for h in range(1, 5) for s in range(1, 2 * h + 2)
+                  if d % 2 == 0 or field is GF2]
+
+
+@pytest.mark.parametrize("degree,height,power,field", TRUNCATED_GRID)
+def test_truncated_power_matches_the_expanded_product(degree, height, power,
+                                                      field):
+    A = truncated_ring(degree, height, field)
+    T = tensor_square(A)
+    acc = T.one()
+    for _ in range(power):
+        acc = acc * T.bar(A.gen("x"))
+    expanded = {len(u): c for (u, v), c in acc.terms.items() if c}
+    if not expanded:
+        with pytest.raises(CertificateError, match="bar power vanishes"):
+            TruncatedPowerCertificate("A", degree, height, power, field)
+        return
+    cert = TruncatedPowerCertificate("A", degree, height, power, field)
+    assert cert.value == expanded
+    assert cert.certified_length == power
+    assert cert.coefficient == expanded[min(expanded)]
+
+
+def test_truncated_powers_match_the_model_certificates():
+    A = so3_mod2_algebra()
+    T = tensor_square(A)
+    so3 = zcl.certificate_product(T, [T.bar(A.gen("a"))] * 3)
+    abar3 = TruncatedPowerCertificate("Z2[a]/(a^4)", 1, 3, 3, GF2)
+    assert (abar3.certified_length, abar3.coefficient) == (3, 1)
+    assert (so3.certified_length, so3.coefficient) == (3, 1)
+    for n in (1, 2):
+        cert = lower_certificate(0, n, 0)
+        assert isinstance(cert, TruncatedPowerCertificate)
+        model = zcl.zcl_bound("totaro", {"g": 0, "n": n}, "certificate", 2)
+        assert (cert.certified_length, cert.coefficient) == (2, -2)
+        assert (model.certified_length, model.coefficient) == (2, -2)
+
+
+def test_a_vanishing_truncated_power_is_refused():
+    with pytest.raises(CertificateError,
+                       match=r"Z2\[a\]/\(a\^4\): the 4-fold bar power"):
+        TruncatedPowerCertificate("Z2[a]/(a^4)", 1, 3, 4, GF2)
+    with pytest.raises(CertificateError, match="2-fold bar power vanishes"):
+        TruncatedPowerCertificate("Z2[u]/(u^2)", 2, 1, 2, GF2)
+    with pytest.raises(AlgebraError, match="odd degree"):
+        TruncatedPowerCertificate("Q[a]/(a^4)", 1, 3, 3, QQ)
+    for bad in (0, True, 1.0):
+        with pytest.raises(AlgebraError):
+            TruncatedPowerCertificate("A", 2, bad, 2, QQ)

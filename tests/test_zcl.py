@@ -553,6 +553,21 @@ def test_zcl_bound_refuses_a_cap_on_a_fixed_length_family(model, given, case):
         zcl.zcl_bound(model, given, "certificate", 3)
 
 
+@pytest.mark.parametrize("model,method", [
+    ("b-sigma", "exact"), ("b-sigma", "certificate"),
+    ("arnold", "certificate")])
+def test_zcl_bound_checks_the_cap_before_it_builds(monkeypatch, model, method):
+    def refused(**options):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(zcl.MODELS[model], "build", refused)
+    monkeypatch.setattr(zcl.MODELS[model], "present", refused)
+    for cap in (0, -1):
+        with pytest.raises(AlgebraError,
+                           match=f"^cap must be at least 1, got {cap}$"):
+            zcl.zcl_bound(model, {"n": 5}, method, cap)
+
+
 def test_sphere_family_with_a_vanished_prefix_is_a_certificate_error():
     A = sphere_mod2_model(4)
     pres, a = A.presentation, A.free.gen("a")
