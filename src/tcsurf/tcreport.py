@@ -26,7 +26,7 @@ when lower = theorem = upper, "gap" otherwise, and "unverified" when no
 model algebra is wired for an exact row, as on the punctured surfaces of
 positive genus (the closed form is still shown).  A sweep row whose model
 refuses the input is "unverified" too, with the refusal as its first fact.
-A sweep row whose model or search exceeds its budget is "over-budget": no
+A sweep row whose model exceeds its budget is "over-budget": no
 lower bound, and the refusal as its first fact.
 
 Only this module imports toric.  The model layers (models, presentation,

@@ -1,13 +1,14 @@
 """Toric and product certificates: the ring maps kill the models' relations,
-the restricted products are +-1, and the products match the model
+the restricted products are +-1, the truncated bar powers equal the
+products expanded on their quotients, and the products match the model
 families and the quotient route they replace."""
 
 import pytest
 
 from tcsurf import zcl
 from tcsurf.errors import AlgebraError, CertificateError
-from tcsurf.fields import GF2, QQ
 from tcsurf.exterior import FreeAlgebra
+from tcsurf.fields import GF2, QQ
 from tcsurf.models import (genus2_B_presentation, punctured_plane_algebra,
                            so3_mod2_algebra, sphere_mod2_model,
                            totaro_presentation)
