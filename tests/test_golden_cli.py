@@ -62,6 +62,7 @@ CORPUS = [
     ["tc", "--sweep", "2", "4", "4"],
     ["tc", "--g", "2", "--n", "7"],
     ["tc", "--sweep", "0", "4", "3"],
+    ["tc", "--g", "3", "--n", "6"],
 ]
 
 
