@@ -7,7 +7,7 @@ relations an ideal N.  The quotient is built degree by degree over the
 surviving monomials, those that no killed monomial divides.  In each degree
 the ideal span is the echelonized set of products (surviving monomial) *
 (relation of N) with their killed terms dropped (less those the F5
-criterion proves redundant; see QuotientAlgebra), the quotient basis is the
+criterion proves redundant; see _ideal_rows), the quotient basis is the
 set of non-pivot survivors, and elements are kept in normal form with
 respect to that echelon.  This is the echelon of M + N with the unit rows
 of M left out: the pivots of M + N are the killed monomials plus the pivots
@@ -20,7 +20,7 @@ length max(generator degree) is zero, all higher degrees are provably zero
 A presentation whose generators carry weights, with every relation
 weight-homogeneous, also has a quotient by blocks: weight_block builds the
 (degree, weight) part of one degree alone, over the survivors of that
-weight, with the same row kernel, and its pivots and normal forms are
+weight, with the same row generator, and its pivots and normal forms are
 those of the whole degree (see weight_block).
 
 Also here: JSON serialization of presentations, and tensor squares with
@@ -112,6 +112,8 @@ class AlgebraPresentation:
     def weight(self, mon):
         """The weight of a monomial: the sum of its generators' weights."""
         weights = self.weights
+        if weights is None:
+            raise AlgebraError(f"{self.label}: weight blocks need generator weights")
         acc = [0] * len(weights[0]) if weights else []
         for g in mon:
             for h, x in enumerate(weights[g]):
@@ -245,35 +247,8 @@ class QuotientAlgebra:
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
 
-    The rows of ideal[d] are formed by _relation_products on packed
-    exponent vectors (FreeAlgebra.pack), local to degree d and of width
-    d.bit_length() + 1,
-    wide enough for any exponent of degree <= d.  A survivor of degree
-    d - e times a term of a relation of degree e is one integer add, looked
-    up among the packed survivors of degree d; a product that is killed,
-    or that repeats an odd generator over Q, is no survivor and is dropped.
-    Its Koszul sign is the parity of one popcount (FreeAlgebra.odd_bits).
-    The rows come relation by relation, each over the survivors in
-    ascending order, with the same entries as FreeAlgebra.mul_mon gives.
-
-    Rows that Faugere's F5 criterion proves redundant are never formed.
-    Number the multi-term relations r_1, r_2, ... in their given order.
-    Each degree k keeps a lead table: for each column m of degree k, the
-    lowest i such that a row m' r_i made in degree k has m as its smallest
-    column.  The product m r_j of degree d is skipped when that i is below
-    j.  The table holds a byte per column, a bytearray: a list of ints
-    would put 8 bytes per column on the build's memory peak.  So it records
-    only i below _NO_LEAD, and a later relation is skipped only against
-    those.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t)
-    modulo the killed monomials, with c nonzero, so
-
-        m r_j = (g r_j - sum over t > m of c_t t r_j) / c.
-
-    g r_j lies in the ideal of r_1 .. r_(j-1), which their degree-d rows
-    span; each t r_j is a row or is spanned in turn, by descending
-    induction on t.  So the span is that of every product, and RREF is
-    unique for a given span: pivots, bases and normal forms are those of
-    the full elimination, whatever rows are inserted.
+    The rows of ideal[d] are those _ideal_rows forms for the whole of
+    degree d, read against the lead tables of the degrees below.
 
     Before degree d is enumerated, the degrees below it bound its work.
     A survivor is a survivor of lower degree times its last generator g, so
@@ -311,7 +286,7 @@ class QuotientAlgebra:
         self.basis = [[()]]
         self.index = [{(): 0}]
         self.ideal = [echelonize(self.field, 1, [])]
-        leads = [bytearray([_NO_LEAD])]  # per degree, see _ideal_vectors
+        leads = [bytearray([_NO_LEAD])]  # per degree, see _ideal_rows
         stopped_clean = False
         for d in range(1, bound + 1):
             cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
@@ -323,8 +298,10 @@ class QuotientAlgebra:
             mons = free.monomials_of_degree(d, killed)
             idx = {m: i for i, m in enumerate(mons)}
             leads.append(bytearray([_NO_LEAD]) * len(mons))
-            vectors = self._ideal_vectors(d, rels, mons, leads)
-            self.ideal.append(echelonize(self.field, len(mons), vectors))
+            rows = _ideal_rows(free, d, mons, leads[d],
+                               [(d - e if e <= d else None, r) for e, r in rels],
+                               lambda k: (self.mons[k], leads[k]))
+            self.ideal.append(echelonize(self.field, len(mons), rows))
             piv = set(self.ideal[d].pivots)
             self.basis.append([m for i, m in enumerate(mons) if i not in piv])
             self.mons.append(mons)
@@ -341,35 +318,6 @@ class QuotientAlgebra:
         self.exhaustive = stopped_clean or (
             not capped and natural is not None and bound == natural)
         self._mul_cache = {}  # basis monomial m1 -> _ProductRow of m1
-
-    def _ideal_vectors(self, d, rels, mons, leads):
-        """Each relation times each surviving monomial of the complementary
-        degree, over the degree-d survivors mons, on packed vectors (see the
-        class docstring), less the products the F5 criterion proves
-        redundant.  A killed multiplier is left out, since its products are
-        all killed.  leads[k] is the lead table of degree k: column -> the
-        lowest index of a relation with a row of degree k led there
-        (_NO_LEAD when none is below it); leads[d] is filled as the rows
-        are made."""
-        free = self.free
-        w = d.bit_length() + 1
-        cols = {p: i for i, p in enumerate(free.pack(mons, w))}
-        lead = leads[d]
-        lower = {}
-        for j, (e, r) in enumerate(rels):
-            if e > d:
-                continue
-            if d - e not in lower:
-                lower[d - e] = free.pack(self.mons[d - e], w)
-            below = min(j, _NO_LEAD)
-            kept = [pm for pm, first in zip(lower[d - e], leads[d - e])
-                    if first >= below]
-            for vec in _relation_products(_packed_relation(free, r, w), kept, cols):
-                if vec:
-                    low = min(vec)
-                    if lead[low] > j:
-                        lead[low] = j
-                    yield vec
 
     # -- degree bookkeeping --------------------------------------------------
 
@@ -433,12 +381,8 @@ class QuotientAlgebra:
                 raise TruncationError(
                     f"{self.label}: cannot reduce in degree {part_deg}, "
                     f"constructed only through {self.built_top}")
-            idx = self.index[part_deg]
-            vec = {idx[m]: c for m, c in part.terms.items() if m in idx}
-            residue = self.ideal[part_deg].reduce(vec)
-            mons = self.mons[part_deg]
-            for col, val in residue.items():
-                out[mons[col]] = field.coerce(val)
+            out.update(_normal_form(field, self.index[part_deg], self.mons[part_deg],
+                                    self.ideal[part_deg], part.terms))
         return Element(self, out)
 
     def multiply(self, e1: Element, e2: Element) -> Element:
@@ -467,6 +411,66 @@ def quotient(presentation: AlgebraPresentation, max_degree=None) -> QuotientAlge
     return QuotientAlgebra(presentation, max_degree=max_degree)
 
 
+def _ideal_rows(free: FreeAlgebra, d, mons, lead, rels, lower):
+    """The rows of one homogeneous part of the ideal over its survivors mons
+    of degree d: a whole degree of QuotientAlgebra or a (degree, weight)
+    block of weight_block.  rels lists (key, r) for the multi-term relations
+    r_1, r_2, ... in their given order, key naming the part of r's
+    multipliers (None when r's degree exceeds d); lower(key) gives that
+    part's survivors and lead table.  Each product m r is formed by
+    _relation_products on vectors packed at width d.bit_length() + 1, wide
+    enough for any exponent of degree <= d, relation by relation, each over
+    the multipliers in ascending order.
+
+    Products that Faugere's F5 criterion (ISSAC 2002) proves redundant are
+    never formed.  A part's lead table gives each column m the lowest i
+    such that a row m' r_i made in that part has m as its smallest column,
+    and m r_j is skipped when that i is below j; lead, this part's table, is
+    filled as the rows are made.  An entry is a byte (a list of ints would
+    put 8 bytes per column on the memory peak), so only i below _NO_LEAD is
+    recorded.  Such a row g = m' r_i reads c m + (sum over t > m of c_t t)
+    modulo the killed monomials, with c nonzero, so
+
+        m r_j = (g r_j - sum over t > m of c_t t r_j) / c.
+
+    Every multi-term relation is homogeneous in degree and, when weights
+    are given, in weight, so g r_j and each t r_j lie in this part.  g r_j =
+    (m' r_j) r_i is spanned by this part's products of r_1 .. r_(j-1), by
+    induction on j, and each t r_j by descending induction on t.  So the
+    span is that of every product, and RREF is unique for a given span:
+    pivots, bases and normal forms are those of the full elimination.
+    echelonize stops at full rank and never asks for the rest, so a lead
+    table can be partly filled; a missing entry only skips fewer products.
+    """
+    if not mons:  # no rows, so no lower part is built for it
+        return
+    w = d.bit_length() + 1
+    cols = {p: i for i, p in enumerate(free.pack(mons, w))}
+    packed = {}  # key -> that part's (packed survivor, lead entry) pairs
+    for j, (key, r) in enumerate(rels):
+        if key is not None and key not in packed:
+            ms, first = lower(key)
+            packed[key] = list(zip(free.pack(ms, w), first))
+        below = min(j, _NO_LEAD)
+        kept = [pm for pm, first in packed.get(key, ()) if first >= below]
+        if not kept:
+            continue
+        for vec in _relation_products(_packed_relation(free, r, w), kept, cols):
+            if vec:
+                low = min(vec)
+                if lead[low] > j:
+                    lead[low] = j
+                yield vec
+
+
+def _normal_form(field, index, mons, ideal, terms) -> dict:
+    """Normal form of a term dict in one homogeneous part, as a term dict:
+    monomials with no column in index (killed ones) are dropped, the rest
+    reduced by the part's echelon ideal over its survivors mons."""
+    vec = {index[m]: c for m, c in terms.items() if m in index}
+    return {mons[col]: field.coerce(v) for col, v in ideal.reduce(vec).items()}
+
+
 def _packed_relation(free: FreeAlgebra, r: Element, w: int):
     """A relation's terms packed at width w: (packed term, coefficient,
     negated coefficient, the above bits of FreeAlgebra.odd_bits)."""
@@ -481,7 +485,7 @@ def _relation_products(terms, multipliers, cols):
     per term, looked up among the columns, and the Koszul sign as the
     parity of one popcount.  A product that is no column (killed, or
     repeating an odd generator over Q) is dropped, so a row can be empty.
-    The one row kernel of QuotientAlgebra and of weight blocks."""
+    The row kernel of _ideal_rows."""
     for pm in multipliers:
         vec = {}
         for pt, c, nc, above in terms:
@@ -502,26 +506,25 @@ class WeightBlock:
     that no killed monomial divides) in ascending order, index maps each to
     its column, ideal is the echelonized span of the relation products m*r
     of that degree and weight over them, and basis is the survivors that
-    are not pivots: the weight part of the quotient's basis in that degree.
+    are not pivots: the weight part of the quotient's basis in that degree;
+    lead is its lead table (see _ideal_rows).
     """
 
-    def __init__(self, field, degree, weight, mons, ideal):
+    def __init__(self, field, degree, weight, mons, ideal, lead):
         self.field = field
         self.degree = degree
         self.weight = weight
         self.mons = mons
         self.index = {m: i for i, m in enumerate(mons)}
         self.ideal = ideal
+        self.lead = lead
         piv = set(ideal.pivots)
         self.basis = [m for i, m in enumerate(mons) if i not in piv]
 
     def reduce(self, terms) -> dict:
         """Normal form of a term dict of this block's degree and weight, as
         a term dict: killed monomials are dropped, the rest reduced."""
-        idx, coerce = self.index, self.field.coerce
-        vec = {idx[m]: c for m, c in terms.items() if m in idx}
-        mons = self.mons
-        return {mons[col]: coerce(v) for col, v in self.ideal.reduce(vec).items()}
+        return _normal_form(self.field, self.index, self.mons, self.ideal, terms)
 
 
 class _WeightBlocks:
@@ -535,15 +538,15 @@ class _WeightBlocks:
     then filled in letter by letter, every pair of generators that a
     killed monomial of two distinct generators forbids ruled out as it
     is met (a packed conflict mask), any other killed monomial tested on
-    the finished monomial.  So no whole degree is ever enumerated.
+    the finished monomial.  So no whole degree is ever enumerated.  A
+    block's rows come from _ideal_rows, each complementary block they read
+    built first, through this cache and check_budget.
     """
 
     def __init__(self, pres: AlgebraPresentation):
-        if pres.weights is None:
-            raise AlgebraError(f"{pres.label}: weight blocks need generator weights")
+        self.rank = len(pres.weight(()))  # AlgebraError without weights
         free = pres.free
         self.pres, self.free, self.field = pres, free, pres.field
-        self.rank = len(pres.weights[0]) if pres.weights else 0
         killed, rest = split_relations(pres.relations)
         self.rest = [(e, pres.weight(next(iter(r.terms))), r) for e, r in rest]
         letters = {}
@@ -557,10 +560,8 @@ class _WeightBlocks:
         self.shapes = {}  # (degree, weight) of the multi-term relations -> count
         for e, u, _ in self.rest:
             self.shapes[e, u] = self.shapes.get((e, u), 0) + 1
-        self.packed = {}  # width -> the multi-term relations packed at it
         self.tables = {}  # degree -> the letters' caps and suffix reach
         self.counts_of = {}
-        self.survivors_of = {}
         self.bounds = {}
         self.blocks = {}
 
@@ -626,13 +627,7 @@ class _WeightBlocks:
         return self.bounds[key]
 
     def survivors(self, d, w):
-        key = (d, w)
-        out = self.survivors_of.get(key)
-        if out is None:
-            out = self.survivors_of[key] = self._enumerate(d, w)
-        return out
-
-    def _enumerate(self, d, w):
+        """The block's survivors in ascending order; block caches them."""
         free = self.free
         wb = max([d, *map(len, self.others)]).bit_length() + 1
         value = (1 << (wb - 1)) - 1
@@ -684,26 +679,18 @@ class _WeightBlocks:
         if blk is not None:
             return blk
         self.check_budget(d, w)
-        free = self.free
         mons = self.survivors(d, w)
-        width = max(d, 1).bit_length() + 1
-        cols = {p: i for i, p in enumerate(free.pack(mons, width))}
+        lead = bytearray([_NO_LEAD]) * len(mons)
+        rels = [((d - e, weight_add(w, u, -1)) if e <= d else None, r)
+                for e, u, r in self.rest]
 
-        if width not in self.packed:
-            self.packed[width] = [_packed_relation(free, r, width)
-                                  for _, _, r in self.rest]
+        def lower(key):
+            part = self.block(*key)
+            return part.mons, part.lead
 
-        def vectors():
-            lower = {}  # the multipliers of each complementary block, packed
-            for (e, u, _), terms in zip(self.rest, self.packed[width]):
-                key = (d - e, weight_add(w, u, -1))
-                if key not in lower:
-                    lower[key] = free.pack(self.survivors(*key), width)
-                if lower[key] and cols:
-                    yield from filter(None, _relation_products(terms, lower[key], cols))
-
+        rows = _ideal_rows(self.free, d, mons, lead, rels, lower)
         blk = self.blocks[(d, w)] = WeightBlock(
-            self.field, d, w, mons, echelonize(self.field, len(mons), vectors()))
+            self.field, d, w, mons, echelonize(self.field, len(mons), rows), lead)
         return blk
 
 
@@ -726,7 +713,7 @@ def weight_block(presentation: AlgebraPresentation, degree: int, weight) -> Weig
     of degree d - e and weight w - u with a relation of degree e and weight
     u lies in the block (d, w): the ideal's degree-d part is the direct sum
     of its blocks, each spanned by the products of its own degree and
-    weight, formed by the quotient's row kernel (_relation_products).  A
+    weight, formed by the quotient's row generator (_ideal_rows).  A
     homogeneous span has homogeneous RREF rows: the union of the blocks'
     reduced rows is a basis of the degree-d ideal whose every row has a
     pivot entry 1 and no entry in any other pivot column, and that is the
@@ -737,25 +724,33 @@ def weight_block(presentation: AlgebraPresentation, degree: int, weight) -> Weig
 
     The block is checked against DEFAULT_BUDGET before it is enumerated:
     its monomials before killing plus, for each multi-term relation, those
-    of the complementary degree and weight (ResourceBudgetError).  The F5
-    skip of QuotientAlgebra is not made inside blocks.
+    of the complementary degree and weight (ResourceBudgetError); the
+    complementary blocks, built on demand, are each checked in turn.
     """
     blocks = _weight_blocks(presentation)
-    weight = tuple(weight)
+    return blocks.block(*_block_key(blocks, degree, weight))
+
+
+def _block_key(blocks: _WeightBlocks, degree, weight):
+    """(degree, weight as a tuple), or AlgebraError if it names no block."""
+    weight, label = tuple(weight), blocks.pres.label
+    if type(degree) is not int or any(type(x) is not int for x in weight):
+        raise AlgebraError(f"{label}: a block's degree and weight need int "
+                           f"coordinates, got {degree!r}, {weight!r}")
     if len(weight) != blocks.rank:
-        raise AlgebraError(f"{presentation.label}: a weight has {blocks.rank} "
+        raise AlgebraError(f"{label}: a weight has {blocks.rank} "
                            f"coordinates, got {weight}")
-    return blocks.block(degree, weight)
+    return degree, weight
 
 
 def weight_blocks(presentation: AlgebraPresentation, keys):
     """The blocks of keys, (degree, weight) pairs, as weight_block builds
     them, each checked against the budget before any is built."""
     blocks = _weight_blocks(presentation)
-    keys = [(d, tuple(w)) for d, w in keys]
+    keys = [_block_key(blocks, d, w) for d, w in keys]
     for d, w in keys:
         blocks.check_budget(d, w)
-    return [weight_block(presentation, d, w) for d, w in keys]
+    return [blocks.block(d, w) for d, w in keys]
 
 
 def block_reduce(presentation: AlgebraPresentation, e: Element) -> Element:
@@ -764,13 +759,14 @@ def block_reduce(presentation: AlgebraPresentation, e: Element) -> Element:
     in its block, so it is the normal form QuotientAlgebra.reduce_free
     gives."""
     _require_own(presentation.free, e)
+    blocks = _weight_blocks(presentation)
     parts = {}
     free, weight = presentation.free, presentation.weight
     for m, c in e.terms.items():
         parts.setdefault((free.monomial_degree(m), weight(m)), {})[m] = c
     out = {}
     for (d, w), terms in parts.items():
-        out.update(weight_block(presentation, d, w).reduce(terms))
+        out.update(blocks.block(d, w).reduce(terms))
     return Element(free, out)
 
 

@@ -10,14 +10,16 @@ from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf import linalg, presentation
 from tcsurf.models import (MODELS, arnold_algebra, genus2_B_algebra,
-                           model_options, punctured_plane_algebra,
-                           so3_mod2_algebra, sphere_mod2_model,
-                           surface_cohomology, surface_diagonal,
-                           totaro_algebra)
+                           genus2_B_presentation, model_options,
+                           punctured_plane_algebra, so3_mod2_algebra,
+                           sphere_mod2_model, surface_cohomology,
+                           surface_diagonal, totaro_algebra,
+                           totaro_presentation)
 from tcsurf.presentation import (AlgebraPresentation, block_reduce, convolve,
-                                 hilbert_series, quotient, tensor_square,
-                                 weight_block, weight_blocks)
-from tcsurf.zcl import mod_ideal_quotient, zcl_exact
+                                 hilbert_series, quotient, split_relations,
+                                 tensor_square, weight_add, weight_block,
+                                 weight_blocks)
+from tcsurf.zcl import case_certificate, mod_ideal_quotient, zcl_exact
 
 from .oracles import (all_products_mismatches, full_elimination_mismatches,
                       poly_mul, tensor_pairs)
@@ -541,22 +543,70 @@ def test_malformed_weights_are_refused(weights):
 
 
 def test_weight_blocks_need_weights():
+    pres = quotient(arnold_algebra(3)).presentation
     with pytest.raises(AlgebraError, match="need generator weights"):
-        weight_block(quotient(arnold_algebra(3)).presentation, 1, ())
+        weight_block(pres, 1, ())
+    with pytest.raises(AlgebraError, match="need generator weights"):
+        pres.weight((0, 1))
+    with pytest.raises(AlgebraError, match="need generator weights"):
+        block_reduce(pres, pres.free.gen(pres.free.names[0]))
     with pytest.raises(AlgebraError, match="a weight has 1 coordinates"):
         weight_block(totaro_algebra(1, 2).presentation, 1, (1, 0))
+
+
+@pytest.mark.parametrize("degree, weight", [(2.5, (0, 0)), (2, (0, 0.5)),
+                                            (True, (0, 0)), ("2", (0, 0))])
+def test_block_keys_need_int_degrees_and_weights(degree, weight):
+    pres = totaro_presentation(2, 3)
+    with pytest.raises(AlgebraError, match="need int coordinates"):
+        weight_block(pres, degree, weight)
+    with pytest.raises(AlgebraError, match="need int coordinates"):
+        weight_blocks(pres, [(2, (0, 0)), (degree, weight)])
+    assert pres._blocks.blocks == {}
+
+
+def test_f5_criterion_skips_block_products():
+    """The blocks make fewer rows than their relation products that keep a
+    surviving term, the rows an elimination without the skip inserts.  The
+    inserts counted include the model checks' own eliminations."""
+    calls = 0
+    insert = linalg.RationalSubspace.insert
+
+    def counting(self, vec):
+        nonlocal calls
+        calls += 1
+        return insert(self, vec)
+
+    with mock.patch.object(linalg.RationalSubspace, "insert", counting):
+        pres = genus2_B_presentation(5)
+        case_certificate("genus2", pres)
+    free, (_, rels) = pres.free, split_relations(pres.relations)
+    products = 0
+    for (d, w), blk in list(pres._blocks.blocks.items()):
+        for e, r in rels:
+            u = pres.weight(next(iter(r.terms)))
+            for m in weight_block(pres, d - e, weight_add(w, u, -1)).mons:
+                prod = free.multiply(free.element({m: 1}), r)
+                products += any(t in blk.index for t in prod.terms)
+    # 1,005 products; 1,054 inserts without the skip inside blocks, 949 with
+    assert calls < products
 
 
 def test_block_budget_refuses_before_enumerating(monkeypatch):
     pres = totaro_algebra(1, 3).presentation
     # (3, e_1): 9 monomials a_i a_j b_k of weight e_1; each of the 3
     # diagonals times the 3 monomials a_k of (1, e_1)
+    enumerated = []
+    survivors = presentation._WeightBlocks.survivors
+    monkeypatch.setattr(presentation._WeightBlocks, "survivors",
+                        lambda self, d, w: enumerated.append((d, w))
+                        or survivors(self, d, w))
     monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 17)
     with pytest.raises(ResourceBudgetError,
                        match=r"degree 3 weight \[1\] needs up to 9 columns "
                              "and 9 relation products"):
         weight_block(pres, 3, (1,))
-    assert (3, (1,)) not in pres._blocks.survivors_of
+    assert enumerated == []
     monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 18)
     assert len(weight_block(pres, 3, (1,)).basis) == 4
 
