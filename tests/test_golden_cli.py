@@ -63,6 +63,7 @@ CORPUS = [
     ["tc", "--g", "2", "--n", "7"],
     ["tc", "--sweep", "0", "4", "3"],
     ["tc", "--g", "3", "--n", "6"],
+    ["tc", "--sweep", "2", "8", "0"],
 ]
 
 
