@@ -49,6 +49,7 @@ class FreeAlgebra:
         self.names = tuple(g.name for g in self.generators)
         self.by_name = {g.name: g.gid for g in self.generators}
         self._mon_cache = {}
+        self._kill_cache = {}
         self._odd_fields = {}  # width -> low bits of the odd generators' fields
 
     # -- monomials ---------------------------------------------------------
@@ -103,56 +104,91 @@ class FreeAlgebra:
                 above ^= every & -(low << w)
         return odd, above
 
-    def monomials_of_degree(self, d, avoid=frozenset()):
-        """The monomials of total degree d that no monomial of avoid divides,
-        in ascending tuple order; avoid is a frozenset of monomials.
+    def monomials_of_degree(self, d, avoid=frozenset(), weight=(), weights=None):
+        """The monomials of total degree d and weight weight that no monomial
+        of avoid divides, in ascending tuple order; avoid is a frozenset of
+        monomials.  weights, when given, holds one weight per generator, a
+        tuple of ints of one length, and a monomial's weight is the sum of
+        its generators'; None is the trivial grading, every generator of
+        weight (), under which weight is () and every monomial qualifies.
 
-        A recurrence over lower degrees: each monomial of degree d - |g|
-        whose last generator is at most g is extended by g, where g may
-        repeat that last generator only if g is even or the characteristic
-        is 2.  Every monomial arises once, from dropping its last generator.
-        Dropping the last generator keeps a monomial outside the multiples
-        of avoid, so the recurrence runs over those survivors alone; an
-        extension m + (g,) is skipped when a monomial of avoid that ends in
-        g divides it, that is, when the rest of that monomial divides m.
-        The test runs on packed exponent vectors (see pack) with a guard
-        bit on top of each field: with G the guard bits, rest divides m
-        exactly when ((m | G) - rest) & G == G, since a field borrows from
-        its own guard bit and never further.  The field width covers both
-        d and the exponents of avoid.  The result is cached per (d, avoid).
+        A recurrence over lower parts: each monomial of degree d - |g| and
+        weight weight - wt(g) whose last generator is at most g is extended
+        by g, where g may repeat that last generator only if g is even or
+        the characteristic is 2.  Every monomial arises once, from dropping
+        its last generator.  Dropping the last generator keeps a monomial
+        outside the multiples of avoid, so the recurrence runs over those
+        survivors alone; an extension m + (g,) is skipped when a monomial of
+        avoid that ends in g divides it, that is, when the rest of that
+        monomial divides m, tested on exponent vectors packed at a width
+        that covers d (see _kill_tests).  A monomial of degree d has at most
+        d generators, so a weight whose sum of absolute values exceeds d
+        times the largest such sum of a generator's has none.  The result is
+        cached per (d, avoid, weight, weights).
         """
-        key = (d, avoid)
+        key = (d, avoid, weight, weights)
         out = self._mon_cache.get(key)
         if out is not None:
             return out
-        if d <= 0:
-            out = [()] if d == 0 else []
+        if d <= 0 or weights and sum(map(abs, weight)) > d * max(
+                sum(map(abs, u)) for u in weights):
+            out = [()] if d == 0 and not any(weight) else []
         else:
             char2 = self.field.char == 2
             w = max([d, *map(len, avoid)]).bit_length() + 1
-            guard = sum(1 << (w * g + w - 1) for g in range(self.ngens))
-            rests = {}
-            for k in avoid:
-                rests.setdefault(k[-1], []).append(k[:-1])
-            packed = {}  # lower degree -> its survivors packed, with guard bits
+            guard, kills = self._kill_tests(avoid, w)
+            parts = {}  # (|g|, wt g) -> the lower part's survivors
+            packed = {}  # the same, packed with guard bits
             out = []
             for g, dg in enumerate(self.degrees):
                 if dg > d:
                     continue
                 bound = g + 1 if char2 or not self.odd[g] else g
-                lower = self.monomials_of_degree(d - dg, avoid)
-                if g not in rests:
+                step = (dg, weights[g] if weights else ())
+                lower = parts.get(step)
+                if lower is None:
+                    lower = parts[step] = self.monomials_of_degree(
+                        d - dg, avoid, tuple(x - y for x, y in zip(weight, step[1])),
+                        weights)
+                if not lower:
+                    continue
+                if g not in kills:
                     out += [m + (g,) for m in lower if not m or m[-1] < bound]
                     continue
-                if dg not in packed:
-                    packed[dg] = [p | guard for p in self.pack(lower, w)]
-                kill = self.pack(rests[g], w)
-                out += [m + (g,) for m, p in zip(lower, packed[dg])
-                        if (not m or m[-1] < bound)
-                        and all((p - r) & guard != guard for r in kill)]
+                if step not in packed:
+                    packed[step] = [p | guard for p in self.pack(lower, w)]
+                one, more = kills[g]
+                out += [m + (g,) for m, p in zip(lower, packed[step])
+                        if (not m or m[-1] < bound) and not p & one
+                        and all((p - r) & guard != guard for r in more)]
             out.sort()
         self._mon_cache[key] = out
         return out
+
+    def _kill_tests(self, avoid, w):
+        """(G, kills) for the monomials of avoid at packed width w (see
+        pack), cached per (avoid, w).  G holds a guard bit on top of each
+        field; kills maps each generator g that a monomial of avoid ends in
+        to (one, more).  one holds the fields of the generators h with (h, g)
+        in avoid: such a monomial divides m g exactly when m packed meets
+        one.  more holds the packed rests of the other monomials of avoid
+        that end in g: with G set in m packed, a rest divides m exactly when
+        (m - rest) & G == G, since a field borrows from its own guard bit
+        and never further.  The width covers the exponents of avoid."""
+        tests = self._kill_cache.get((avoid, w))
+        if tests is None:
+            value = (1 << (w - 1)) - 1
+            kills = {}
+            for k in avoid:
+                one, more = kills.get(k[-1], (0, ()))
+                if len(k) == 2:
+                    one |= value << (w * k[0])
+                else:
+                    more += tuple(self.pack([k[:-1]], w))
+                kills[k[-1]] = one, more
+            guard = sum(1 << (w * g + w - 1) for g in range(self.ngens))
+            tests = self._kill_cache[avoid, w] = guard, kills
+        return tests
 
     def mon_str(self, mon) -> str:
         if not mon:

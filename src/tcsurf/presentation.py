@@ -20,8 +20,12 @@ length max(generator degree) is zero, all higher degrees are provably zero
 A presentation whose generators carry weights, with every relation
 weight-homogeneous, also has a quotient by blocks: weight_block builds the
 (degree, weight) part of one degree alone, over the survivors of that
-weight, with the same row generator, and its pivots and normal forms are
-those of the whole degree (see weight_block).
+weight, and its pivots and normal forms are those of the whole degree (see
+weight_block).  A quotient degree is itself a block, that of the trivial
+grading, every generator of weight (): one enumerator
+(FreeAlgebra.monomials_of_degree, keyed on degree and weight), one row
+generator (_ideal_rows) and one budget rule (_WeightBlocks.check_budget)
+serve both.
 
 Also here: JSON serialization of presentations, and tensor squares with
 the Koszul sign rule.
@@ -30,8 +34,7 @@ the Koszul sign rule.
 from __future__ import annotations
 
 import json
-from itertools import combinations, combinations_with_replacement
-from math import comb
+from collections import Counter
 
 from .errors import (
     AlgebraError,
@@ -247,15 +250,12 @@ class QuotientAlgebra:
     ideal[d] is the echelonized span of the other relations' products over
     those columns, and basis[d] is the survivors that are not pivots.
 
-    The rows of ideal[d] are those _ideal_rows forms for the whole of
-    degree d, read against the lead tables of the degrees below.
-
-    Before degree d is enumerated, the degrees below it bound its work.
-    A survivor is a survivor of lower degree times its last generator g, so
-    degree d has at most the sum over g of len(mons[d - |g|]) columns; it
-    gets one product per multi-term relation of degree e and survivor of
-    degree d - e.  When the two bounds together exceed DEFAULT_BUDGET,
-    ResourceBudgetError names d.
+    Degree d is the block (d, ()) of the trivial grading, every generator
+    of weight (): its survivors, rows and budget check are weight_block's
+    (see _WeightBlocks).  Degree d is refused with ResourceBudgetError,
+    naming d, before it is enumerated when the sum over generators g of
+    len(mons[d - |g|]) columns plus one product per multi-term relation of
+    degree e and survivor of degree d - e exceed DEFAULT_BUDGET.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_degree=None):
@@ -281,31 +281,15 @@ class QuotientAlgebra:
             bound = max_degree
             capped = True
 
-        killed, rels = split_relations(pres.relations)
-        self.mons = [[()]]
-        self.basis = [[()]]
-        self.index = [{(): 0}]
-        self.ideal = [echelonize(self.field, 1, [])]
-        leads = [bytearray([_NO_LEAD])]  # per degree, see _ideal_rows
+        parts = _WeightBlocks(pres, graded=False)
+        self.mons, self.index, self.ideal, self.basis = [], [], [], []
         stopped_clean = False
-        for d in range(1, bound + 1):
-            cols = sum(len(self.mons[d - dg]) for dg in free.degrees if dg <= d)
-            rows = sum(len(self.mons[d - e]) for e, _ in rels if e <= d)
-            if cols + rows > DEFAULT_BUDGET:
-                raise ResourceBudgetError(
-                    f"{self.label}: degree {d} needs up to {cols} columns and "
-                    f"{rows} relation products, over the budget of {DEFAULT_BUDGET}")
-            mons = free.monomials_of_degree(d, killed)
-            idx = {m: i for i, m in enumerate(mons)}
-            leads.append(bytearray([_NO_LEAD]) * len(mons))
-            rows = _ideal_rows(free, d, mons, leads[d],
-                               [(d - e if e <= d else None, r) for e, r in rels],
-                               lambda k: (self.mons[k], leads[k]))
-            self.ideal.append(echelonize(self.field, len(mons), rows))
-            piv = set(self.ideal[d].pivots)
-            self.basis.append([m for i, m in enumerate(mons) if i not in piv])
-            self.mons.append(mons)
-            self.index.append(idx)
+        for d in range(bound + 1):
+            blk = parts.block(d, ())
+            self.mons.append(blk.mons)
+            self.index.append(blk.index)
+            self.ideal.append(blk.ideal)
+            self.basis.append(blk.basis)
             if d >= window and all(not self.basis[d - k] for k in range(window)):
                 stopped_clean = True
                 break
@@ -528,157 +512,70 @@ class WeightBlock:
 
 
 class _WeightBlocks:
-    """The blocks of one weighted presentation, each built on first use.
+    """The blocks of one grading of a presentation, each built on first use:
+    the generator weights (graded) or the trivial grading, every generator
+    of weight (), whose block (d, ()) is QuotientAlgebra's degree d.
 
-    Survivors are listed by letter counts.  The generators fall into
-    letters, the classes of equal degree and weight; a count vector gives
-    each letter how many of its generators a monomial takes, and those of
-    degree d and weight w are found by a search that prunes on the degree
-    and weight the letters still to come can reach.  Each count vector is
-    then filled in letter by letter, every pair of generators that a
-    killed monomial of two distinct generators forbids ruled out as it
-    is met (a packed conflict mask), any other killed monomial tested on
-    the finished monomial.  So no whole degree is ever enumerated.  A
-    block's rows come from _ideal_rows, each complementary block they read
-    built first, through this cache and check_budget.
+    A block's survivors come from FreeAlgebra.monomials_of_degree, keyed on
+    (degree, weight), and are listed only once the block passes
+    check_budget.  Its rows come from _ideal_rows, each complementary block
+    they read built first, through this cache.
     """
 
-    def __init__(self, pres: AlgebraPresentation):
-        self.rank = len(pres.weight(()))  # AlgebraError without weights
+    def __init__(self, pres: AlgebraPresentation, graded=True):
+        weight = pres.weight if graded else (lambda mon: ())
+        self.rank = len(weight(()))  # AlgebraError without weights
         free = pres.free
-        self.pres, self.free, self.field = pres, free, pres.field
-        killed, rest = split_relations(pres.relations)
-        self.rest = [(e, pres.weight(next(iter(r.terms))), r) for e, r in rest]
-        letters = {}
-        for g, key in enumerate(zip(free.degrees, pres.weights)):
-            letters.setdefault(key, []).append(g)
-        squarefree = free.field.char != 2
-        self.letters = [(deg, wt, gens, squarefree and free.odd[gens[0]])
-                        for (deg, wt), gens in letters.items()]
-        self.pairs = [k for k in killed if len(k) == 2 and k[0] != k[1]]
-        self.others = [k for k in killed if not (len(k) == 2 and k[0] != k[1])]
-        self.shapes = {}  # (degree, weight) of the multi-term relations -> count
-        for e, u, _ in self.rest:
-            self.shapes[e, u] = self.shapes.get((e, u), 0) + 1
-        self.tables = {}  # degree -> the letters' caps and suffix reach
-        self.counts_of = {}
-        self.bounds = {}
+        # no reference back to pres: pres._blocks holds this, and a cycle
+        # would keep every listed block alive until a full collection
+        self.label, self.free, self.field = pres.label, free, pres.field
+        self.weights = pres.weights if graded else None
+        self.killed, rest = split_relations(pres.relations)
+        self.rest = [(e, weight(next(iter(r.terms))), r) for e, r in rest]
+        # (degree, weight) -> how many generators, and multi-term relations,
+        # have it
+        self.letters = Counter((dg, weight((g,))) for g, dg in enumerate(free.degrees))
+        self.shapes = Counter((e, u) for e, u, _ in self.rest)
+        # no monomial of degree d has a weight whose sum of absolute values
+        # exceeds reach * d (see FreeAlgebra.monomials_of_degree)
+        self.reach = max((sum(map(abs, u)) for _, u in self.letters), default=0)
+        self.listed = {}
         self.blocks = {}
 
-    def counts(self, d, w):
-        """Every count vector, one count per letter, of degree d and weight w."""
-        key = (d, w)
-        out = self.counts_of.get(key)
-        if out is None:
-            out = self.counts_of[key] = self._search(d, w) if d >= 0 else []
-        return out
-
-    def _table(self, d):
-        """Per letter, the most of it a monomial of degree d can take; per
-        suffix of the letters, the degree and the weight bounds it reaches."""
-        table = self.tables.get(d)
-        if table is None:
-            letters, n = self.letters, len(self.letters)
-            caps = [min(len(gens), d // deg) if single else d // deg
-                    for deg, _, gens, single in letters]
-            top = [0] * (n + 1)
-            lo = [[0] * self.rank for _ in range(n + 1)]
-            hi = [[0] * self.rank for _ in range(n + 1)]
-            for i in reversed(range(n)):
-                deg, wt, _, _ = letters[i]
-                top[i] = top[i + 1] + caps[i] * deg
-                lo[i] = [a + min(0, caps[i] * x) for a, x in zip(lo[i + 1], wt)]
-                hi[i] = [a + max(0, caps[i] * x) for a, x in zip(hi[i + 1], wt)]
-            table = self.tables[d] = caps, top, lo, hi
-        return table
-
-    def _search(self, d, w):
-        letters, n = self.letters, len(self.letters)
-        caps, top, lo, hi = self._table(d)
-        out = []
-
-        def search(i, dleft, wleft, ks):
-            if dleft > top[i] or not all(
-                    a <= x <= b for a, x, b in zip(lo[i], wleft, hi[i])):
-                return
-            if i == n:
-                out.append(ks)
-                return
-            deg, wt, _, _ = letters[i]
-            for k in range(min(caps[i], dleft // deg) + 1):
-                search(i + 1, dleft - k * deg,
-                       [x - k * y for x, y in zip(wleft, wt)], ks + (k,))
-
-        search(0, d, list(w), ())
-        return out
-
-    def bound(self, d, w):
-        """The monomials of degree d and weight w before any is killed: a
-        bound on the block's survivors that enumerates nothing."""
-        key = (d, w)
-        if key not in self.bounds:
-            total = 0
-            for ks in self.counts(d, w):
-                prod = 1
-                for (_, _, gens, single), k in zip(self.letters, ks):
-                    prod *= comb(len(gens), k) if single else comb(len(gens) + k - 1, k)
-                total += prod
-            self.bounds[key] = total
-        return self.bounds[key]
-
     def survivors(self, d, w):
-        """The block's survivors in ascending order; block caches them."""
-        free = self.free
-        wb = max([d, *map(len, self.others)]).bit_length() + 1
-        value = (1 << (wb - 1)) - 1
-        conflict = [0] * free.ngens
-        for g, h in self.pairs:
-            conflict[g] |= value << (wb * h)
-            conflict[h] |= value << (wb * g)
-        guard = sum(1 << (wb * g + wb - 1) for g in range(free.ngens))
-        others = free.pack(self.others, wb)
-        out = []
-        for ks in self.counts(d, w):
-            parts = [((), 0, 0)]
-            for (_, _, gens, single), k in zip(self.letters, ks):
-                if not k:
-                    continue
-                choose = combinations if single else combinations_with_replacement
-                combos = []
-                for c in choose(gens, k):
-                    pc = cc = 0
-                    for g in c:
-                        pc += 1 << (wb * g)
-                        cc |= conflict[g]
-                    if not pc & cc:
-                        combos.append((c, pc, cc))
-                parts = [(m + c, pm + pc, cm | cc) for m, pm, cm in parts
-                         for c, pc, cc in combos if not pm & cc]
-            for m, pm, _ in parts:
-                if not any(((pm | guard) - k) & guard == guard for k in others):
-                    out.append(tuple(sorted(m)))
-        out.sort()
-        return out
+        """The block's survivors in ascending order, listed once the block
+        passes check_budget."""
+        mons = self.listed.get((d, w))
+        if mons is None:
+            if d > 0 and sum(map(abs, w)) <= self.reach * d:
+                self.check_budget(d, w)
+            mons = self.listed[d, w] = self.free.monomials_of_degree(
+                d, self.killed, w, self.weights)
+        return mons
 
     def check_budget(self, d, w):
-        """ResourceBudgetError when the block's bound on columns plus
-        relation products exceeds DEFAULT_BUDGET; nothing is enumerated."""
-        if (d, w) in self.blocks:
-            return
-        cols = self.bound(d, w)
-        rows = sum(k * self.bound(d - e, weight_add(w, u, -1))
-                   for (e, u), k in self.shapes.items())
+        """ResourceBudgetError when the block's columns plus relation
+        products may exceed DEFAULT_BUDGET.  A survivor is a survivor of
+        lower degree times its last generator g, so the block has at most
+        the sum over g of the survivors of (d - |g|, w - wt g) as columns;
+        it gets one product per multi-term relation of degree e and weight
+        u and survivor of (d - e, w - u).  Each of those lower blocks is
+        checked in turn before it is listed."""
+        def bound(counts):
+            return sum(k * len(self.survivors(d - e, weight_add(w, u, -1)))
+                       for (e, u), k in counts.items() if e <= d)
+
+        cols, rows = bound(self.letters), bound(self.shapes)
         if cols + rows > DEFAULT_BUDGET:
+            where = f"degree {d} weight {list(w)}" if self.rank else f"degree {d}"
             raise ResourceBudgetError(
-                f"{self.pres.label}: degree {d} weight {list(w)} needs up to "
-                f"{cols} columns and {rows} relation products, over the budget "
-                f"of {DEFAULT_BUDGET}")
+                f"{self.label}: {where} needs up to {cols} columns and "
+                f"{rows} relation products, over the budget of {DEFAULT_BUDGET}")
 
     def block(self, d, w) -> WeightBlock:
         blk = self.blocks.get((d, w))
         if blk is not None:
             return blk
-        self.check_budget(d, w)
         mons = self.survivors(d, w)
         lead = bytearray([_NO_LEAD]) * len(mons)
         rels = [((d - e, weight_add(w, u, -1)) if e <= d else None, r)
@@ -722,34 +619,46 @@ def weight_block(presentation: AlgebraPresentation, degree: int, weight) -> Weig
     its pivots, basis and normal forms are exactly those of QuotientAlgebra
     in that degree and weight.
 
-    The block is checked against DEFAULT_BUDGET before it is enumerated:
-    its monomials before killing plus, for each multi-term relation, those
-    of the complementary degree and weight (ResourceBudgetError); the
-    complementary blocks, built on demand, are each checked in turn.
+    The block is checked against DEFAULT_BUDGET before its survivors are
+    listed, by the quotient's rule on the survivors of lower blocks (see
+    _WeightBlocks.check_budget), each of those lower blocks checked before
+    it is listed (ResourceBudgetError).
     """
     blocks = _weight_blocks(presentation)
-    return blocks.block(*_block_key(blocks, degree, weight))
+    return blocks.block(*_block_key(blocks, (degree, weight)))
 
 
-def _block_key(blocks: _WeightBlocks, degree, weight):
-    """(degree, weight as a tuple), or AlgebraError if it names no block."""
-    weight, label = tuple(weight), blocks.pres.label
-    if type(degree) is not int or any(type(x) is not int for x in weight):
+def _block_key(blocks: _WeightBlocks, key):
+    """(degree, weight as a tuple) from a (degree, weight) pair, or
+    AlgebraError if key names no block."""
+    label = blocks.label
+    try:
+        degree, weight = key
+    except (TypeError, ValueError):
+        raise AlgebraError(f"{label}: a block key is a (degree, weight) pair, "
+                           f"got {key!r}") from None
+    try:
+        coords = tuple(weight)
+    except TypeError:
+        coords = None
+    if (type(degree) is not int or coords is None
+            or any(type(x) is not int for x in coords)):
         raise AlgebraError(f"{label}: a block's degree and weight need int "
                            f"coordinates, got {degree!r}, {weight!r}")
-    if len(weight) != blocks.rank:
+    if len(coords) != blocks.rank:
         raise AlgebraError(f"{label}: a weight has {blocks.rank} "
-                           f"coordinates, got {weight}")
-    return degree, weight
+                           f"coordinates, got {coords}")
+    return degree, coords
 
 
 def weight_blocks(presentation: AlgebraPresentation, keys):
     """The blocks of keys, (degree, weight) pairs, as weight_block builds
-    them, each checked against the budget before any is built."""
+    them: every key is checked against the budget and its survivors listed
+    before any block is built."""
     blocks = _weight_blocks(presentation)
-    keys = [_block_key(blocks, d, w) for d, w in keys]
+    keys = [_block_key(blocks, key) for key in keys]
     for d, w in keys:
-        blocks.check_budget(d, w)
+        blocks.survivors(d, w)
     return [blocks.block(d, w) for d, w in keys]
 
 

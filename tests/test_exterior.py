@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -84,16 +85,44 @@ def test_monomial_counts_squarefree_and_char2():
         assert len(G.monomials_of_degree(d)) == comb(3 + d - 1, d)
 
 
+def _weight_parts(mons, weights):
+    """{weight: the monomials of mons of that weight, in order}, over a box
+    one wider on each side than the weights of mons, so that some parts
+    are empty."""
+    rank = len(weights[0])
+    seen = [tuple(sum(weights[g][h] for g in m) for h in range(rank)) for m in mons]
+    box = [range(min(c) - 1, max(c) + 2) for c in zip(*seen)]
+    return {w: [m for m, v in zip(mons, seen) if v == w] for w in product(*box)}
+
+
+def _check_weight_parts(field, gens, want, avoid=frozenset()):
+    """Under random generator weights of rank 2, every (degree, weight)
+    list equals want[degree] filtered by weight, asked in ascending and in
+    descending degree."""
+    rng = random.Random(33)
+    for _ in range(3):
+        weights = tuple(tuple(rng.randint(-1, 1) for _ in range(2)) for _ in gens)
+        parts = {d: _weight_parts(mons, weights) for d, mons in want.items()}
+        for degrees in (sorted(parts), sorted(parts, reverse=True)):
+            graded = FreeAlgebra(field, gens)
+            for d in degrees:
+                for w, part in parts[d].items():
+                    got = graded.monomials_of_degree(d, avoid, w, weights)
+                    assert got == part, (weights, d, w)
+
+
 @pytest.mark.parametrize("field", [QQ, GF2], ids=["Q", "GF2"])
 def test_monomials_of_degree_match_the_multiset_oracle(field):
     gens = [("a", 1), ("w", 2), ("b", 1), ("c", 3), ("u", 2)]
     degrees = [d for _, d in gens]
     up, down = FreeAlgebra(field, gens), FreeAlgebra(field, gens)
     down.monomials_of_degree(8)  # fills the lower degrees first
+    want = {}
     for d in range(9):
-        want = monomials_by_multisets(degrees, d, field.char)
-        assert up.monomials_of_degree(d) == want, d
-        assert down.monomials_of_degree(d) == want, d
+        want[d] = monomials_by_multisets(degrees, d, field.char)
+        assert up.monomials_of_degree(d) == want[d], d
+        assert down.monomials_of_degree(d) == want[d], d
+    _check_weight_parts(field, gens, want)
 
 
 def _divides(k, m):
@@ -116,12 +145,14 @@ def test_monomials_avoiding_match_the_filtered_oracle(field, gens, avoid):
     avoid = frozenset(avoid)
     up, down = FreeAlgebra(field, gens), FreeAlgebra(field, gens)
     down.monomials_of_degree(8, avoid)  # fills the lower degrees first
+    want = {}
     for d in range(9):
         every = monomials_by_multisets(degrees, d, field.char)
-        want = [m for m in every if not any(_divides(k, m) for k in avoid)]
-        assert up.monomials_of_degree(d, avoid) == want, d
-        assert down.monomials_of_degree(d, avoid) == want, d
+        want[d] = [m for m in every if not any(_divides(k, m) for k in avoid)]
+        assert up.monomials_of_degree(d, avoid) == want[d], d
+        assert down.monomials_of_degree(d, avoid) == want[d], d
         assert up.monomials_of_degree(d) == every, d
+    _check_weight_parts(field, gens, want, avoid)
 
 
 @pytest.mark.parametrize("mon", [(1, 0), (0, 0), (3,), (-1,), (0, 2, 1),

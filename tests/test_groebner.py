@@ -202,7 +202,7 @@ def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
     rep = torus_ideal_check(9)
     free = rep.order.free
     assert free._mon_cache
-    assert all(avoid for _, avoid in free._mon_cache)
+    assert all(avoid for _, avoid, _, _ in free._mon_cache)
     assert sum(map(len, free._mon_cache.values())) == sum(
         rep.normal_monomial_counts)
 

@@ -67,8 +67,8 @@ def test_budget_refuses_a_degree_before_enumerating_it(monkeypatch):
     pres = AlgebraPresentation(F, [a * b - c * d])
     asked = []
     enumerate_monomials = F.monomials_of_degree
-    monkeypatch.setattr(F, "monomials_of_degree", lambda deg, avoid=frozenset():
-                        asked.append(deg) or enumerate_monomials(deg, avoid))
+    monkeypatch.setattr(F, "monomials_of_degree", lambda deg, *args:
+                        asked.append(deg) or enumerate_monomials(deg, *args))
     # degree 3: 4 generators times 6 survivors of degree 2 bound the
     # columns, the relation times 4 survivors of degree 1 the products
     monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 27)
@@ -555,13 +555,22 @@ def test_weight_blocks_need_weights():
 
 
 @pytest.mark.parametrize("degree, weight", [(2.5, (0, 0)), (2, (0, 0.5)),
-                                            (True, (0, 0)), ("2", (0, 0))])
+                                            (True, (0, 0)), ("2", (0, 0)),
+                                            (2, 0), (2, None)])
 def test_block_keys_need_int_degrees_and_weights(degree, weight):
     pres = totaro_presentation(2, 3)
     with pytest.raises(AlgebraError, match="need int coordinates"):
         weight_block(pres, degree, weight)
     with pytest.raises(AlgebraError, match="need int coordinates"):
         weight_blocks(pres, [(2, (0, 0)), (degree, weight)])
+    assert pres._blocks.blocks == {}
+
+
+@pytest.mark.parametrize("key", [(2,), (2, (0, 0), 1), 2, None])
+def test_block_keys_are_degree_weight_pairs(key):
+    pres = totaro_presentation(2, 3)
+    with pytest.raises(AlgebraError, match=r"a \(degree, weight\) pair"):
+        weight_blocks(pres, [(2, (0, 0)), key])
     assert pres._blocks.blocks == {}
 
 
@@ -593,22 +602,23 @@ def test_f5_criterion_skips_block_products():
 
 
 def test_block_budget_refuses_before_enumerating(monkeypatch):
-    pres = totaro_algebra(1, 3).presentation
-    # (3, e_1): 9 monomials a_i a_j b_k of weight e_1; each of the 3
-    # diagonals times the 3 monomials a_k of (1, e_1)
-    enumerated = []
-    survivors = presentation._WeightBlocks.survivors
-    monkeypatch.setattr(presentation._WeightBlocks, "survivors",
-                        lambda self, d, w: enumerated.append((d, w))
-                        or survivors(self, d, w))
-    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 17)
+    pres = totaro_presentation(1, 3)
+    # (3, e_1): the 3 a's times the 9 survivors of (2, 0) and the 3 b's
+    # times the 3 of (2, 2e_1) bound the columns; each of the 3 diagonals
+    # times the 3 survivors a_k of (1, e_1) the products
+    listed = []
+    listing = pres.free.monomials_of_degree
+    monkeypatch.setattr(pres.free, "monomials_of_degree", lambda d, *args:
+                        listed.append((d, args[1])) or listing(d, *args))
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 44)
     with pytest.raises(ResourceBudgetError,
-                       match=r"degree 3 weight \[1\] needs up to 9 columns "
+                       match=r"degree 3 weight \[1\] needs up to 36 columns "
                              "and 9 relation products"):
         weight_block(pres, 3, (1,))
-    assert enumerated == []
-    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 18)
+    assert (3, (1,)) not in listed
+    monkeypatch.setattr(presentation, "DEFAULT_BUDGET", 45)
     assert len(weight_block(pres, 3, (1,)).basis) == 4
+    assert (3, (1,)) in listed
 
 
 def test_dropping_a_diagonal_changes_a_block():

@@ -159,7 +159,8 @@ def test_sweep_marks_a_row_over_the_budget(monkeypatch):
     row = over[0]
     assert row.lower is None and row.upper == row.theorem == 11
     assert row.facts[0].description.startswith(
-        "b-sigma(g=2,n=4): degree 3 weight [-1, 0] needs up to 88 columns")
+        "b-sigma(g=2,n=4): degree 3 weight [-1, 0] needs up to 200 columns "
+        "and 40 relation products")
     assert row.to_json()["status"] == "over-budget"
     assert all(r.status == "tight" for r in rows if r is not row)
     assert all_tight(rows)

@@ -467,11 +467,12 @@ def test_closed_surface_rows_past_the_full_quotient_are_tight(g, n):
 def test_a_closed_surface_row_far_past_the_frontier_is_refused_by_budget():
     with pytest.raises(ResourceBudgetError, match=r"b-sigma\(g=2,n=40\): degree"):
         tc_report(2, 40)
-    # complementary blocks are built on demand, after the refused one is checked
+    assert tc_report(2, 8).status == "tight"
+    # the bound reads the survivors of lower blocks, each checked first
     with pytest.raises(ResourceBudgetError, match=re.escape(
-            "b-sigma(g=2,n=8): degree 7 weight [-1, 0] needs up to 304976 "
-            "columns and 798336 relation products")):
-        tc_report(2, 8)
+            "b-sigma(g=2,n=9): degree 8 weight [-2, 0] needs up to 625968 "
+            "columns and 385560 relation products")):
+        tc_report(2, 9)
 
 
 def test_the_split_product_counts_its_tensors_against_the_budget(monkeypatch):
