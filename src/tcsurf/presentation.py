@@ -484,7 +484,9 @@ def _relation_products(terms, multipliers, cols):
 
 
 class WeightBlock:
-    """One (degree, weight) block of the quotient of a weighted presentation.
+    """One (degree, weight) block of the quotient of a weighted presentation,
+    or a whole degree d of any quotient as the block (d, ()) of the trivial
+    grading.
 
     mons lists the block's survivors (monomials of that degree and weight
     that no killed monomial divides) in ascending order, index maps each to
