@@ -64,6 +64,7 @@ CORPUS = [
     ["tc", "--sweep", "0", "4", "3"],
     ["tc", "--g", "3", "--n", "6"],
     ["tc", "--sweep", "2", "8", "0"],
+    ["groebner-check", "--n", "8"],
 ]
 
 
