@@ -10,6 +10,21 @@ lcms, every relation is also multiplied by each variable of its own lead
 (odd squares vanish, so those products can have new leads).  The basis is
 only verified, never completed.
 
+The check runs on packed terms.  A TermOrder packs an element into a dict
+{mask: coefficient}: bit r of a mask stands for the generator of rank r,
+and the coefficients are those of the ascending-rank wedge basis, so a
+monomial's key is (mask.bit_count(), mask), a lead l divides m when
+l & m == l, and a cofactor's sign is a popcount parity (see _times).  The
+ascending-rank basis vector of a mask and the ascending-gid one of its
+monomial differ by the sign of the permutation between the two orders
+(TermOrder._flips); pack and unpack apply it.  Reduction steps need no
+such care, since each divides out the product's own coefficient.  The
+S-polynomial does: it is defined on gid-ordered monomials, as c_g (u_f f)
+- c_f (u_g g) with the cofactors u_f, u_g written in gid order and c_f,
+c_g the gid-basis coefficients of the lcm, so its packed form carries the
+signs of the lcm and of both cofactors.  Only a nonzero remainder is
+unpacked, for the log.
+
 The bundled ideal family is the reduced-generator torus ideal x_j y_j,
 x_j y_i + x_i y_j; its normal monomials per degree must match the Hilbert
 series of the corresponding diagonal-ideal quotient, which is the
@@ -17,15 +32,49 @@ cross-check gb_hilbert exists for.  The normal monomials are counted by
 enumerating only the monomials that avoid every lead
 (FreeAlgebra.monomials_of_degree with the leads as avoid), so counting
 costs the size of the quotient, not the 2^ngens monomials of the free
-algebra.
+algebra.  That size is (n + 1) 2^n for the torus ideal, so a degree whose
+listing would try more than COUNT_BUDGET candidates is refused before it
+is listed.
 """
 
 from __future__ import annotations
 
 from .errors import (AlgebraError, CertificateError, MismatchError,
-                     UnsupportedModelError, _require_int)
+                     ResourceBudgetError, UnsupportedModelError, _require_int)
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import QQ
+
+# Most candidate extensions _normal_counts may try for one degree.
+COUNT_BUDGET = 1_000_000
+
+
+def _mask_key(mask):
+    return (mask.bit_count(), mask)
+
+
+def _ranks(mask):
+    """The set bits of mask, from the lowest up."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _times(u, terms):
+    """u * terms in the ascending-rank basis, for a mask u and packed terms.
+
+    e_u e_m = (-1)^k e_(u | m) for disjoint u and m, where k counts the
+    pairs of a rank of u above a rank of m: its parity is that of
+    popcount(m & below), below the xor over the ranks r of u of the masks
+    of the ranks under r.  Distinct terms have distinct products.
+    """
+    below, rest = 0, u
+    while rest:
+        low = rest & -rest
+        below ^= low - 1
+        rest ^= low
+    return {u | m: -c if (m & below).bit_count() & 1 else c
+            for m, c in terms.items() if not u & m}
 
 
 class TermOrder:
@@ -39,6 +88,10 @@ class TermOrder:
     descending rank tuples differ holds the largest rank of their symmetric
     difference (the ranks above it are shared, the ranks below it smaller),
     and that rank is also the highest bit in which their bitmasks differ.
+
+    A TermOrder is also the algebra of the elements it packs (pack): their
+    terms are those bitmasks and their coefficients are in the
+    ascending-rank wedge basis.
     """
 
     def __init__(self, free: FreeAlgebra, priority):
@@ -49,13 +102,21 @@ class TermOrder:
             raise UnsupportedModelError("only degree-1 generators are supported")
         self.free = free
         names = list(priority)
-        if sorted(names) != sorted(free.names):
+        for name in names:
+            if not isinstance(name, str) or name not in free.by_name:
+                raise AlgebraError(
+                    f"priority entry {name!r} is not a generator name of {free!r}")
+        if len(names) != free.ngens or len(set(names)) != free.ngens:
             raise AlgebraError("priority must be a permutation of the generators")
         self.priority = names
         self.rank = {}
         for pos, name in enumerate(names):
             self.rank[free.by_name[name]] = pos
         self._bit = [1 << self.rank[g] for g in range(free.ngens)]
+        self._gid = [free.by_name[name] for name in names]
+        # the ranks below r whose generators come after rank r's in gid order
+        self._swaps = [sum(1 << s for s in range(r) if self._gid[s] > gid)
+                       for r, gid in enumerate(self._gid)]
 
     def key(self, mon):
         return (len(mon), sum(map(self._bit.__getitem__, mon)))
@@ -64,6 +125,55 @@ class TermOrder:
         if e.is_zero():
             raise AlgebraError("zero element has no lead monomial")
         return max(e.terms, key=self.key)
+
+    def _flips(self, mask):
+        """1 when the generators of mask in gid order are an odd permutation
+        of the same generators in rank order, else 0."""
+        swaps, odd, rest = self._swaps, 0, mask
+        while rest:
+            low = rest & -rest
+            odd ^= (mask & swaps[low.bit_length() - 1]).bit_count()
+            rest ^= low
+        return odd & 1
+
+    def pack(self, e: Element) -> Element:
+        """An element of the free algebra as an element of the order."""
+        if not isinstance(e, Element) or e.algebra is not self.free:
+            raise MismatchError(f"{e!r} is not an element of {self.free!r}")
+        bit = self._bit
+        out = {}
+        for mon, c in e.terms.items():
+            m = sum(map(bit.__getitem__, mon))
+            out[m] = -c if self._flips(m) else c
+        return Element(self, out)
+
+    def unpack(self, p: Element) -> Element:
+        """The inverse of pack."""
+        if not isinstance(p, Element) or p.algebra is not self:
+            raise MismatchError(f"{p!r} is not an element packed by {self!r}")
+        gid = self._gid
+        out = {}
+        for m, c in p.terms.items():
+            mon = tuple(sorted(gid[r] for r in _ranks(m)))
+            out[mon] = -c if self._flips(m) else c
+        return Element(self.free, out)
+
+    # -- the algebra of packed elements ------------------------------------
+
+    @property
+    def field(self):
+        return self.free.field
+
+    term_degree = staticmethod(int.bit_count)
+
+    def term_str(self, mask):
+        return "*".join(self.priority[r] for r in _ranks(mask)) or "1"
+
+    def multiply(self, e1: Element, e2: Element) -> Element:
+        acc = {}
+        for m, c in e1.terms.items():
+            add_scaled(self.field, acc, _times(m, e2.terms), c)
+        return Element(self, acc)
 
     def reversed(self) -> "TermOrder":
         return TermOrder(self.free, list(reversed(self.priority)))
@@ -75,26 +185,39 @@ class TermOrder:
         return f"TermOrder({self.describe()})"
 
 
-def _order_algebra(order: TermOrder, elements) -> FreeAlgebra:
-    """The order's algebra, which must hold every element.
+def _packed(order, elements, packed_ok=True) -> bool:
+    """Whether the elements are packed by the order (else they live in its
+    free algebra, which TermOrder's guard vouches for).
 
-    TermOrder's guard vouches only for its own algebra.
+    Refuses an order that is not a TermOrder and an element that is not an
+    Element with AlgebraError, and elements outside the order's algebras,
+    or some packed and some not, with MismatchError.  packed_ok false
+    admits the free algebra only.
     """
-    if any(e.algebra is not order.free for e in elements):
-        raise MismatchError("the order and the elements live in different algebras")
-    return order.free
+    if not isinstance(order, TermOrder):
+        raise AlgebraError(f"{order!r} is not a TermOrder")
+    for e in elements:
+        if not isinstance(e, Element):
+            raise AlgebraError(f"{e!r} is not an Element")
+    algebras = {e.algebra for e in elements}
+    if algebras <= {order.free}:
+        return False
+    if packed_ok and algebras == {order}:
+        return True
+    raise MismatchError("the order and the elements live in different algebras")
 
 
 _PICKS = {"lead": max, "low": min}
 
 
 def _lead_table(relations, order: TermOrder):
-    """(lead as a set, lead, relation) for each relation under the order."""
-    leads = []
+    """(lead mask, packed relation, lead) for each relation under the order."""
+    _packed(order, relations, packed_ok=False)
+    table = []
     for r in relations:
-        lmon = order.lead(r)
-        leads.append((set(lmon), lmon, r))
-    return leads
+        lead = order.lead(r)
+        table.append((order.key(lead)[1], order.pack(r), lead))
+    return table
 
 
 def reduce_element(e: Element, relations, order: TermOrder,
@@ -104,51 +227,54 @@ def reduce_element(e: Element, relations, order: TermOrder,
     strategy picks which reducible monomial to clear next: "lead" takes the
     largest, "low" the smallest.  With a Groebner basis both sequences end
     at the same normal form; that is a tested property, not an assumption.
-    leads, when given, is _lead_table(relations, order), which a caller that
+    e may be packed by the order; the normal form takes e's form.  leads,
+    when given, is _lead_table(relations, order), which a caller that
     reduces many elements against one order builds once.
     """
     pick = _PICKS.get(strategy)
     if pick is None:
         raise AlgebraError(f"unknown reduction strategy: {strategy}")
-    free = _order_algebra(order, [e, *relations])
-    field = free.field
+    packed = _packed(order, [e])
     if leads is None:
         leads = _lead_table(relations, order)
-    work = dict(e.terms)
+    field = order.field
+    div = field.div
+    work = dict((e if packed else order.pack(e)).terms)
     done = {}
     while work:
-        m = pick(work, key=order.key)
-        mset = set(m)
-        hit = None
-        for lset, lmon, r in leads:
-            if lset <= mset:
-                hit = (lmon, r)
+        m = pick(work, key=_mask_key)
+        for lmask, r, _ in leads:
+            if lmask & m == lmask:
+                ur = _times(m ^ lmask, r.terms)
+                add_scaled(field, work, ur, -div(work[m], ur[m]))
                 break
-        if hit is None:
+        else:
             done[m] = work.pop(m)
-            continue
-        lmon, r = hit
-        ur = free.mon_times(tuple(sorted(mset - set(lmon))), r.terms)
-        add_scaled(field, work, ur, field.neg(field.div(work[m], ur[m])))
-    return Element(free, done)
+    rem = Element(order, done)
+    return rem if packed else order.unpack(rem)
 
 
 def s_polynomial(f: Element, g: Element, order: TermOrder):
     """Classical S-polynomial over the lead lcm (here: union).
 
     Each cofactor lcm - lead is disjoint from its squarefree lead, so both
-    products keep the lcm term.
+    products keep the lcm term.  f and g may both be packed by the order;
+    the S-polynomial takes their form.  Its signs are those of the gid
+    order (see the module docstring).
     """
-    free = _order_algebra(order, (f, g))
-    field = free.field
-    lf, lg = order.lead(f), order.lead(g)
-    lcm = tuple(sorted(set(lf) | set(lg)))
-    tf = free.mon_times(tuple(sorted(set(lcm) - set(lf))), f.terms)
-    tg = free.mon_times(tuple(sorted(set(lcm) - set(lg))), g.terms)
+    packed = _packed(order, (f, g))
+    pf, pg = (f, g) if packed else (order.pack(f), order.pack(g))
+    lf, lg = max(pf.terms, key=_mask_key), max(pg.terms, key=_mask_key)
+    lcm = lf | lg
+    tf, tg = _times(lcm ^ lf, pf.terms), _times(lcm ^ lg, pg.terms)
+    cf, cg = tf[lcm], tg[lcm]
+    if order._flips(lcm) ^ order._flips(lcm ^ lf) ^ order._flips(lcm ^ lg):
+        cf, cg = -cf, -cg
     acc = {}
-    add_scaled(field, acc, tf, tg[lcm])
-    add_scaled(field, acc, tg, field.neg(tf[lcm]))
-    return Element(free, acc)
+    add_scaled(order.field, acc, tf, cg)
+    add_scaled(order.field, acc, tg, -cf)
+    s = Element(order, acc)
+    return s if packed else order.unpack(s)
 
 
 class GbReport:
@@ -172,37 +298,49 @@ class GbReport:
         }
 
 
-def _normal_counts(free: FreeAlgebra, relations, order: TermOrder):
-    leads = frozenset(order.lead(r) for r in relations)
-    if () in leads:
+def _normal_counts(free: FreeAlgebra, leads):
+    """Normal monomials per degree, for the lead table leads; trailing zero
+    degrees are dropped.
+
+    The listing of degree d extends each normal monomial of degree d - 1
+    by every generator above its last one.  When those candidates number
+    more than COUNT_BUDGET, the degree is refused with ResourceBudgetError
+    before it is listed.
+    """
+    avoid = frozenset(lead for _, _, lead in leads)
+    if () in avoid:
         return []  # a unit lead divides every monomial
-    counts = [len(free.monomials_of_degree(d, leads))
-              for d in range(free.ngens + 1)]
-    while counts and counts[-1] == 0:
-        counts.pop()
+    normal, counts = [()], [1]
+    for d in range(1, free.ngens + 1):
+        tries = sum(free.ngens - 1 - m[-1] if m else free.ngens for m in normal)
+        if tries > COUNT_BUDGET:
+            raise ResourceBudgetError(
+                f"normal monomials of degree {d}: listing them tries {tries} "
+                f"candidates, over the budget of {COUNT_BUDGET}")
+        normal = free.monomials_of_degree(d, avoid)
+        if not normal:
+            break
+        counts.append(len(normal))
     return counts
 
 
-def _run_check(relations, order: TermOrder):
-    free = relations[0].algebra
-    leads = _lead_table(relations, order)
+def _run_check(relations, order: TermOrder, leads):
+    """(is it a basis, the log) for the relations and their lead table."""
+    names = order.free.names
+    bit = order._bit
     log = []
-    ok = True
-    for i, f in enumerate(relations):
-        for v in leads[i][1]:
-            prod = Element(free, free.mon_times((v,), f.terms))
-            rem = reduce_element(prod, relations, order, leads=leads)
-            log.append((("self", i, free.names[v]), repr(rem)))
-            if not rem.is_zero():
-                ok = False
-        for j in range(i + 1, len(relations)):
-            s = s_polynomial(f, relations[j], order)
-            rem = (reduce_element(s, relations, order, leads=leads)
-                   if not s.is_zero() else s)
-            log.append(((i, j), repr(rem)))
-            if not rem.is_zero():
-                ok = False
-    return ok, log
+    for i, (_, f, lead) in enumerate(leads):
+        for v in lead:
+            prod = Element(order, _times(bit[v], f.terms))
+            log.append((("self", i, names[v]),
+                        reduce_element(prod, relations, order, leads=leads)))
+        for j in range(i + 1, len(leads)):
+            s = s_polynomial(f, leads[j][1], order)
+            log.append(((i, j), reduce_element(s, relations, order, leads=leads)
+                         if not s.is_zero() else s))
+    ok = all(rem.is_zero() for _, rem in log)
+    return ok, [(label, repr(order.unpack(rem)) if rem.terms else "0")
+                for label, rem in log]
 
 
 def buchberger_check(relations, order: TermOrder = None,
@@ -214,11 +352,15 @@ def buchberger_check(relations, order: TermOrder = None,
     order tried and keeps the successful one.
     """
     relations = list(relations)
+    for r in relations:
+        if not isinstance(r, Element):
+            raise AlgebraError(f"{r!r} is not an Element")
+    if order is not None and not isinstance(order, TermOrder):
+        raise AlgebraError(f"{order!r} is not a TermOrder")
     if not relations:
         if order is None:
             raise AlgebraError("an empty relation set needs an explicit order")
-        return GbReport(True, [], _normal_counts(order.free, [], order),
-                        order, [order])
+        return GbReport(True, [], _normal_counts(order.free, []), order, [order])
     free = relations[0].algebra
     if not isinstance(free, FreeAlgebra):
         raise AlgebraError("relations must live in a free algebra")
@@ -230,14 +372,14 @@ def buchberger_check(relations, order: TermOrder = None,
     if try_reversal is None:
         try_reversal = order is None
     first = order or TermOrder(free, list(free.names))
-    _order_algebra(first, relations)
     orders = [first] + ([first.reversed()] if try_reversal else [])
     tried = []
     result = None
     for o in orders:
-        ok, log = _run_check(relations, o)
+        leads = _lead_table(relations, o)
+        ok, log = _run_check(relations, o, leads)
         tried.append(o)
-        result = GbReport(ok, log, _normal_counts(free, relations, o), o, tried)
+        result = GbReport(ok, log, _normal_counts(free, leads), o, tried)
         if ok:
             break
     return result

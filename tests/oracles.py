@@ -485,6 +485,70 @@ def normal_counts_by_subsets(ngens, leads):
     return counts
 
 
+def tuple_reduce(e, relations, rank, strategy="lead"):
+    """Normal form of e against the relations by the tuple loop.
+
+    Monomials stay ascending gid tuples in the free algebra's own basis;
+    the order is tuple_order_key under the ranks rank[g], leads are
+    taken with it, divisibility is set inclusion, and the first relation
+    (in list order) whose lead divides the picked monomial clears it.
+    strategy "lead" picks the largest reducible monomial, "low" the
+    smallest.
+    """
+    free, field = e.algebra, e.algebra.field
+    key = lambda m: tuple_order_key(rank, m)  # noqa: E731
+    pick = {"lead": max, "low": min}[strategy]
+    leads = [(set(max(r.terms, key=key)), r) for r in relations]
+    work, done = dict(e.terms), {}
+    while work:
+        m = pick(work, key=key)
+        hit = next((r for lset, r in leads if lset <= set(m)), None)
+        if hit is None:
+            done[m] = work.pop(m)
+            continue
+        lead = max(hit.terms, key=key)
+        ur = free.mon_times(tuple(sorted(set(m) - set(lead))), hit.terms)
+        scale = field.neg(field.div(work[m], ur[m]))
+        for k, c in ur.items():
+            c = field.add(work.get(k, 0), field.mul(scale, c))
+            if c:
+                work[k] = c
+            else:
+                work.pop(k, None)
+    return Element(free, done)
+
+
+def tuple_s_polynomial(f, g, rank):
+    """tg[lcm] tf - tf[lcm] tg, where tf and tg are the gid-ordered
+    cofactors lcm - lead times f and g, on tuple monomials."""
+    free, field = f.algebra, f.algebra.field
+    key = lambda m: tuple_order_key(rank, m)  # noqa: E731
+    lf, lg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = tuple(sorted(set(lf) | set(lg)))
+    tf = free.mon_times(tuple(sorted(set(lcm) - set(lf))), f.terms)
+    tg = free.mon_times(tuple(sorted(set(lcm) - set(lg))), g.terms)
+    return (free.element(tf) * tg[lcm]) - (free.element(tg) * tf[lcm])
+
+
+def tuple_buchberger_log(relations, rank):
+    """(is a basis, S-pair log) of the exterior Buchberger check on tuple
+    monomials: for each relation i, its products with each generator of
+    its lead in ascending gid order, then its S-polynomials with every
+    later relation, each reduced by tuple_reduce and logged by repr."""
+    free = relations[0].algebra
+    key = lambda m: tuple_order_key(rank, m)  # noqa: E731
+    log = []
+    for i, f in enumerate(relations):
+        for v in max(f.terms, key=key):
+            prod = free.element(free.mon_times((v,), f.terms))
+            log.append((("self", i, free.names[v]),
+                        repr(tuple_reduce(prod, relations, rank))))
+        for j in range(i + 1, len(relations)):
+            s = tuple_s_polynomial(f, relations[j], rank)
+            log.append(((i, j), repr(tuple_reduce(s, relations, rank))))
+    return all(rem == "0" for _, rem in log), log
+
+
 def restart_climb_certificate(A, cap=None):
     """The bar-product search as a climb that restarts for each length.
 

@@ -3,17 +3,19 @@ from math import comb
 
 import pytest
 
+from tcsurf import cli, groebner
 from tcsurf.errors import (AlgebraError, CertificateError, MismatchError,
-                           UnsupportedModelError)
-from tcsurf.exterior import FreeAlgebra
+                           ResourceBudgetError, UnsupportedModelError)
+from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
-from tcsurf.groebner import (TermOrder, _normal_counts, buchberger_check,
-                             gb_hilbert, reduce_element, s_polynomial,
-                             torus_ideal, torus_ideal_check)
+from tcsurf.groebner import (TermOrder, _lead_table, _normal_counts,
+                             buchberger_check, gb_hilbert, reduce_element,
+                             s_polynomial, torus_ideal, torus_ideal_check)
 from tcsurf.models import totaro_algebra
 from tcsurf.presentation import hilbert_series
 
-from .oracles import normal_counts_by_subsets, tuple_order_key
+from .oracles import (normal_counts_by_subsets, tuple_buchberger_log,
+                      tuple_order_key, tuple_reduce)
 
 
 @pytest.mark.parametrize("call", [
@@ -174,8 +176,8 @@ def test_normal_counts_match_the_subset_oracle_on_torus_ideals():
     for n in range(1, 7):
         free, rels, order = torus_ideal(n)
         for o in (order, order.reversed()):
-            assert _normal_counts(free, rels, o) == _oracle_counts(
-                free, rels, o), (n, o)
+            assert _normal_counts(free, _lead_table(rels, o)) == \
+                _oracle_counts(free, rels, o), (n, o)
 
 
 def _random_relation(rng, free):
@@ -193,8 +195,8 @@ def test_normal_counts_match_the_subset_oracle_on_random_relations():
         order = TermOrder(F, names)
         rels = [_random_relation(rng, F) for _ in range(rng.randint(1, 6))]
         for some in ([], [F.one()], rels):  # empty, unit, random
-            assert _normal_counts(F, some, order) == _oracle_counts(
-                F, some, order), trial
+            assert _normal_counts(F, _lead_table(some, order)) == \
+                _oracle_counts(F, some, order), trial
 
 
 def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
@@ -208,9 +210,9 @@ def test_normal_counts_enumerate_only_the_lead_avoiding_monomials():
 
 
 def test_the_check_takes_each_lead_once_per_order(monkeypatch):
-    """The check builds its lead table once per order: besides that table
-    and the normal counts, only the S-polynomials take leads (two each),
-    where taking every lead in every reduction took 21,564 at n=9."""
+    """The check takes one lead per relation per order, for its lead table;
+    the reductions, S-polynomials and normal counts read that table.
+    Taking every lead in every reduction took 21,564 at n=9."""
     calls = []
     lead = TermOrder.lead
 
@@ -222,7 +224,11 @@ def test_the_check_takes_each_lead_once_per_order(monkeypatch):
     _, rels, _ = torus_ideal(9)
     rep = torus_ideal_check(9)
     assert rep.is_groebner and len(rep.orders_tried) == 1
-    assert len(calls) == 2 * len(rels) + 2 * comb(len(rels), 2)
+    assert len(calls) == len(rels)
+    calls.clear()
+    F = FreeAlgebra(QQ, [("a", 1), ("b", 1), ("c", 1), ("d", 1)])
+    rep = buchberger_check([F.gen("a") * F.gen("b") + F.gen("c") * F.gen("d")])
+    assert len(rep.orders_tried) == 2 and len(calls) == 2
 
 
 def test_s_polynomial_cancels_the_lcm():
@@ -263,3 +269,117 @@ def test_normal_form_is_a_fixed_point():
     nf = reduce_element(x2 * y2 + x2 * free.gen("x1"), rels, order)
     assert nf == x2 * free.gen("x1")
     assert reduce_element(nf, rels, order) == nf
+
+
+@pytest.mark.parametrize("priority", [["x", 1], [["x"], "y"], ["x", "z"]],
+                         ids=["int", "list", "unknown-name"])
+def test_term_order_refuses_a_priority_entry_that_is_no_generator_name(priority):
+    F = FreeAlgebra(QQ, [("x", 1), ("y", 1)])
+    with pytest.raises(AlgebraError, match="is not a generator name"):
+        TermOrder(F, priority)
+
+
+def _xy():
+    F = FreeAlgebra(QQ, [("x", 1), ("y", 1)])
+    return F, F.gen("x") * F.gen("y"), TermOrder(F, ["x", "y"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, o: buchberger_check([f, 3]),
+    lambda f, o: buchberger_check([f, 3], o),
+    lambda f, o: reduce_element(f, [f, 3], o),
+    lambda f, o: reduce_element(3, [f], o),
+    lambda f, o: s_polynomial(f, 3, o),
+], ids=["check", "check-with-order", "reduce-relation", "reduce-element",
+        "s-polynomial"])
+def test_a_relation_that_is_not_an_element_is_refused(call):
+    _, f, order = _xy()
+    with pytest.raises(AlgebraError, match="is not an Element"):
+        call(f, order)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: buchberger_check([f], "x<y"),
+    lambda f: buchberger_check([], "x<y"),
+    lambda f: reduce_element(f, [f], "x<y"),
+    lambda f: s_polynomial(f, f, "x<y"),
+], ids=["check", "check-empty", "reduce", "s-polynomial"])
+def test_an_order_that_is_not_a_term_order_is_refused(call):
+    _, f, _ = _xy()
+    with pytest.raises(AlgebraError, match="is not a TermOrder"):
+        call(f)
+
+
+def test_packed_and_free_elements_do_not_mix():
+    F, f, order = _xy()
+    with pytest.raises(MismatchError):
+        s_polynomial(f, order.pack(f), order)
+    with pytest.raises(MismatchError):
+        reduce_element(f, [order.pack(f)], order)
+
+
+def test_normal_counts_refuse_a_degree_over_the_budget(monkeypatch):
+    # at n = 4 degree 1 tries 8 candidates and degree 2 tries 28
+    monkeypatch.setattr(groebner, "COUNT_BUDGET", 27)
+    with pytest.raises(ResourceBudgetError, match=(
+            "normal monomials of degree 2: listing them tries 28 candidates, "
+            "over the budget of 27")):
+        torus_ideal_check(4)
+    assert cli.main(["groebner-check", "--n", "4"]) == 2
+    monkeypatch.setattr(groebner, "COUNT_BUDGET", 48)
+    assert gb_hilbert(torus_ideal_check(4)) == [1, 8, 22, 28, 17, 4]
+
+
+def _random_order(rng, F):
+    names = list(F.names)
+    rng.shuffle(names)
+    return TermOrder(F, names)
+
+
+def test_pack_unpack_and_the_packed_product_match_the_free_algebra():
+    rng = random.Random(11)
+    for _ in range(40):
+        F = FreeAlgebra(QQ, [(f"g{i}", 1) for i in range(rng.randint(1, 7))])
+        order = _random_order(rng, F)
+        a, b = _random_relation(rng, F), _random_relation(rng, F)
+        pa, pb = order.pack(a), order.pack(b)
+        assert order.unpack(pa) == a
+        assert pa.algebra is order and set(map(type, pa.terms)) == {int}
+        assert order.unpack(pa * pb) == a * b
+
+
+def test_the_packed_check_matches_the_tuple_oracle():
+    """The check on packed terms against the tuple loop it replaced, on
+    random relation sets under random priorities: the verdict, every log
+    label and remainder, and reduce_element under both strategies."""
+    rng = random.Random(34)
+    not_bases = 0
+    for trial in range(200):
+        F = FreeAlgebra(QQ, [(f"g{i}", 1) for i in range(rng.randint(2, 7))])
+        order = _random_order(rng, F)
+        rank = {F.by_name[name]: pos for pos, name in enumerate(order.priority)}
+        rels = [_random_relation(rng, F) for _ in range(rng.randint(1, 5))]
+        rep = buchberger_check(rels, order, try_reversal=False)
+        ok, log = tuple_buchberger_log(rels, rank)
+        assert (rep.is_groebner, rep.spair_log) == (ok, log), trial
+        not_bases += not ok
+        mons = [m for d in range(F.ngens + 1) for m in F.monomials_of_degree(d)]
+        for _ in range(3):
+            e = F.element({m: rng.randint(-3, 3)
+                           for m in rng.sample(mons, min(4, len(mons)))})
+            for strategy in ("lead", "low"):
+                got = reduce_element(e, rels, order, strategy)
+                assert isinstance(got, Element) and got.algebra is F
+                assert repr(got) == repr(tuple_reduce(e, rels, rank, strategy)), (
+                    trial, strategy)
+    assert 40 <= not_bases <= 160
+
+
+def test_the_torus_check_matches_the_tuple_oracle_under_both_orders():
+    for n in (3, 4):
+        free, rels, order = torus_ideal(n)
+        for o in (order, order.reversed()):
+            rank = {free.by_name[name]: pos for pos, name in enumerate(o.priority)}
+            rep = buchberger_check(rels, o, try_reversal=False)
+            assert (rep.is_groebner, rep.spair_log) == tuple_buchberger_log(
+                rels, rank), (n, o)
