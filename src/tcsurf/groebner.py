@@ -39,6 +39,8 @@ is listed.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import (AlgebraError, CertificateError, MismatchError,
                      ResourceBudgetError, UnsupportedModelError, _require_int)
 from .exterior import Element, FreeAlgebra, add_scaled
@@ -310,9 +312,8 @@ def _normal_counts(free: FreeAlgebra, leads):
     avoid = frozenset(lead for _, _, lead in leads)
     if () in avoid:
         return []  # a unit lead divides every monomial
-    normal, counts = [()], [1]
+    counts, tries = [1], free.ngens
     for d in range(1, free.ngens + 1):
-        tries = sum(free.ngens - 1 - m[-1] if m else free.ngens for m in normal)
         if tries > COUNT_BUDGET:
             raise ResourceBudgetError(
                 f"normal monomials of degree {d}: listing them tries {tries} "
@@ -321,6 +322,7 @@ def _normal_counts(free: FreeAlgebra, leads):
         if not normal:
             break
         counts.append(len(normal))
+        tries = len(normal) * (free.ngens - 1) - sum(map(itemgetter(-1), normal))
     return counts
 
 
@@ -349,7 +351,8 @@ def buchberger_check(relations, order: TermOrder = None,
 
     With order=None the declaration order is used and, on failure, the
     reversed priority is tried before reporting; the report records every
-    order tried and keeps the successful one.
+    order tried and keeps the successful one.  Only the kept order's
+    normal monomials are counted.
     """
     relations = list(relations)
     for r in relations:
@@ -374,15 +377,12 @@ def buchberger_check(relations, order: TermOrder = None,
     first = order or TermOrder(free, list(free.names))
     orders = [first] + ([first.reversed()] if try_reversal else [])
     tried = []
-    result = None
     for o in orders:
         leads = _lead_table(relations, o)
         ok, log = _run_check(relations, o, leads)
         tried.append(o)
-        result = GbReport(ok, log, _normal_counts(free, leads), o, tried)
-        if ok:
-            break
-    return result
+        if ok or o is orders[-1]:
+            return GbReport(ok, log, _normal_counts(free, leads), o, tried)
 
 
 def gb_hilbert(report: GbReport):

@@ -330,6 +330,19 @@ def test_normal_counts_refuse_a_degree_over_the_budget(monkeypatch):
     assert gb_hilbert(torus_ideal_check(4)) == [1, 8, 22, 28, 17, 4]
 
 
+def test_only_the_reported_order_counts_its_normal_monomials(monkeypatch):
+    # the declared order fails, and listing its degree 2 would try 15
+    # candidates; the reversed order passes and never tries more than 12
+    F = FreeAlgebra(QQ, [(x, 1) for x in "abcdef"])
+    a, b, c, d, f = (F.gen(x) for x in "abcdf")
+    rels = [f - c, a * b * d + a * c * d + a * d * f]
+    monkeypatch.setattr(groebner, "COUNT_BUDGET", 12)
+    rep = buchberger_check(rels)
+    assert rep.is_groebner and rep.order is rep.orders_tried[1]
+    with pytest.raises(ResourceBudgetError, match="degree 2: listing them tries 15"):
+        buchberger_check(rels, rep.orders_tried[0])
+
+
 def _random_order(rng, F):
     names = list(F.names)
     rng.shuffle(names)
