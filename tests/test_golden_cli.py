@@ -1,7 +1,8 @@
 """Golden CLI corpus: the full JSON output of a fixed list of invocations.
 
 Every invocation runs `cli.main(argv)` in-process with --json; its exit code
-and parsed output must equal the entry frozen in golden_cli.json.  After an
+and parsed output (None when it prints nothing), and its error message when
+it writes one, must equal the entry frozen in golden_cli.json.  After an
 intended output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -65,15 +66,21 @@ CORPUS = [
     ["tc", "--g", "3", "--n", "6"],
     ["tc", "--sweep", "2", "8", "0"],
     ["groebner-check", "--n", "8"],
+    ["zcl", "--model", "mod-ideal", "--n", "3"],
 ]
 
 
 def run(argv):
-    """(exit code, parsed JSON stdout) of one in-process invocation."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """(exit code, parsed JSON stdout, and stderr if any) of one in-process
+    invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--json"])
-    return {"exit": code, "output": json.loads(out.getvalue())}
+    entry = {"exit": code,
+             "output": json.loads(out.getvalue()) if out.getvalue() else None}
+    if err.getvalue():
+        entry["error"] = err.getvalue()
+    return entry
 
 
 def key(argv):
