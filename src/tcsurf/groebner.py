@@ -209,9 +209,6 @@ def _packed(order, elements, packed_ok=True) -> bool:
     raise MismatchError("the order and the elements live in different algebras")
 
 
-_PICKS = {"lead": max, "low": min}
-
-
 def _lead_table(relations, order: TermOrder):
     """(lead mask, packed relation, lead) for each relation under the order."""
     _packed(order, relations, packed_ok=False)
@@ -222,20 +219,17 @@ def _lead_table(relations, order: TermOrder):
     return table
 
 
-def reduce_element(e: Element, relations, order: TermOrder,
-                   strategy: str = "lead", *, leads=None) -> Element:
+def reduce_element(e: Element, relations, order: TermOrder, *,
+                   leads=None) -> Element:
     """Normal form of e against the relations under the order.
 
-    strategy picks which reducible monomial to clear next: "lead" takes the
-    largest, "low" the smallest.  With a Groebner basis both sequences end
-    at the same normal form; that is a tested property, not an assumption.
-    e may be packed by the order; the normal form takes e's form.  leads,
-    when given, is _lead_table(relations, order), which a caller that
-    reduces many elements against one order builds once.
+    Each step clears the largest monomial of e that a lead divides.  With a
+    Groebner basis clearing the smallest first ends at the same normal form;
+    that is a tested property, not an assumption.  e may be packed by the
+    order; the normal form takes e's form.  leads, when given, is
+    _lead_table(relations, order), which a caller that reduces many
+    elements against one order builds once.
     """
-    pick = _PICKS.get(strategy)
-    if pick is None:
-        raise AlgebraError(f"unknown reduction strategy: {strategy}")
     packed = _packed(order, [e])
     if leads is None:
         leads = _lead_table(relations, order)
@@ -244,7 +238,7 @@ def reduce_element(e: Element, relations, order: TermOrder,
     work = dict((e if packed else order.pack(e)).terms)
     done = {}
     while work:
-        m = pick(work, key=_mask_key)
+        m = max(work, key=_mask_key)
         for lmask, r, _ in leads:
             if lmask & m == lmask:
                 ur = _times(m ^ lmask, r.terms)

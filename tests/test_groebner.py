@@ -251,16 +251,8 @@ def test_reduction_confluence_on_random_elements():
         e = free.zero()
         for _ in range(4):
             e = e + free.element({rng.choice(mons): rng.randint(-3, 3)})
-        lead_nf = reduce_element(e, rels, order, strategy="lead")
-        low_nf = reduce_element(e, rels, order, strategy="low")
-        assert lead_nf == low_nf
-
-
-def test_unknown_strategy_is_refused_even_for_zero():
-    free, rels, order = torus_ideal(3)
-    for e in (free.zero(), free.gen("x1")):
-        with pytest.raises(AlgebraError):
-            reduce_element(e, rels, order, strategy="bogus")
+        rank = {free.by_name[name]: pos for pos, name in enumerate(order.priority)}
+        assert reduce_element(e, rels, order) == tuple_reduce(e, rels, rank, "low")
 
 
 def test_normal_form_is_a_fixed_point():
@@ -364,7 +356,7 @@ def test_pack_unpack_and_the_packed_product_match_the_free_algebra():
 def test_the_packed_check_matches_the_tuple_oracle():
     """The check on packed terms against the tuple loop it replaced, on
     random relation sets under random priorities: the verdict, every log
-    label and remainder, and reduce_element under both strategies."""
+    label and remainder, and reduce_element against the oracle's lead pick."""
     rng = random.Random(34)
     not_bases = 0
     for trial in range(200):
@@ -380,11 +372,9 @@ def test_the_packed_check_matches_the_tuple_oracle():
         for _ in range(3):
             e = F.element({m: rng.randint(-3, 3)
                            for m in rng.sample(mons, min(4, len(mons)))})
-            for strategy in ("lead", "low"):
-                got = reduce_element(e, rels, order, strategy)
-                assert isinstance(got, Element) and got.algebra is F
-                assert repr(got) == repr(tuple_reduce(e, rels, rank, strategy)), (
-                    trial, strategy)
+            got = reduce_element(e, rels, order)
+            assert isinstance(got, Element) and got.algebra is F
+            assert repr(got) == repr(tuple_reduce(e, rels, rank)), trial
     assert 40 <= not_bases <= 160
 
 
