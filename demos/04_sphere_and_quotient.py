@@ -5,9 +5,8 @@ torus case.  For spheres the model lives over GF(2) and the product is
 the cube of the SO(3) bar class times the bars of each point's two loops
 around the punctures of the plane factor.  The mod-ideal model is the
 genus-2 diagonal model of n points on the closed surface modulo the
-ideal <x1 y1, x_i y1 + x1 y_i>, built only through degree n; a nonzero
-witness is only valid if it stays nonzero against every membership
-probe of that ideal.
+ideal <x1 y1, x_i y1 + x1 y_i>; a nonzero witness is only valid if it
+stays nonzero against every membership probe of that ideal.
 """
 
 from tcsurf import case_certificate, mod_ideal_quotient, sphere_mod2_model

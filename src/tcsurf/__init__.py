@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AlgebraError", "CertificateError", "HomogeneityError",
                "MismatchError", "ModelInconsistencyError",
-               "ResourceBudgetError", "TruncationError",
-               "UnsupportedModelError"),
+               "ResourceBudgetError", "UnsupportedModelError"),
     "fields": ("GF2", "QQ"),
     "exterior": ("Element", "FreeAlgebra"),
     "presentation": ("AlgebraPresentation", "QuotientAlgebra",

@@ -21,10 +21,6 @@ class CertificateError(AlgebraError):
     """A certificate product vanished or an expected witness is absent."""
 
 
-class TruncationError(AlgebraError):
-    """An operation needs degrees beyond the constructed range."""
-
-
 class ResourceBudgetError(AlgebraError):
     """A computation would exceed its budget: a quotient degree or weight
     block its columns plus relation products, a split bar product its

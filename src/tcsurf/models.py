@@ -274,10 +274,10 @@ def _diagonal_presentation(g: int, n: int, extra_rels=None,
     return pres
 
 
-def _diagonal_quotient(pres: AlgebraPresentation, max_degree=None) -> QuotientAlgebra:
+def _diagonal_quotient(pres: AlgebraPresentation) -> QuotientAlgebra:
     """The quotient of a _diagonal_presentation, with its genus, points and
     diagonals."""
-    A = quotient(pres, max_degree=max_degree)
+    A = quotient(pres)
     A.genus, A.points, A.diagonals = pres.genus, pres.points, pres.diagonals
     return A
 
@@ -472,12 +472,8 @@ def mod_ideal_presentation(n: int, genus: int = 2) -> AlgebraPresentation:
 
 
 def mod_ideal_quotient(n: int, genus: int = 2) -> QuotientAlgebra:
-    """Quotient of mod_ideal_presentation(n, genus), built through degree n.
-
-    Only degrees <= n are needed: the monomial family x1..xk y_{k+1}..y_n
-    lives in degree n, and certificate expansion is pruned leg-wise to n.
-    """
-    return _diagonal_quotient(mod_ideal_presentation(n, genus), max_degree=n)
+    """The quotient of mod_ideal_presentation(n, genus)."""
+    return _diagonal_quotient(mod_ideal_presentation(n, genus))
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .errors import (
     MismatchError,
     ModelInconsistencyError,
     ResourceBudgetError,
-    TruncationError,
 )
 from .exterior import Element, FreeAlgebra, add_scaled
 from .fields import field_from_name
@@ -243,7 +242,8 @@ class _ProductRow(dict):
 
 
 class QuotientAlgebra:
-    """Graded quotient of a free algebra, with degreewise normal forms.
+    """Graded quotient of a free algebra, with degreewise normal forms,
+    built in every degree where it can be nonzero.
 
     Per degree d: mons[d] lists the surviving monomials (no killed monomial
     divides them) in ascending order, index[d] maps each to its column,
@@ -255,10 +255,12 @@ class QuotientAlgebra:
     (see _WeightBlocks).  Degree d is refused with ResourceBudgetError,
     naming d, before it is enumerated when the sum over generators g of
     len(mons[d - |g|]) columns plus one product per multi-term relation of
-    degree e and survivor of degree d - e exceed DEFAULT_BUDGET.
+    degree e and survivor of degree d - e exceed DEFAULT_BUDGET.  A
+    presentation whose declared top_degree has a nonzero degree above it is
+    refused with ModelInconsistencyError.
     """
 
-    def __init__(self, presentation: AlgebraPresentation, max_degree=None):
+    def __init__(self, presentation: AlgebraPresentation):
         pres = presentation
         self.presentation = pres
         self.free = pres.free
@@ -276,14 +278,9 @@ class QuotientAlgebra:
         bound = formal_top + window
         if natural is not None:
             bound = min(bound, natural)
-        capped = False
-        if max_degree is not None and max_degree < bound:
-            bound = max_degree
-            capped = True
 
         parts = _WeightBlocks(pres, graded=False)
         self.mons, self.index, self.ideal, self.basis = [], [], [], []
-        stopped_clean = False
         for d in range(bound + 1):
             blk = parts.block(d, ())
             self.mons.append(blk.mons)
@@ -291,7 +288,6 @@ class QuotientAlgebra:
             self.ideal.append(blk.ideal)
             self.basis.append(blk.basis)
             if d >= window and all(not self.basis[d - k] for k in range(window)):
-                stopped_clean = True
                 break
 
         self.built_top = len(self.basis) - 1
@@ -299,8 +295,16 @@ class QuotientAlgebra:
         self.basis_degree = {m: d for d, b in enumerate(self.basis) for m in b}
         self.dims = [len(b) for b in self.basis]
         self.top_nonzero = max((d for d, n in enumerate(self.dims) if n), default=0)
-        self.exhaustive = stopped_clean or (
-            not capped and natural is not None and bound == natural)
+        # The run ends at the free algebra's own top, or after a window of
+        # zero degrees, which proves every higher degree zero; short of both,
+        # it ends one window past a declared top with a nonzero degree in
+        # that window, which is refused here.
+        t = pres.top_degree
+        if t is not None and self.top_nonzero > t:
+            first = next(d for d in range(t + 1, len(self.dims)) if self.dims[d])
+            raise ModelInconsistencyError(
+                f"{self.label}: degree {first} is nonzero, above the declared "
+                f"top_degree {t}")
         self._mul_cache = {}  # basis monomial m1 -> _ProductRow of m1
 
     # -- degree bookkeeping --------------------------------------------------
@@ -309,12 +313,7 @@ class QuotientAlgebra:
         return len(self.basis_monomials(d))
 
     def basis_monomials(self, d: int):
-        if 0 <= d <= self.built_top:
-            return self.basis[d]
-        if d < 0 or self.exhaustive:
-            return []
-        raise TruncationError(
-            f"{self.label}: degree {d} beyond the constructed range {self.built_top}")
+        return self.basis[d] if 0 <= d <= self.built_top else []
 
     def term_degree(self, mon) -> int:
         return self.free.monomial_degree(mon)
@@ -327,11 +326,6 @@ class QuotientAlgebra:
         t = self.presentation.top_degree
         if t is None:
             return self.dims[:self.top_nonzero + 1]
-        if self.top_nonzero > t:
-            first = next(d for d in range(t + 1, len(self.dims)) if self.dims[d])
-            raise ModelInconsistencyError(
-                f"{self.label}: degree {first} is nonzero, above the declared "
-                f"top_degree {t}")
         return (self.dims + [0] * t)[:t + 1]
 
     # -- elements ------------------------------------------------------------
@@ -360,11 +354,7 @@ class QuotientAlgebra:
         out = {}
         for part_deg, part in e.homogeneous_parts().items():
             if part_deg > self.built_top:
-                if self.exhaustive:
-                    continue
-                raise TruncationError(
-                    f"{self.label}: cannot reduce in degree {part_deg}, "
-                    f"constructed only through {self.built_top}")
+                continue
             out.update(_normal_form(field, self.index[part_deg], self.mons[part_deg],
                                     self.ideal[part_deg], part.terms))
         return Element(self, out)
@@ -391,8 +381,8 @@ class QuotientAlgebra:
         return f"QuotientAlgebra({self.label}, dims={self.hilbert()})"
 
 
-def quotient(presentation: AlgebraPresentation, max_degree=None) -> QuotientAlgebra:
-    return QuotientAlgebra(presentation, max_degree=max_degree)
+def quotient(presentation: AlgebraPresentation) -> QuotientAlgebra:
+    return QuotientAlgebra(presentation)
 
 
 def _ideal_rows(free: FreeAlgebra, d, mons, lead, rels, lower):
@@ -685,8 +675,8 @@ def hilbert_series(algebra: QuotientAlgebra):
     """Dimensions [dim A^0, dim A^1, ...].
 
     With an explicit top_degree in the presentation the list runs through
-    that degree, and a nonzero degree above it raises
-    ModelInconsistencyError; otherwise trailing zero degrees are trimmed.
+    that degree (the quotient refuses a nonzero degree above it); otherwise
+    trailing zero degrees are trimmed.
     """
     return algebra.hilbert()
 
@@ -710,20 +700,16 @@ class TensorSquareAlgebra:
     The square holds only its dims, computed on construction as the
     convolution of the leg dimensions; it lists no pairs.  Every product
     reads its legs from A's product table (A.products_by), which caches
-    them.  On a truncated quotient (built only through some degree cap)
-    the legs stop at the built range, and a product whose legs would leave
-    it raises TruncationError from A.reduce_free, so callers prune with a
-    bound.
+    them.  Each leg runs through A's top nonzero degree.
     """
 
     def __init__(self, A: QuotientAlgebra):
         self.A = A
         self.field = A.field
-        leg_top = A.top_nonzero if A.exhaustive else A.built_top
-        self.leg_top = leg_top
-        self.top = 2 * leg_top
+        self.leg_top = A.top_nonzero
+        self.top = 2 * self.leg_top
         self.label = f"{A.label} (x) {A.label}"
-        legs = [A.dim(e) for e in range(leg_top + 1)]
+        legs = A.dims[:self.leg_top + 1]
         self.dims = convolve(legs, legs)
 
     def pair_degree(self, pair):

@@ -241,7 +241,7 @@ def _certificate_facts(cert, space: str = "") -> list:
 
 def _lower(model, certify, method: str):
     """(zcl lower bound, facts): the model's zcl by zcl_bound when exact,
-    uncapped, so the bound order is checked; else the length of the
+    with no cap, so the bound order is checked; else the length of the
     certificate certify() builds."""
     if method == "exact":
         from .zcl import zcl_bound

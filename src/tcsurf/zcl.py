@@ -31,7 +31,7 @@ from functools import reduce
 from operator import mul
 
 from .errors import (AlgebraError, CertificateError, HomogeneityError,
-                     ResourceBudgetError, TruncationError, _require_int)
+                     ResourceBudgetError, _require_int)
 from .exterior import Element, FreeAlgebra
 from .linalg import echelonize, kernel_basis, new_subspace
 from .models import (MODELS, mod_ideal_quotient, model_options,
@@ -176,8 +176,6 @@ def zcl_exact(A, cap=None) -> BoundReport:
     """Zero-divisor cup length by ordered power iteration (_power_iterate)
     over the bar classes of the algebra generators (bar_generators), each
     product formed by TensorSquareAlgebra.multiply."""
-    if not A.exhaustive:
-        raise TruncationError(f"zcl_exact needs a fully constructed algebra: {A.label}")
     value, exact = _power_iterate(tensor_square(A), bar_generators(A), cap)
     return BoundReport("zcl", value, exact, "power-iteration", A.label,
                        variant="generators")
@@ -185,8 +183,6 @@ def zcl_exact(A, cap=None) -> BoundReport:
 
 def cup_length(A, cap=None) -> BoundReport:
     """Largest q with a nonzero q-fold product of positive-degree elements."""
-    if not A.exhaustive:
-        raise TruncationError(f"cup_length needs a fully constructed algebra: {A.label}")
     gens = [g for g in A.generator_elements() if not g.is_zero()]
     value, exact = _power_iterate(A, gens, cap)
     return BoundReport("cl", value, exact, "power-iteration", A.label)
@@ -465,7 +461,7 @@ def _accumulate(acc, key, c, add):
 
 
 # Tensor products one bar-product search may form.  The largest search the
-# tests run, punctured-plane n=5 k=1 uncapped, forms 6,719.
+# tests run, punctured-plane n=5 k=1 with no cap, forms 6,719.
 SEARCH_BUDGET = 10_000
 
 

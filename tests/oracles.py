@@ -285,7 +285,7 @@ def unordered_power_iteration(seeds, multipliers, char, cap=None):
 
 def tensor_pairs(A, d):
     """The pairs (m1, m2) of basis monomials of A of total degree d, by
-    ascending degree of m1; on a truncated A only legs it has built."""
+    ascending degree of m1."""
     top = A.built_top
     return [(m1, m2) for e in range(max(0, d - top), min(d, top) + 1)
             for m1 in A.basis_monomials(e) for m2 in A.basis_monomials(d - e)]
@@ -388,8 +388,8 @@ def full_elimination_mismatches(A):
     return bad
 
 
-def all_products_echelon(pres, max_degree=None):
-    """(survivors, ideal, basis, exhaustive) of a presentation's quotient,
+def all_products_echelon(pres):
+    """(survivors, ideal, basis) of a presentation's quotient,
     with every relation product echelonized.
 
     The survivors of degree d are the free monomials (monomials_by_multisets)
@@ -399,9 +399,8 @@ def all_products_echelon(pres, max_degree=None):
     that are no survivor dropped) goes through the package's echelonize over
     the degree-d survivors; nothing is skipped.  The degrees run as the
     quotient's do: through the formal top plus one window of max(generator
-    degree), no further than the free algebra's own top or max_degree, and
-    exhaustive when a whole window of empty degrees ends the run or the
-    free algebra's own top ends it uncapped.
+    degree), no further than the free algebra's own top, or until a whole
+    window of empty degrees ends the run.
     """
     free, field = pres.free, pres.field
     degrees, char = free.degrees, field.char
@@ -412,9 +411,6 @@ def all_products_echelon(pres, max_degree=None):
     natural = sum(degrees) if char != 2 and all(g % 2 for g in degrees) else None
     top = pres.top_degree if pres.top_degree is not None else natural
     bound = top + window if natural is None else min(top + window, natural)
-    capped = max_degree is not None and max_degree < bound
-    if capped:
-        bound = max_degree
     survivors, ideal, basis = [], [], []
     for d in range(bound + 1):
         survivors.append([m for m in monomials_by_multisets(degrees, d, char)
@@ -434,17 +430,15 @@ def all_products_echelon(pres, max_degree=None):
         pivots = set(ideal[d].pivots)
         basis.append([m for i, m in enumerate(survivors[d]) if i not in pivots])
         if d >= window and not any(basis[d - k] for k in range(window)):
-            return survivors, ideal, basis, True
-    exhaustive = not capped and natural is not None and bound == natural
-    return survivors, ideal, basis, exhaustive
+            break
+    return survivors, ideal, basis
 
 
-def all_products_mismatches(A, max_degree=None):
+def all_products_mismatches(A):
     """What of the quotient A differs from all_products_echelon of its
     presentation: the survivors, pivots, reduced rows and basis of each
-    degree, the degrees built, and exhaustive."""
-    survivors, ideal, basis, exhaustive = all_products_echelon(
-        A.presentation, max_degree)
+    degree, and the degrees built."""
+    survivors, ideal, basis = all_products_echelon(A.presentation)
     bad = []
     if len(basis) != len(A.basis):
         bad.append(("degrees", len(A.basis), len(basis)))
@@ -456,8 +450,6 @@ def all_products_mismatches(A, max_degree=None):
                 ("basis", A.basis[d], basis[d])):
             if got != want:
                 bad.append((what, d))
-    if A.exhaustive != exhaustive:
-        bad.append(("exhaustive", A.exhaustive, exhaustive))
     return bad
 
 

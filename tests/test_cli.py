@@ -59,6 +59,19 @@ def test_build_refuses_a_presentation_it_would_misread(
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_a_presentation_with_a_wrong_top_is_refused_before_it_is_dumped(tmp_path):
+    path, out = tmp_path / "p.json", tmp_path / "out.json"
+    path.write_text(json.dumps({
+        "field": "Q", "relations": [], "top_degree": 1,
+        "generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1}]}))
+    proc = run_cli("build", "--presentation", str(path),
+                   "--dump-presentation", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: presentation: degree 2 is nonzero, above "
+                           "the declared top_degree 1\n")
+    assert not out.exists()
+
+
 def test_zcl_exact_json():
     proc = run_cli("zcl", "--model", "so3-mod2", "--json")
     assert proc.returncode == 0
@@ -356,7 +369,7 @@ def test_build_mod_ideal():
     assert proc.returncode == 0, proc.stderr
     info = json.loads(proc.stdout)
     assert info["label"] == "mod-ideal(g=2,n=2)"
-    assert info["exhaustive"] is False  # built through degree n only
+    assert info["exhaustive"] is True  # every build is complete
 
 
 @pytest.mark.parametrize("argv,message", [

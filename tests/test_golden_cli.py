@@ -1,8 +1,7 @@
 """Golden CLI corpus: the full JSON output of a fixed list of invocations.
 
 Every invocation runs `cli.main(argv)` in-process with --json; its exit code
-and parsed output (None when it prints nothing), and its error message when
-it writes one, must equal the entry frozen in golden_cli.json.  After an
+and parsed output must equal the entry frozen in golden_cli.json.  After an
 intended output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -71,16 +70,11 @@ CORPUS = [
 
 
 def run(argv):
-    """(exit code, parsed JSON stdout, and stderr if any) of one in-process
-    invocation."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    """(exit code, parsed JSON stdout) of one in-process invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv + ["--json"])
-    entry = {"exit": code,
-             "output": json.loads(out.getvalue()) if out.getvalue() else None}
-    if err.getvalue():
-        entry["error"] = err.getvalue()
-    return entry
+    return {"exit": code, "output": json.loads(out.getvalue())}
 
 
 def key(argv):

@@ -45,7 +45,8 @@ def presentations(draw, field, degrees, squares=False):
     With squares=True every odd generator squares to zero (over Q it does
     so anyway) and every even one cubes to zero, so the quotient is finite
     and its tensor square can be built; the bar of an even generator keeps
-    a nonzero cube.
+    a nonzero cube.  Without, the quotient is cut above degree 3 + w by
+    with_top_degree.
     """
     degs = draw(st.lists(degrees, min_size=2, max_size=4))
     free = FreeAlgebra(field, [(f"x{i}", d) for i, d in enumerate(degs)])
@@ -67,8 +68,10 @@ def presentations(draw, field, degrees, squares=False):
             if mons:
                 rels.append(free.element(draw(st.dictionaries(
                     st.sampled_from(mons), coeff, min_size=1, max_size=3))))
-    top = sum(d if d % 2 else 2 * d for d in degs) if squares else 3
-    return AlgebraPresentation(free, rels, top_degree=top)
+    if squares:
+        top = sum(d if d % 2 else 2 * d for d in degs)
+        return AlgebraPresentation(free, rels, top_degree=top)
+    return with_top_degree(free, rels, 3)
 
 
 @st.composite
@@ -87,7 +90,21 @@ def sparse_presentations(draw, field):
         if mons:
             rels.append(free.element(draw(st.dictionaries(
                 st.sampled_from(mons), coeff, min_size=1, max_size=4))))
-    return AlgebraPresentation(free, rels, top_degree=draw(st.integers(2, 5)))
+    return with_top_degree(free, rels, draw(st.integers(2, 5)))
+
+
+def with_top_degree(free, rels, top):
+    """The presentation of rels cut above degree t = top + w, w the largest
+    generator degree: every monomial of degree above t whose last generator
+    leaves degree at most t is killed, so these kill every degree above t,
+    and the quotient has top_degree t.  It agrees with the quotient of rels
+    through degree t, which covers every degree a quotient of rels with
+    top_degree top would build before it stops."""
+    t = top + max(free.degrees)
+    cut = [free.element({m: 1}) for d in range(t + 1, t + max(free.degrees) + 1)
+           for m in free.monomials_of_degree(d)
+           if free.monomial_degree(m[:-1]) <= t]
+    return AlgebraPresentation(free, rels + cut, top_degree=t)
 
 
 def oracle_mul(degs, char, f1, f2):

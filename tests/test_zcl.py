@@ -6,8 +6,7 @@ import pytest
 
 from tcsurf import presentation, zcl
 from tcsurf.errors import (AlgebraError, CertificateError, HomogeneityError,
-                           ResourceBudgetError, TruncationError,
-                           UnsupportedModelError)
+                           ResourceBudgetError, UnsupportedModelError)
 from tcsurf.exterior import Element, FreeAlgebra
 from tcsurf.fields import GF2, QQ
 from tcsurf.models import (arnold_algebra, genus2_B_algebra,
@@ -167,10 +166,10 @@ def test_zcl_variants_agree():
             unordered_power_iteration(bars, bars, char), A.label
 
 
-def test_zcl_rejects_truncated_algebras():
-    Aq = mod_ideal_quotient(2)
-    with pytest.raises(TruncationError):
-        zcl_exact(Aq)
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_zcl_exact_of_the_mod_ideal_model_is_2n(g, n):
+    report = zcl_exact(mod_ideal_quotient(n, g))
+    assert (report.value, report.exact) == (2 * n, True)
 
 
 def test_zero_divisor_dimensions_of_the_torus():
@@ -364,14 +363,6 @@ def test_certificate_refuses_candidates_of_mixed_bidegree():
     assert not isinstance(err.value, CertificateError)
 
 
-def test_certificates_run_on_a_truncated_quotient_within_its_range():
-    Aq = mod_ideal_quotient(2)
-    assert not Aq.exhaustive
-    assert bar_product_certificate(Aq, 2).certified_length == 2
-    with pytest.raises(TruncationError):
-        bar_product_certificate(Aq, 5)
-
-
 def test_bar_product_certificate_lengths():
     for n, want in ((1, 0), (2, 1), (3, 3), (4, 5)):
         cert = bar_product_certificate(quotient(arnold_algebra(n)), want)
@@ -443,9 +434,9 @@ def test_block_families_build_no_quotient_but_the_surface_ring(monkeypatch):
     built = []
     init = QuotientAlgebra.__init__
 
-    def recording(self, pres, max_degree=None):
+    def recording(self, pres):
         built.append(pres.label)
-        init(self, pres, max_degree)
+        init(self, pres)
 
     monkeypatch.setattr(QuotientAlgebra, "__init__", recording)
     for g in (1, 2):
@@ -608,8 +599,8 @@ def test_sphere_family_multiplies_abar_cubed_by_the_puncture_loops(
 
 def test_sphere_family_refuses_a_model_missing_a_loop():
     free = FreeAlgebra(GF2, [("a", 1), ("e1_0", 1)])
-    a = free.gen("a")
-    B = quotient(AlgebraPresentation(free, [a * a * a * a], top_degree=4,
+    a, e = free.gen("a"), free.gen("e1_0")
+    B = quotient(AlgebraPresentation(free, [a * a * a * a, e * e], top_degree=4,
                                      label="sphere-without-e1_1"))
     B.points = 4
     with pytest.raises(AlgebraError,
