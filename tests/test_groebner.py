@@ -247,11 +247,11 @@ def test_reduction_confluence_on_random_elements():
     assert rep.is_groebner
     rng = random.Random(2024)
     mons = [m for d in range(5) for m in free.monomials_of_degree(d)]
+    rank = {free.by_name[name]: pos for pos, name in enumerate(order.priority)}
     for _ in range(40):
         e = free.zero()
         for _ in range(4):
             e = e + free.element({rng.choice(mons): rng.randint(-3, 3)})
-        rank = {free.by_name[name]: pos for pos, name in enumerate(order.priority)}
         assert reduce_element(e, rels, order) == tuple_reduce(e, rels, rank, "low")
 
 

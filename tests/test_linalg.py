@@ -344,9 +344,11 @@ def test_gf2_entries_the_field_refuses_are_refused(value, error):
 
 
 # The memory held after building sphere_mod2_model(7) and
-# mod_ideal_quotient(5), imports included, is about 6.1-7.0 MB on CPython
-# 3.10-3.13; with dict rows over Q and full-width bitmask rows over GF(2)
-# it was 10.3-11.3 MB.
+# mod_ideal_quotient(5), imports included, is about 7.4-8.3 MB on CPython
+# 3.10-3.13 (7.39 MB on 3.11), the quotient built in full with its
+# zero-dimensional degree 6; built only through degree 5 it was 6.1-7.0 MB,
+# and with dict rows over Q and full-width bitmask rows over GF(2)
+# 10.3-11.3 MB.
 HELD_MB_BOUND = 8.5
 
 
